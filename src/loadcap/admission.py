@@ -9,6 +9,7 @@ probability.  Equality counts as acceptance.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -71,6 +72,10 @@ class QosPolicy:
                 f"c_max={self.c_max!r} exceeds the physical ceiling {self.c_sys!r}"
             )
 
+    def admits(self, value: float) -> bool:
+        """Whether a tail estimate respects ``p``; equality accepts."""
+        return value <= self.p
+
 
 @dataclass(frozen=True)
 class AdmissionState:
@@ -119,7 +124,7 @@ def decide(state: AdmissionState, incoming: ApplianceClass) -> Decision:
     """
     candidate = state.composition.with_added(incoming)
     value = estimate(state.method, candidate, state.policy.c_max, state.quantum)
-    verdict = Verdict.ACCEPT if value <= state.policy.p else Verdict.REJECT
+    verdict = Verdict.ACCEPT if state.policy.admits(value) else Verdict.REJECT
     return Decision(
         verdict=verdict,
         estimate=value,
@@ -149,33 +154,32 @@ def check_underconsumption(state: AdmissionState) -> UnderconsumptionReport:
 
 
 def _count_estimator(
-    appliance_class: ApplianceClass,
+    classes: tuple[ApplianceClass, ...],
     policy: QosPolicy,
     method: EstimationMethod,
     quantum: float,
     base: ClassComposition,
-):
-    """Tail estimate as a function of how many of one class are enabled."""
-    if appliance_class.deterministic:
+) -> Callable[[tuple[int, ...]], bool]:
+    """Admission check as a function of the enabled count of each class.
 
-        def f(n: int) -> float:
-            comp = ClassComposition(
-                entries=base.entries,
-                deterministic_load=base.deterministic_load
-                + n * appliance_class.on_power,
-            )
-            return estimate(method, comp, policy.c_max, quantum)
+    ``counts[i]`` of ``classes[i]`` join ``base``: a stochastic class as a
+    new entry, a deterministic one as constant load.
+    """
 
-        return f
-
-    def f(n: int) -> float:
-        entries = base.entries + ((appliance_class, n),)
+    def admits(counts: tuple[int, ...]) -> bool:
+        entries = base.entries
+        det_load = 0.0
+        for cls, n in zip(classes, counts):
+            if cls.deterministic:
+                det_load += n * cls.on_power
+            else:
+                entries += ((cls, n),)
         comp = ClassComposition(
-            entries=entries, deterministic_load=base.deterministic_load
+            entries=entries, deterministic_load=base.deterministic_load + det_load
         )
-        return estimate(method, comp, policy.c_max, quantum)
+        return policy.admits(estimate(method, comp, policy.c_max, quantum))
 
-    return f
+    return admits
 
 
 def _search_is_monotone(
@@ -216,26 +220,25 @@ def max_admissible(
     if base is None:
         base = ClassComposition.empty()
     count = appliance_class.count
-    f = _count_estimator(appliance_class, policy, method, quantum, base)
-    p = policy.p
+    admits = _count_estimator((appliance_class,), policy, method, quantum, base)
     if not _search_is_monotone(appliance_class, policy, method, base):
         best = 0
         for n in range(count + 1):
-            if f(n) <= p:
+            if admits((n,)):
                 best = n
         return best
-    if f(0) > p:
+    if not admits((0,)):
         return 0
-    if count == 0 or f(count) <= p:
+    if count == 0 or admits((count,)):
         return count
-    # invariant: f(lo) <= p < f(hi)
+    # invariant: lo fits, hi does not
     lo, hi = 0, 1
-    while f(hi) <= p:
+    while admits((hi,)):
         lo = hi
-        hi = min(2 * hi, count)  # f(count) > p, so hi stays a strict bound
+        hi = min(2 * hi, count)  # count does not fit, so hi stays a strict bound
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if f(mid) <= p:
+        if admits((mid,)):
             lo = mid
         else:
             hi = mid
@@ -255,11 +258,13 @@ def decision_region(
     the second meets the policy under the method.  Computed by full grid
     enumeration; shape is (class1.count + 1, class2.count + 1).
     """
+    admits = _count_estimator(
+        (class1, class2), policy, method, quantum, ClassComposition.empty()
+    )
     region = np.zeros((class1.count + 1, class2.count + 1), dtype=bool)
     for n1 in range(class1.count + 1):
         for n2 in range(class2.count + 1):
-            comp = ClassComposition(entries=((class1, n1), (class2, n2)))
-            region[n1, n2] = estimate(method, comp, policy.c_max, quantum) <= policy.p
+            region[n1, n2] = admits((n1, n2))
     return region
 
 

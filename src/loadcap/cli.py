@@ -41,7 +41,7 @@ _EXIT_UNSATISFIABLE = 4
 _SPEC_PATTERN = re.compile(r"^(\d+)x([^@]+)@(.+)$")
 
 
-def _parse_composition_spec(specs: Sequence[str], quantum: float) -> ClassComposition:
+def _parse_composition_spec(specs: Sequence[str]) -> ClassComposition:
     """Build a composition from COUNTxWATTS@P_ON strings (e.g. 100x1@0.5)."""
     entries = []
     for i, spec in enumerate(specs):
@@ -57,7 +57,6 @@ def _parse_composition_spec(specs: Sequence[str], quantum: float) -> ClassCompos
             name=f"c{i}", on_power=watts, model=Bernoulli(p_on=p_on), count=count
         )
         entries.append((cls, count))
-    del quantum  # grid compatibility is checked by the estimators
     return ClassComposition(entries=tuple(entries))
 
 
@@ -73,7 +72,7 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    composition = _parse_composition_spec(args.composition, args.quantum_w)
+    composition = _parse_composition_spec(args.composition)
     if args.det > 0.0:
         composition = ClassComposition(
             entries=composition.entries, deterministic_load=args.det
@@ -135,7 +134,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
-    comp = _parse_composition_spec([args.class1, args.class2], args.quantum_w)
+    comp = _parse_composition_spec([args.class1, args.class2])
     (class1, _), (class2, _) = comp.entries
     policy = QosPolicy(c_max=args.c_max, p=args.p)
     method = EstimationMethod(args.method)
@@ -161,13 +160,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, seed_default: int | None = 0) -> None:
-    parser.add_argument("--seed", type=int, default=seed_default, help="base RNG seed")
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quantum-w", type=float, default=1.0, help="power grid step in watts"
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes for sweeps"
     )
     parser.add_argument(
         "--out-dir", default=".", help="directory for output files"
@@ -208,7 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.set_defaults(func=_cmd_bounds)
 
     simulate = sub.add_parser("simulate", help="run an experiment file")
-    _add_common(simulate, seed_default=None)  # None keeps the file's seed
+    _add_common(simulate)
+    simulate.add_argument(
+        "--seed", type=int, default=None, help="base RNG seed; default keeps the file's"
+    )
+    simulate.add_argument(
+        "--jobs", type=int, default=1, help="parallel worker processes for sweeps"
+    )
     simulate.add_argument("experiment", help="experiment JSON path")
     simulate.set_defaults(func=_cmd_simulate)
 

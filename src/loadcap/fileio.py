@@ -61,8 +61,10 @@ def read_trace(path: str) -> TraceSeries:
     """Load a measured power trace from CSV.
 
     The header must be exactly ``timestamp_s,power_w``; every data row must
-    hold two numbers.  The sample period is taken from the first timestamp
-    gap (1 s for single-row traces).
+    hold two numbers.  Timestamps must be strictly increasing and evenly
+    spaced: every gap must match the first one to within
+    ``1e-9 * max(1, |t|)``.  The sample period is that first gap (1 s for
+    single-row traces).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -76,8 +78,10 @@ def read_trace(path: str) -> TraceSeries:
             )
         times: list[float] = []
         watts: list[float] = []
+        blank_rows: list[int] = []
         for row_number, row in enumerate(reader, start=2):
             if not row:
+                blank_rows.append(row_number)
                 continue
             try:
                 if len(row) != 2:
@@ -88,9 +92,24 @@ def read_trace(path: str) -> TraceSeries:
                 raise ValueError(f"malformed trace row {row_number}: {row!r}") from None
     if not watts:
         raise ValueError("trace has no data rows")
-    period = times[1] - times[0] if len(times) >= 2 else 1.0
-    if period <= 0.0:
-        raise ValueError(f"non-increasing timestamps; first gap is {period!r}")
+    stamps = np.array(times)
+    gaps = np.diff(stamps)
+    period = float(gaps[0]) if gaps.size else 1.0
+    even = np.abs(gaps - period) <= 1e-9 * np.maximum(1.0, np.abs(stamps[1:]))
+    bad = np.flatnonzero(~((gaps > 0.0) & even))  # NaN gaps fail both tests
+    if bad.size:
+        i = int(bad[0])
+        gap = float(gaps[i])
+        row_number = i + 3  # the gap's later row, counting the header
+        for blank in blank_rows:
+            if blank <= row_number:
+                row_number += 1
+        problem = (
+            "is not positive (non-increasing timestamps)"
+            if not gap > 0.0
+            else f"differs from the first gap {period!r} (uneven sampling)"
+        )
+        raise ValueError(f"trace row {row_number}: timestamp gap {gap!r} {problem}")
     return TraceSeries(sample_period_s=period, watts=np.array(watts))
 
 
@@ -340,7 +359,7 @@ _TOP_KEYS = {
     "deterministic_load",
     "outputs",
 }
-_OUTPUT_KEYS = {"result_json", "series_csv", "outcomes_csv", "sweep_csv", "region_csv"}
+_OUTPUT_KEYS = {"result_json", "series_csv", "outcomes_csv", "sweep_csv"}
 
 
 def _parse_class(doc: Mapping[str, Any], index: int, base_dir: str) -> ApplianceClass:

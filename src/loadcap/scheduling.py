@@ -20,7 +20,6 @@ __all__ = [
     "PendingDemand",
     "Backlog",
     "SlotOutcome",
-    "select_to_disable",
     "apply_strategy",
     "load_factor",
 ]
@@ -90,26 +89,6 @@ class SlotOutcome:
     @property
     def disabled_count(self) -> int:
         return len(self.disabled_ids)
-
-
-def select_to_disable(
-    demanding: Sequence[int], excess_count: int, rng: np.random.Generator
-) -> set[int]:
-    """Uniform random choice of which demanding appliances to disable.
-
-    Draws without replacement, so every demanding appliance is equally
-    likely to be picked.  Asking for more than are demanding disables them
-    all; the shortfall is visible as the smaller result size.
-    """
-    if excess_count < 0:
-        raise ValueError(f"excess_count={excess_count!r} must be non-negative")
-    if excess_count == 0:
-        return set()
-    pool = np.asarray(demanding)
-    if excess_count >= pool.size:
-        return set(int(i) for i in pool)
-    picked = rng.choice(pool, size=excess_count, replace=False)
-    return set(int(i) for i in picked)
 
 
 def apply_strategy(

@@ -15,6 +15,7 @@ numbers across compared runs).
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .admission import QosPolicy, max_admissible
+from .admission import QosPolicy, _count_estimator, max_admissible
 from .models import ApplianceClass, derive_seed, sample_series
 from .scheduling import (
     Backlog,
@@ -33,7 +34,7 @@ from .scheduling import (
     apply_strategy,
     load_factor,
 )
-from .tailprob import ClassComposition, EstimationMethod, _grid_steps, estimate
+from .tailprob import ClassComposition, EstimationMethod, _grid_steps
 
 __all__ = [
     "SimMode",
@@ -232,64 +233,6 @@ def run_composition(config: SimConfig) -> SimResult:
     )
 
 
-class _EstimateMemo:
-    """Memoized tail estimate over admitted shiftable counts.
-
-    Admitted compositions recur heavily across slots; one run touches only
-    a small set of count vectors, each estimated once.
-    """
-
-    def __init__(self, config: SimConfig, shiftable: Sequence[ApplianceClass]):
-        self._config = config
-        self._stochastic = tuple(c for c in shiftable if not c.deterministic)
-        self._det_classes = tuple(c for c in shiftable if c.deterministic)
-        base_entries = []
-        base_det = config.deterministic_load
-        for cls in config.classes:
-            if cls.shiftable:
-                continue
-            if cls.deterministic:
-                base_det += cls.count * cls.on_power
-            else:
-                base_entries.append((cls, cls.count))
-        self._base_entries = tuple(base_entries)
-        self._base_det = base_det
-        self._index = {c.name: i for i, c in enumerate(self._stochastic)}
-        self._det_index = {c.name: i for i, c in enumerate(self._det_classes)}
-        self._cache: dict[tuple[int, ...], float] = {}
-
-    def split_counts(
-        self, counts: dict[str, int]
-    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        stoch = [0] * len(self._stochastic)
-        det = [0] * len(self._det_classes)
-        for name, n in counts.items():
-            if name in self._index:
-                stoch[self._index[name]] = n
-            else:
-                det[self._det_index[name]] = n
-        return tuple(stoch), tuple(det)
-
-    def value(self, counts: dict[str, int]) -> float:
-        stoch, det = self.split_counts(counts)
-        key = stoch + det
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        entries = self._base_entries + tuple(
-            (cls, n) for cls, n in zip(self._stochastic, stoch)
-        )
-        det_load = self._base_det + sum(
-            n * cls.on_power for cls, n in zip(self._det_classes, det)
-        )
-        comp = ClassComposition(entries=entries, deterministic_load=det_load)
-        value = estimate(
-            self._config.method, comp, self._config.policy.c_max, self._config.quantum
-        )
-        self._cache[key] = value
-        return value
-
-
 def run_slot_dynamic(config: SimConfig) -> SimResult:
     """Per-slot greedy admission over live demands.
 
@@ -306,20 +249,37 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         cls.name: _grid_steps(cls.on_power, config.quantum) for cls in config.classes
     }
     offsets = _appliance_offsets(config.classes)
+    shiftable = tuple(cls for cls in config.classes if cls.shiftable)
     class_of: list[ApplianceClass] = []
+    column_of: list[int] = []  # position of the appliance's class in shiftable
     demand: list[np.ndarray] = []
     base_served = np.full(slots, config.deterministic_load)
     baseline = np.full(slots, config.deterministic_load)
     for cls, offset in zip(config.classes, offsets):
+        column = shiftable.index(cls) if cls.shiftable else -1
         for i in range(cls.count):
             series = sample_series(cls, slots, derive_seed(config.seed, 0, offset + i))
             demand.append(series > 0.0)
             class_of.append(cls)
+            column_of.append(column)
             baseline += series
             if not cls.shiftable:
                 base_served += series
     shiftable_ids = [i for i, cls in enumerate(class_of) if cls.shiftable]
-    memo = _EstimateMemo(config, tuple(c for c in config.classes if c.shiftable))
+    base_entries = []
+    base_det = config.deterministic_load
+    for cls in config.classes:
+        if cls.shiftable:
+            continue
+        if cls.deterministic:
+            base_det += cls.count * cls.on_power
+        else:
+            base_entries.append((cls, cls.count))
+    base = ClassComposition(entries=tuple(base_entries), deterministic_load=base_det)
+    # admitted count vectors recur heavily across slots; estimate each once
+    admits = functools.cache(
+        _count_estimator(shiftable, config.policy, config.method, config.quantum, base)
+    )
     scheduler_rng = np.random.default_rng(derive_seed(config.seed, 1))
 
     backlog = Backlog()
@@ -328,26 +288,29 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     demanded_steps = 0
     served_steps = 0
     dropped_steps = 0
-    p = config.policy.p
+    admitted = [0] * len(shiftable)
+    served_this_slot: set[int] = set()
+
+    def try_serve(appliance_id: int) -> bool:
+        if appliance_id in served_this_slot:
+            return False
+        j = column_of[appliance_id]
+        admitted[j] += 1
+        if admits(tuple(admitted)):
+            served_this_slot.add(appliance_id)
+            return True
+        admitted[j] -= 1
+        return False
 
     for t in range(slots):
-        admitted: dict[str, int] = {cls.name: 0 for cls in config.classes if cls.shiftable}
+        admitted[:] = [0] * len(shiftable)
+        served_this_slot.clear()
         served_units_w = 0.0
-        served_this_slot: set[int] = set()
         disabled_ids: set[int] = set()
         blocked: list[PendingDemand] = []
 
         for entry in backlog.drain():
-            cls = class_of[entry.appliance_id]
-            ok = False
-            if entry.appliance_id not in served_this_slot:
-                admitted[cls.name] += 1
-                if memo.value(admitted) <= p:
-                    ok = True
-                else:
-                    admitted[cls.name] -= 1
-            if ok:
-                served_this_slot.add(entry.appliance_id)
+            if try_serve(entry.appliance_id):
                 served_steps += entry.energy_steps
                 served_units_w += entry.energy_steps * config.quantum
             else:
@@ -361,15 +324,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
             cls = class_of[appliance_id]
             steps = h_steps[cls.name]
             demanded_steps += steps
-            ok = False
-            if appliance_id not in served_this_slot:
-                admitted[cls.name] += 1
-                if memo.value(admitted) <= p:
-                    ok = True
-                else:
-                    admitted[cls.name] -= 1
-            if ok:
-                served_this_slot.add(appliance_id)
+            if try_serve(appliance_id):
                 served_steps += steps
                 served_units_w += steps * config.quantum
             else:
@@ -460,6 +415,8 @@ def sweep_qos(
         raise ValueError("every p value must lie strictly inside (0, 1)")
     if sorted(values) != values:
         raise ValueError("p_values must be sorted ascending")
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs!r} must be at least 1")
     chosen = tuple(methods) if methods is not None else tuple(EstimationMethod)
     tasks = [
         (config, p, method, p_index)

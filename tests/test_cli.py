@@ -201,9 +201,16 @@ def test_simulate_missing_experiment_exits_3(tmp_path, capsys) -> None:
 
 
 def test_simulate_invalid_experiment_exits_2(tmp_path, capsys) -> None:
-    path = experiment_file(tmp_path, banana=1)
-    assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 2
-    assert "unknown keys" in capsys.readouterr().err
+    for overrides in ({"banana": 1}, {"outputs": {"region_csv": "x"}}):
+        path = experiment_file(tmp_path, **overrides)
+        assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 2
+        assert "unknown keys" in capsys.readouterr().err
+
+
+def test_simulate_sweep_jobs_below_one_exits_2(tmp_path, capsys) -> None:
+    path = experiment_file(tmp_path, p_values=[0.01, 0.1], slots=100)
+    assert main(["simulate", path, "--jobs", "-3", "--out-dir", str(tmp_path)]) == 2
+    assert "jobs=-3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +333,24 @@ def test_fit_degenerate_trace_exits_2(tmp_path, capsys) -> None:
     )
     assert code == 2
     assert "degenerate trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "10x1@0.5", "--c-max", "5", "--jobs", "2"],
+        ["region", "--class1", "6x1@0.35", "--class2", "4x3@0.15"]
+        + ["--c-max", "6", "--p", "0.05", "--seed", "1"],
+        ["fit", "whatever.csv", "--family", "bernoulli", "--on-threshold", "1"]
+        + ["--seed", "1"],
+    ],
+    ids=["bounds", "region", "fit"],
+)
+def test_seed_and_jobs_are_simulate_only(argv, capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_fit_on_threshold_is_required(capsys) -> None:

@@ -92,6 +92,19 @@ def test_trace_period_from_first_gap(tmp_path) -> None:
         read_trace(str(path))
 
 
+def test_trace_checks_every_gap(tmp_path) -> None:
+    path = tmp_path / "trace.csv"
+    path.write_text("timestamp_s,power_w\n0,1\n1,2\n0.5,3\n7,4\n")
+    with pytest.raises(ValueError, match="trace row 4"):
+        read_trace(str(path))
+    path.write_text("timestamp_s,power_w\n0,1\n\n1,2\n2,3\n7,4\n")
+    with pytest.raises(ValueError, match="trace row 6.*uneven"):
+        read_trace(str(path))
+    # float-spaced stamps whose gaps differ only by rounding are even
+    path.write_text("timestamp_s,power_w\n0,1\n0.1,2\n0.2,3\n0.3,4\n")
+    assert read_trace(str(path)).sample_period_s == 0.1
+
+
 # ---------------------------------------------------------------------------
 # model files
 # ---------------------------------------------------------------------------

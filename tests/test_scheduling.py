@@ -1,4 +1,4 @@
-"""Blocked-demand routing, disable selection fairness, and load factor."""
+"""Blocked-demand routing and load factor."""
 
 from __future__ import annotations
 
@@ -12,69 +12,11 @@ from loadcap.scheduling import (
     SlotOutcome,
     apply_strategy,
     load_factor,
-    select_to_disable,
 )
 
 
 def demand(appliance_id: int, steps: int = 1) -> PendingDemand:
     return PendingDemand(appliance_id=appliance_id, class_name="c0", energy_steps=steps)
-
-
-# ---------------------------------------------------------------------------
-# disable selection
-# ---------------------------------------------------------------------------
-
-
-def test_select_to_disable_sizes() -> None:
-    rng = np.random.default_rng(0)
-    demanding = list(range(10))
-    assert select_to_disable(demanding, 0, rng) == set()
-    assert len(select_to_disable(demanding, 3, rng)) == 3
-    assert select_to_disable(demanding, 10, rng) == set(demanding)
-    assert select_to_disable(demanding, 25, rng) == set(demanding)
-    with pytest.raises(ValueError):
-        select_to_disable(demanding, -1, rng)
-
-
-def test_select_to_disable_picks_only_demanding_ids() -> None:
-    rng = np.random.default_rng(1)
-    demanding = [3, 17, 41, 99]
-    for _ in range(50):
-        picked = select_to_disable(demanding, 2, rng)
-        assert picked <= set(demanding)
-        assert len(picked) == 2
-
-
-def test_select_to_disable_is_uniform() -> None:
-    # disabling 3 of 10 should hit each appliance 30% of the time
-    rng = np.random.default_rng(2)
-    demanding = list(range(10))
-    hits = np.zeros(10)
-    trials = 10_000
-    for _ in range(trials):
-        for idx in select_to_disable(demanding, 3, rng):
-            hits[idx] += 1
-    freqs = hits / trials
-    assert np.all(np.abs(freqs - 0.3) < 0.02)
-
-
-def test_select_to_disable_exchangeability_chi_square() -> None:
-    scipy_stats = pytest.importorskip("scipy.stats")
-    rng = np.random.default_rng(3)
-    demanding = list(range(8))
-    hits = np.zeros(8)
-    trials = 8_000
-    for _ in range(trials):
-        for idx in select_to_disable(demanding, 2, rng):
-            hits[idx] += 1
-    _, p_value = scipy_stats.chisquare(hits)
-    assert p_value > 0.01
-
-
-def test_select_to_disable_reproducible_for_fixed_stream() -> None:
-    a = select_to_disable(range(20), 5, np.random.default_rng(7))
-    b = select_to_disable(range(20), 5, np.random.default_rng(7))
-    assert a == b
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from loadcap.admission import QosPolicy, max_admissible
-from loadcap.models import AlternatingRenewal, ApplianceClass, Bernoulli, DurationPmf
+from loadcap.models import (
+    AlternatingRenewal,
+    ApplianceClass,
+    Bernoulli,
+    DurationPmf,
+    TwoStateMarkov,
+)
 from loadcap.scheduling import SchedulingStrategy
 from loadcap.simulation import (
     SimConfig,
@@ -290,12 +297,80 @@ def test_slot_dynamic_renewal_demand_round_trips() -> None:
     assert ledger.served_steps + ledger.backlog_steps == ledger.demanded_steps
 
 
+@pytest.mark.parametrize(
+    "method, ledger, managed_sha256",
+    [
+        (
+            EstimationMethod.EXACT,
+            (13148, 13140, 0, 8),
+            "fa7c3da1f2bef90be795f8e025ba013726789f64fdc294865c9bab47974daf5a",
+        ),
+        (
+            EstimationMethod.CHERNOFF,
+            (13148, 13098, 0, 50),
+            "ed0b64fb2357fbd6661bf4651203ed5c6c2fbc8accaa40b6b2a01ac67a4e30fc",
+        ),
+    ],
+    ids=["exact", "chernoff"],
+)
+def test_slot_dynamic_with_deterministic_classes_is_pinned(
+    method: EstimationMethod, ledger: tuple[int, ...], managed_sha256: str
+) -> None:
+    # deterministic classes on both sides of the shiftable split: their
+    # load enters the admission check as constant watts, never as entries
+    def det(name: str, on_power: float, count: int, shiftable: bool = True):
+        return ApplianceClass(
+            name=name,
+            on_power=on_power,
+            model=None,
+            count=count,
+            shiftable=shiftable,
+            deterministic=True,
+        )
+
+    pump = ApplianceClass(
+        name="pump", on_power=1.0, model=TwoStateMarkov(0.1, 0.2), count=12
+    )
+    cfg = config_of(
+        classes=(
+            pump,
+            det("lamp", 2.0, 3),
+            bern("fixed", 2.0, 0.4, 4, shiftable=False),
+            det("floor", 1.5, 2, shiftable=False),
+            bern("kettle", 3.0, 0.2, 5),
+        ),
+        policy=QosPolicy(c_max=24.0, p=0.02),
+        method=method,
+        mode=SimMode.SLOT_DYNAMIC,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        slots=500,
+        seed=5,
+        quantum=0.5,
+        deterministic_load=1.25,
+    )
+    result = run_slot_dynamic(cfg)
+    got = result.ledger
+    assert got is not None
+    assert (
+        got.demanded_steps,
+        got.served_steps,
+        got.dropped_steps,
+        got.backlog_steps,
+    ) == ledger
+    digest = hashlib.sha256(result.series_managed.tobytes()).hexdigest()
+    assert digest == managed_sha256
+
+
 # ---------------------------------------------------------------------------
 # sweeps and tables
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_validation() -> None:
+def test_sweep_validation(monkeypatch) -> None:
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("loadcap.simulation.ProcessPoolExecutor", no_pool)
     cfg = config_of()
     with pytest.raises(ValueError):
         sweep_qos(cfg, [])
@@ -305,6 +380,9 @@ def test_sweep_validation() -> None:
         sweep_qos(cfg, [0.0, 0.1])
     with pytest.raises(ValueError):
         sweep_qos(cfg, [0.1, 1.0])
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            sweep_qos(cfg, [0.01, 0.1], jobs=jobs)
 
 
 def test_sweep_grid_layout_and_determinism() -> None:
