@@ -121,7 +121,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     write_series(_out_path(args, series_csv), result)
     if result.outcomes is not None:
         outcomes_csv = spec.outputs.get("outcomes_csv", f"{spec.name}.outcomes.csv")
-        write_outcomes(_out_path(args, outcomes_csv), result.outcomes)
+        write_outcomes(_out_path(args, outcomes_csv), result)
     print(f"p_hat={result.p_hat!r} k={result.k!r} stderr={result.stderr!r}")
     print(f"lf_baseline={result.lf_baseline!r} lf_managed={result.lf_managed!r}")
     print(f"enabled={','.join(str(n) for n in result.enabled_counts)}")
@@ -160,10 +160,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quantum-w", type=float, default=1.0, help="power grid step in watts"
-    )
+def _add_common(parser: argparse.ArgumentParser, quantum_w: bool = False) -> None:
+    if quantum_w:  # simulate takes the grid step from the experiment file
+        parser.add_argument(
+            "--quantum-w", type=float, default=1.0, help="power grid step in watts"
+        )
     parser.add_argument(
         "--out-dir", default=".", help="directory for output files"
     )
@@ -179,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser(
         "bounds", help="tail estimates of a composition under every method"
     )
-    _add_common(bounds)
+    _add_common(bounds, quantum_w=True)
     bounds.add_argument(
         "composition", nargs="+", help="class specs, COUNTxWATTS@P_ON (e.g. 100x1@0.5)"
     )
@@ -214,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=_cmd_simulate)
 
     region = sub.add_parser("region", help="two-class acceptance grid CSV")
-    _add_common(region)
+    _add_common(region, quantum_w=True)
     region.add_argument("--class1", required=True, help="COUNTxWATTS@P_ON")
     region.add_argument("--class2", required=True, help="COUNTxWATTS@P_ON")
     region.add_argument("--c-max", type=float, required=True)

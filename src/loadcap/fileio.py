@@ -29,7 +29,7 @@ from .models import (
     TwoStateMarkov,
     fit_model,
 )
-from .scheduling import SchedulingStrategy, SlotOutcome
+from .scheduling import SchedulingStrategy
 from .simulation import SimConfig, SimMode, SimResult, SweepCell
 from .tailprob import EstimationMethod, PowerPmf
 
@@ -219,20 +219,14 @@ def write_series(path: str, result: SimResult) -> None:
             )
 
 
-def write_outcomes(path: str, outcomes: Sequence[SlotOutcome]) -> None:
+def write_outcomes(path: str, result: SimResult) -> None:
+    """Per-slot outcomes of a slot-dynamic run; served load is the managed series."""
+    rows = zip(result.series_managed.tolist(), result.outcomes.tolist())
     with _open_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"])
-        for t, outcome in enumerate(outcomes):
-            writer.writerow(
-                [
-                    t,
-                    repr(outcome.served_load),
-                    repr(outcome.dropped_load),
-                    outcome.backlog_depth,
-                    outcome.disabled_count,
-                ]
-            )
+        for t, (served, (dropped, depth, disabled)) in enumerate(rows):
+            writer.writerow([t, repr(served), repr(dropped), depth, disabled])
 
 
 def write_sweep(path: str, cells: Sequence[SweepCell]) -> None:
@@ -280,8 +274,6 @@ def result_document(name: str, result: SimResult) -> dict[str, Any]:
         "enabled_counts": list(result.enabled_counts),
         "overload_slots": result.overload_slots,
         "slots": result.slots,
-        "series_baseline": [float(v) for v in result.series_baseline],
-        "series_managed": [float(v) for v in result.series_managed],
     }
     if result.ledger is not None:
         doc["energy_steps"] = {

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -26,14 +28,7 @@ import numpy as np
 
 from .admission import QosPolicy, _count_estimator, max_admissible
 from .models import ApplianceClass, derive_seed, sample_series
-from .scheduling import (
-    Backlog,
-    PendingDemand,
-    SchedulingStrategy,
-    SlotOutcome,
-    apply_strategy,
-    load_factor,
-)
+from .scheduling import SchedulingStrategy, load_factor
 from .tailprob import ClassComposition, EstimationMethod, _grid_steps
 
 __all__ = [
@@ -118,7 +113,10 @@ class SimResult:
     ``low_confidence`` flags runs whose expected violation count is too
     small for ``k`` to mean much.  Load factors are NaN when the series is
     all zero.  The ledger and per-slot outcomes are populated in
-    SlotDynamic mode only.
+    SlotDynamic mode only.  ``outcomes`` is a structured array with one
+    row per slot and the fields ``dropped_w``, ``backlog_depth`` (queued
+    entries at the end of the slot) and ``disabled_count`` (distinct
+    appliances turned away); the slot's served load is ``series_managed``.
     """
 
     p_hat: float
@@ -133,7 +131,7 @@ class SimResult:
     series_baseline: np.ndarray
     series_managed: np.ndarray
     ledger: EnergyLedger | None = None
-    outcomes: tuple[SlotOutcome, ...] | None = None
+    outcomes: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -245,27 +243,25 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     per slot; further units it holds cascade to later slots.
     """
     slots = config.slots
-    h_steps = {
-        cls.name: _grid_steps(cls.on_power, config.quantum) for cls in config.classes
-    }
     offsets = _appliance_offsets(config.classes)
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
-    class_of: list[ApplianceClass] = []
     column_of: list[int] = []  # position of the appliance's class in shiftable
+    steps_of: list[int] = []  # grid steps of one slot of the appliance's demand
     demand: list[np.ndarray] = []
     base_served = np.full(slots, config.deterministic_load)
     baseline = np.full(slots, config.deterministic_load)
     for cls, offset in zip(config.classes, offsets):
         column = shiftable.index(cls) if cls.shiftable else -1
+        steps = _grid_steps(cls.on_power, config.quantum)
         for i in range(cls.count):
             series = sample_series(cls, slots, derive_seed(config.seed, 0, offset + i))
             demand.append(series > 0.0)
-            class_of.append(cls)
             column_of.append(column)
+            steps_of.append(steps)
             baseline += series
             if not cls.shiftable:
                 base_served += series
-    shiftable_ids = [i for i, cls in enumerate(class_of) if cls.shiftable]
+    shiftable_ids = [i for i, column in enumerate(column_of) if column >= 0]
     base_entries = []
     base_det = config.deterministic_load
     for cls in config.classes:
@@ -282,9 +278,13 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     )
     scheduler_rng = np.random.default_rng(derive_seed(config.seed, 1))
 
-    backlog = Backlog()
+    shift = config.strategy is SchedulingStrategy.ONE_STEP_SHIFT
+    backlog: deque[int] = deque()  # appliance ids, one per blocked slot of demand
     managed = np.zeros(slots)
-    outcomes: list[SlotOutcome] = []
+    outcomes = np.zeros(
+        slots,
+        dtype=[("dropped_w", "f8"), ("backlog_depth", "i8"), ("disabled_count", "i8")],
+    )
     demanded_steps = 0
     served_steps = 0
     dropped_steps = 0
@@ -306,56 +306,45 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         admitted[:] = [0] * len(shiftable)
         served_this_slot.clear()
         served_units_w = 0.0
+        dropped_now = 0
         disabled_ids: set[int] = set()
-        blocked: list[PendingDemand] = []
 
-        for entry in backlog.drain():
-            if try_serve(entry.appliance_id):
-                served_steps += entry.energy_steps
-                served_units_w += entry.energy_steps * config.quantum
+        for _ in range(len(backlog)):
+            appliance_id = backlog.popleft()
+            if try_serve(appliance_id):
+                steps = steps_of[appliance_id]
+                served_steps += steps
+                served_units_w += steps * config.quantum
             else:
-                backlog.push(entry)  # cascades, FIFO position kept
-                disabled_ids.add(entry.appliance_id)
+                backlog.append(appliance_id)  # cascades, FIFO position kept
+                disabled_ids.add(appliance_id)
 
         new_ids = [i for i in shiftable_ids if demand[i][t]]
         order = scheduler_rng.permutation(len(new_ids))
         for idx in order:
             appliance_id = new_ids[int(idx)]
-            cls = class_of[appliance_id]
-            steps = h_steps[cls.name]
+            steps = steps_of[appliance_id]
             demanded_steps += steps
             if try_serve(appliance_id):
                 served_steps += steps
                 served_units_w += steps * config.quantum
             else:
                 disabled_ids.add(appliance_id)
-                blocked.append(
-                    PendingDemand(
-                        appliance_id=appliance_id,
-                        class_name=cls.name,
-                        energy_steps=steps,
-                    )
-                )
+                if shift:
+                    backlog.append(appliance_id)
+                else:
+                    dropped_now += steps
 
-        dropped_now = apply_strategy(config.strategy, blocked, backlog)
         dropped_steps += dropped_now
-        served_load = float(base_served[t] + served_units_w)
-        managed[t] = served_load
-        outcomes.append(
-            SlotOutcome(
-                served_load=served_load,
-                dropped_load=dropped_now * config.quantum,
-                backlog_depth=backlog.depth,
-                disabled_ids=frozenset(disabled_ids),
-            )
-        )
+        managed[t] = base_served[t] + served_units_w
+        outcomes[t] = (dropped_now * config.quantum, len(backlog), len(disabled_ids))
 
     p_hat, k, stderr, low_conf, overload = _tail_stats(managed, config.policy, slots)
     ledger = EnergyLedger(
         demanded_steps=demanded_steps,
         served_steps=served_steps,
         dropped_steps=dropped_steps,
-        backlog_steps=backlog.total_energy_steps(),
+        backlog_steps=sum(steps_of[i] for i in backlog),
     )
     return SimResult(
         p_hat=p_hat,
@@ -370,7 +359,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         series_baseline=baseline,
         series_managed=managed,
         ledger=ledger,
-        outcomes=tuple(outcomes),
+        outcomes=outcomes,
     )
 
 
@@ -405,8 +394,8 @@ def sweep_qos(
 
     All methods at one p share a seed, so they see identical appliance
     series and differ only in how many appliances they enable.  Cells are
-    independent; jobs > 1 runs them in worker processes with output order
-    unchanged.
+    independent; they run in min(jobs, cells, CPUs) worker processes when
+    that is above 1, with output order unchanged.
     """
     values = [float(v) for v in p_values]
     if not values:
@@ -423,8 +412,9 @@ def sweep_qos(
         for p_index, p in enumerate(values)
         for method in chosen
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_cell, tasks))
     return [_sweep_cell(task) for task in tasks]
 

@@ -122,6 +122,11 @@ def experiment_file(tmp_path, **overrides) -> str:
     return str(path)
 
 
+def managed_w(series_csv) -> list[float]:
+    """The managed_w column of a NAME.series.csv file."""
+    return [float(row.split(",")[2]) for row in series_csv.read_text().splitlines()[1:]]
+
+
 def test_simulate_writes_result_and_series(tmp_path, capsys) -> None:
     path = experiment_file(tmp_path)
     assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 0
@@ -153,9 +158,7 @@ def test_simulate_seed_override_changes_series(tmp_path, capsys) -> None:
     assert main(["simulate", path, "--out-dir", str(out_a)]) == 0
     assert main(["simulate", path, "--seed", "10", "--out-dir", str(out_b)]) == 0
     capsys.readouterr()
-    doc_a = json.loads((out_a / "demo.json").read_text())
-    doc_b = json.loads((out_b / "demo.json").read_text())
-    assert doc_a["series_managed"] != doc_b["series_managed"]
+    assert managed_w(out_a / "demo.series.csv") != managed_w(out_b / "demo.series.csv")
 
 
 def test_simulate_slot_dynamic_writes_outcomes(tmp_path, capsys) -> None:
@@ -343,10 +346,14 @@ def test_fit_degenerate_trace_exits_2(tmp_path, capsys) -> None:
         + ["--c-max", "6", "--p", "0.05", "--seed", "1"],
         ["fit", "whatever.csv", "--family", "bernoulli", "--on-threshold", "1"]
         + ["--seed", "1"],
+        ["simulate", "experiment.json", "--quantum-w", "0.5"],
+        ["fit", "whatever.csv", "--family", "bernoulli", "--on-threshold", "1"]
+        + ["--quantum-w", "0.5"],
     ],
-    ids=["bounds", "region", "fit"],
+    ids=["bounds", "region", "fit", "simulate-quantum-w", "fit-quantum-w"],
 )
-def test_seed_and_jobs_are_simulate_only(argv, capsys) -> None:
+def test_flags_are_rejected_where_unused(argv, capsys) -> None:
+    # --seed/--jobs belong to simulate, --quantum-w to bounds and region
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -396,8 +403,7 @@ def test_fit_then_simulate_round_trip_recovers_mean_power(tmp_path, capsys) -> N
     exp_path.write_text(json.dumps(experiment))
     assert main(["simulate", str(exp_path), "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    doc = json.loads((tmp_path / "roundtrip.json").read_text())
-    simulated_mean = float(np.mean(doc["series_managed"]))
+    simulated_mean = float(np.mean(managed_w(tmp_path / "roundtrip.series.csv")))
     trace_mean = float(np.mean(series))
     assert abs(simulated_mean - trace_mean) <= 0.05 * trace_mean
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -30,7 +31,7 @@ from loadcap.models import (
     TraceSeries,
     TwoStateMarkov,
 )
-from loadcap.scheduling import SchedulingStrategy, SlotOutcome
+from loadcap.scheduling import SchedulingStrategy
 from loadcap.simulation import SimMode, SweepCell, run
 from loadcap.tailprob import EstimationMethod, PowerPmf
 
@@ -166,15 +167,18 @@ def test_write_region_layout(tmp_path) -> None:
 
 
 def test_write_outcomes_layout(tmp_path) -> None:
-    outcomes = [
-        SlotOutcome(
-            served_load=3.0, dropped_load=1.0, backlog_depth=2, disabled_ids=frozenset({4})
-        )
-    ]
+    outcomes = np.array(
+        [(1.0, 2, 1), (0.5, 0, 0)],
+        dtype=[("dropped_w", "f8"), ("backlog_depth", "i8"), ("disabled_count", "i8")],
+    )
+    result = dataclasses.replace(
+        make_result(), slots=2, series_managed=np.array([3.0, 0.1]), outcomes=outcomes
+    )
     path = tmp_path / "outcomes.csv"
-    write_outcomes(str(path), outcomes)
+    write_outcomes(str(path), result)
     assert path.read_text() == (
-        "slot,served_w,dropped_w,backlog_depth,disabled_count\n0,3.0,1.0,2,1\n"
+        "slot,served_w,dropped_w,backlog_depth,disabled_count\n"
+        "0,3.0,1.0,2,1\n1,0.1,0.5,0,0\n"
     )
 
 
@@ -229,7 +233,8 @@ def test_result_json_is_deterministic(tmp_path) -> None:
     doc = json.loads(a.read_text())
     assert doc["name"] == "demo"
     assert doc["slots"] == 25
-    assert len(doc["series_managed"]) == 25
+    # the per-slot series live in NAME.series.csv only
+    assert "series_baseline" not in doc and "series_managed" not in doc
     assert "energy_steps" not in doc  # composition runs carry no ledger
     assert a.read_text().endswith("\n")
 

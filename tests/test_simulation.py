@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from loadcap.admission import QosPolicy, max_admissible
+from loadcap.fileio import write_outcomes
 from loadcap.models import (
     AlternatingRenewal,
     ApplianceClass,
@@ -226,8 +227,9 @@ def test_slot_dynamic_single_unit_per_appliance_per_slot() -> None:
     assert ledger.dropped_steps == 0
     assert ledger.backlog_steps == 50
     assert result.outcomes is not None
-    depths = [o.backlog_depth for o in result.outcomes]
-    assert depths == list(range(1, 51))
+    assert result.outcomes["backlog_depth"].tolist() == list(range(1, 51))
+    # the first slot turns away one appliance; later slots turn away both
+    assert result.outcomes["disabled_count"].tolist() == [1] + [2] * 49
 
 
 def test_slot_dynamic_non_shiftable_demand_is_never_blocked() -> None:
@@ -259,11 +261,15 @@ def test_slot_dynamic_outcomes_align_with_series() -> None:
         slots=120,
     )
     result = run(cfg)
-    assert result.outcomes is not None
-    assert len(result.outcomes) == cfg.slots
-    for t, outcome in enumerate(result.outcomes):
-        assert outcome.served_load == pytest.approx(result.series_managed[t])
-        assert outcome.dropped_load == 0.0
+    outcomes = result.outcomes
+    assert outcomes is not None
+    assert outcomes.shape == (cfg.slots,)
+    assert outcomes.dtype.names == ("dropped_w", "backlog_depth", "disabled_count")
+    assert np.all(outcomes["dropped_w"] == 0.0)
+    # a slot that ends with a backlog turned someone away in it
+    queued = outcomes["backlog_depth"] > 0
+    assert np.any(queued)
+    assert np.all(outcomes["disabled_count"][queued] >= 1)
 
 
 def test_slot_dynamic_is_reproducible() -> None:
@@ -298,23 +304,46 @@ def test_slot_dynamic_renewal_demand_round_trips() -> None:
 
 
 @pytest.mark.parametrize(
-    "method, ledger, managed_sha256",
+    "method, strategy, ledger, managed_sha256, outcomes_sha256",
     [
         (
             EstimationMethod.EXACT,
+            SchedulingStrategy.ONE_STEP_SHIFT,
             (13148, 13140, 0, 8),
             "fa7c3da1f2bef90be795f8e025ba013726789f64fdc294865c9bab47974daf5a",
+            "ac9c987c9dfbcfc12ac7fe89d2e8594e1fe6bcf575cbded92447780b3e82d5ce",
         ),
         (
             EstimationMethod.CHERNOFF,
+            SchedulingStrategy.ONE_STEP_SHIFT,
             (13148, 13098, 0, 50),
             "ed0b64fb2357fbd6661bf4651203ed5c6c2fbc8accaa40b6b2a01ac67a4e30fc",
+            "9ca5cb80cf35586bbf1270a09366dd5ef07add59eed38bd1ff7d555a0dc528cb",
+        ),
+        (
+            EstimationMethod.EXACT,
+            SchedulingStrategy.DROP,
+            (13148, 13120, 28, 0),
+            "26f5ad9960dda1fdf25502c7e6aff99dbdca44aea25a0b14f8a327c98a7ebb85",
+            "3c9d5a6a9115166fbf550031112f43d035b712ddc4dd23accce29515e855b26e",
+        ),
+        (
+            EstimationMethod.CHERNOFF,
+            SchedulingStrategy.DROP,
+            (13148, 12632, 516, 0),
+            "51f288c3763c8f811a63fce8758e4f1e6d33f68c421f3eb214585aa97c764a6c",
+            "c3734949e25d4d1dbd9734cfce682ac5027df6a9fe82e9b8a9c9fa250ed6993b",
         ),
     ],
-    ids=["exact", "chernoff"],
+    ids=["exact", "chernoff", "exact-drop", "chernoff-drop"],
 )
 def test_slot_dynamic_with_deterministic_classes_is_pinned(
-    method: EstimationMethod, ledger: tuple[int, ...], managed_sha256: str
+    tmp_path,
+    method: EstimationMethod,
+    strategy: SchedulingStrategy,
+    ledger: tuple[int, ...],
+    managed_sha256: str,
+    outcomes_sha256: str,
 ) -> None:
     # deterministic classes on both sides of the shiftable split: their
     # load enters the admission check as constant watts, never as entries
@@ -342,7 +371,7 @@ def test_slot_dynamic_with_deterministic_classes_is_pinned(
         policy=QosPolicy(c_max=24.0, p=0.02),
         method=method,
         mode=SimMode.SLOT_DYNAMIC,
-        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        strategy=strategy,
         slots=500,
         seed=5,
         quantum=0.5,
@@ -359,6 +388,9 @@ def test_slot_dynamic_with_deterministic_classes_is_pinned(
     ) == ledger
     digest = hashlib.sha256(result.series_managed.tobytes()).hexdigest()
     assert digest == managed_sha256
+    path = tmp_path / "outcomes.csv"
+    write_outcomes(str(path), result)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == outcomes_sha256
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +415,35 @@ def test_sweep_validation(monkeypatch) -> None:
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             sweep_qos(cfg, [0.01, 0.1], jobs=jobs)
+
+
+def test_sweep_workers_are_capped_by_cells_and_cpus(monkeypatch) -> None:
+    asked: list[int] = []
+
+    class SerialPool:
+        def __init__(self, max_workers: int) -> None:
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info) -> None:
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("loadcap.simulation.ProcessPoolExecutor", SerialPool)
+    cfg = config_of(slots=40)
+    methods = (EstimationMethod.EXACT, EstimationMethod.MARKOV)
+    serial = sweep_qos(cfg, [0.01, 0.1], methods=methods)
+    monkeypatch.setattr("loadcap.simulation.os.cpu_count", lambda: 64)
+    assert sweep_qos(cfg, [0.01, 0.1], methods=methods, jobs=10_000) == serial
+    assert asked == [4]  # one worker per cell, not per requested job
+    for cpus in (1, None):
+        monkeypatch.setattr("loadcap.simulation.os.cpu_count", lambda: cpus)
+        assert sweep_qos(cfg, [0.01, 0.1], methods=methods, jobs=10_000) == serial
+    assert asked == [4]  # a single CPU runs the cells in-process
 
 
 def test_sweep_grid_layout_and_determinism() -> None:
