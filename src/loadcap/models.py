@@ -226,7 +226,7 @@ class ApplianceClass:
         if not self.deterministic and self.model is None:
             raise ValueError(f"class {self.name!r} needs a load model")
 
-    @property
+    @cached_property
     def p_on(self) -> float:
         """Stationary ON probability; 1 for deterministic classes."""
         if self.deterministic:

@@ -308,30 +308,55 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _class_grid_pmf(n: int, p_on: float, steps: int) -> np.ndarray:
-    """Dense pmf of n identical appliances on the step grid (read-only)."""
-    out = np.zeros(n * steps + 1)
-    out[np.arange(n + 1) * steps] = _binomial_pmf(n, p_on)
-    out.setflags(write=False)
-    return out
+def _class_kernel(n: int, p_on: float) -> tuple[int, np.ndarray]:
+    """Non-zero window of the Binomial(n, p_on) pmf as ``(lo, kernel)``.
+
+    ``kernel`` runs from the first to the last non-zero term (read-only) and
+    ``lo`` is the count of its first term; the log-domain binomial underflows
+    to exact zeros far from the mean, and those terms never reach the grid.
+    """
+    pmf = _binomial_pmf(n, p_on)
+    nonzero = np.flatnonzero(pmf)
+    lo = int(nonzero[0])
+    kernel = pmf[lo : int(nonzero[-1]) + 1].copy()
+    kernel.setflags(write=False)
+    return lo, kernel
 
 
 def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     """Exact pmf of the stochastic aggregate on the watt grid.
 
-    Within a class the n-fold self-convolution collapses to a binomial; the
-    per-class pmfs are then convolved densely across classes.  Every class's
-    ON wattage must sit on the grid, else ValueError("quantization mismatch").
-    The constant base load is not folded in; callers offset thresholds.
+    Within a class the n-fold self-convolution collapses to a binomial.  Each
+    class contributes only the window of binomial terms that are non-zero,
+    shifting a running grid offset by the window's start.  A class drawing
+    ``s`` grid steps is convolved at stride ``s`` without padding: the
+    accumulator is split by residue mod ``s`` and each residue is convolved
+    with the window on its own.  Every class's ON wattage must sit on the
+    grid, else ValueError("quantization mismatch").  The constant base load
+    is not folded in; callers offset thresholds.
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
-    acc = np.ones(1)
+    acc = None
+    offset = 0
     for cls, enabled in composition.entries:
         if enabled == 0:
             continue
         steps = _grid_steps(cls.on_power, quantum)
-        acc = np.convolve(acc, _class_grid_pmf(enabled, cls.p_on, steps))
+        lo, kernel = _class_kernel(enabled, cls.p_on)
+        offset += lo * steps
+        if acc is None:
+            acc = np.zeros((kernel.size - 1) * steps + 1)
+            acc[::steps] = kernel
+        elif steps == 1:
+            acc = np.convolve(acc, kernel)
+        else:
+            out = np.zeros(acc.size + (kernel.size - 1) * steps)
+            for r in range(min(steps, acc.size)):
+                out[r::steps] = np.convolve(acc[r::steps], kernel)
+            acc = out
+    if acc is None:
+        acc = np.ones(1)
     total = math.fsum(acc.tolist())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"convolved mass drifted to {total!r}")
@@ -340,7 +365,7 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     start = int(np.searchsorted(forward, _TRIM_MASS, side="left"))
     backward = np.cumsum(acc[::-1])
     stop = acc.size - int(np.searchsorted(backward, _TRIM_MASS, side="left"))
-    return PowerPmf(quantum=quantum, offset=start, probabilities=acc[start:stop])
+    return PowerPmf(quantum=quantum, offset=offset + start, probabilities=acc[start:stop])
 
 
 def tail_from_pmf(pmf: PowerPmf, threshold_w: float) -> float:

@@ -10,7 +10,9 @@ Covered here:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -85,6 +87,28 @@ def test_deterministic_class_is_always_on() -> None:
     assert cls.p_on == 1.0
     assert cls.mean_power == 3.0
     assert cls.power_variance == 0.0
+
+
+def test_class_p_on_is_cached_without_changing_identity() -> None:
+    renewal = AlternatingRenewal(
+        on_durations=DurationPmf.from_mapping({2: 1.0}),
+        off_durations=DurationPmf.from_mapping({4: 0.5, 8: 0.5}),
+    )
+    models = (Bernoulli(p_on=0.3), TwoStateMarkov(p_off_to_on=0.1, p_on_to_off=0.3), renewal)
+    for model in models:
+        cls = ApplianceClass(name="x", on_power=2.0, model=model, count=4)
+        twin = ApplianceClass(name="x", on_power=2.0, model=model, count=4)
+        assert cls.p_on == stationary_stats(model).p_on
+        assert cls.p_on == cls.p_on  # second read comes from the cache
+        # a cached value is not a field: equality and hash see fields only
+        assert cls == twin and hash(cls) == hash(twin)
+        restored = pickle.loads(pickle.dumps(cls))
+        assert restored == cls and restored.p_on == cls.p_on
+        swapped = dataclasses.replace(cls, model=Bernoulli(p_on=0.9))
+        assert swapped.p_on == 0.9
+    det = ApplianceClass(name="base", on_power=3.0, model=None, count=2, deterministic=True)
+    assert det.p_on == 1.0
+    assert pickle.loads(pickle.dumps(det)).p_on == 1.0
 
 
 # ---------------------------------------------------------------------------

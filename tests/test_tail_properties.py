@@ -1,0 +1,79 @@
+"""Property checks of the tail estimators over random mixed-wattage compositions.
+
+Mixing 1, 2, 3, 7 and 13 W classes sends the exact convolution through its
+strided path on every example.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from loadcap.models import ApplianceClass, Bernoulli
+from loadcap.tailprob import (
+    MONOTONE_IN_COUNT,
+    ClassComposition,
+    EstimationMethod,
+    aggregate_stats,
+    estimate,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+BOUND_METHODS = (
+    EstimationMethod.MARKOV,
+    EstimationMethod.CHEBYSHEV,
+    EstimationMethod.HOEFFDING,
+    EstimationMethod.BENNETT,
+    EstimationMethod.CHERNOFF,
+)
+COUNT_CAP = 200
+
+
+@st.composite
+def compositions_and_limits(draw) -> tuple[ClassComposition, float]:
+    classes = draw(st.integers(min_value=1, max_value=3))
+    entries = tuple(
+        (
+            ApplianceClass(
+                name=f"c{j}",
+                on_power=draw(st.sampled_from([1.0, 2.0, 3.0, 7.0, 13.0])),
+                model=Bernoulli(p_on=draw(st.floats(min_value=0.02, max_value=0.98))),
+                count=COUNT_CAP,
+            ),
+            # below the cap, so one more appliance of any class still fits
+            draw(st.integers(min_value=0, max_value=COUNT_CAP - 1)),
+        )
+        for j in range(classes)
+    )
+    top = sum(cls.on_power * n for cls, n in entries)
+    # half-watt limits: on the support, between its points and past its top
+    half_steps = draw(st.integers(min_value=1, max_value=int(2 * top) + 2))
+    return ClassComposition(entries=entries), half_steps / 2.0
+
+
+SETTINGS = hypothesis.settings(max_examples=50, deadline=None, database=None)
+
+
+@SETTINGS
+@hypothesis.given(compositions_and_limits())
+def test_bounds_dominate_the_exact_tail(case) -> None:
+    composition, c_max = case
+    floor = estimate(EstimationMethod.EXACT, composition, c_max) - 1e-12
+    for method in BOUND_METHODS:
+        assert estimate(method, composition, c_max) >= floor, method
+
+
+@SETTINGS
+@hypothesis.given(compositions_and_limits(), st.integers(min_value=0, max_value=2))
+def test_monotone_methods_do_not_fall_when_an_appliance_joins(case, pick) -> None:
+    composition, c_max = case
+    incoming = composition.entries[pick % len(composition.entries)][0]
+    grown = composition.with_added(incoming)
+    above_mean = c_max > aggregate_stats(composition).mean
+    for method in MONOTONE_IN_COUNT:
+        if method is EstimationMethod.CLT and not above_mean:
+            continue  # the normal estimate rises with the count only above the mean
+        before = estimate(method, composition, c_max)
+        after = estimate(method, grown, c_max)
+        assert after >= before - 1e-12 * before, method

@@ -34,6 +34,7 @@ from loadcap.tailprob import (
     mass_below,
     tail_from_pmf,
 )
+from loadcap.tailprob import _TRIM_MASS, _binomial_pmf
 
 ALL_METHODS = tuple(EstimationMethod)
 BOUND_METHODS = (
@@ -183,6 +184,53 @@ def test_exact_pmf_quantum_scaling_preserves_probability() -> None:
     fine = exact_pmf(comp((4.0, 0.3, 6)), quantum=2.0)
     for thr in (0.0, 4.0, 10.0, 12.0, 24.0):
         assert tail_from_pmf(coarse, thr) == pytest.approx(tail_from_pmf(fine, thr), abs=1e-15)
+
+
+def dense_reference_pmf(composition: ClassComposition, quantum: float) -> tuple[int, np.ndarray]:
+    """Convolve zero-padded per-class grids densely, then trim like exact_pmf."""
+    acc = np.ones(1)
+    for cls, enabled in composition.entries:
+        if enabled == 0:
+            continue
+        steps = round(cls.on_power / quantum)
+        grid = np.zeros(enabled * steps + 1)
+        grid[::steps] = _binomial_pmf(enabled, cls.p_on)
+        acc = np.convolve(acc, grid)
+    start = int(np.searchsorted(np.cumsum(acc), _TRIM_MASS, side="left"))
+    stop = acc.size - int(np.searchsorted(np.cumsum(acc[::-1]), _TRIM_MASS, side="left"))
+    return start, acc[start:stop]
+
+
+@pytest.mark.parametrize(
+    ("specs", "quantum"),
+    [
+        # four large classes: the binomial windows are trimmed of underflow
+        ([(5.0, 0.5, 0), (1.0, 0.3, 3000), (3.0, 0.2, 2500), (7.0, 0.1, 2000),
+          (13.0, 0.05, 1500)], 1.0),
+        # the accumulator is shorter than the 13-step stride it is split by
+        ([(1.0, 0.5, 1), (13.0, 0.2, 40), (2.0, 1.0, 3), (7.0, 0.0, 6)], 1.0),
+        # non-unit quantum; an always-on class comes first
+        ([(5.0, 1.0, 2), (1.5, 0.3, 400), (2.0, 0.4, 0), (2.5, 0.1, 300),
+          (0.5, 0.0, 7)], 0.5),
+    ],
+    ids=["trimmed-windows", "stride-beyond-accumulator", "half-watt-grid"],
+)
+def test_exact_pmf_matches_dense_zero_padded_convolution(specs, quantum) -> None:
+    composition = comp(*specs)
+    pmf = exact_pmf(composition, quantum=quantum)
+    offset, reference = dense_reference_pmf(composition, quantum)
+    assert pmf.offset == offset
+    assert pmf.probabilities.size == reference.size
+    assert np.max(np.abs(pmf.probabilities - reference)) <= 1e-15
+    dense = PowerPmf(quantum=quantum, offset=offset, probabilities=reference)
+    mean = aggregate_stats(composition).mean
+    top = float(pmf.support_watts[-1])
+    # from the mean out to the last support point, where tails reach ~1e-300
+    for fraction in (0.0, 0.1, 0.3, 0.6, 1.0):
+        threshold = mean + fraction * (top - mean)
+        expected = tail_from_pmf(dense, threshold)
+        assert 0.0 < expected < 1.0
+        assert tail_from_pmf(pmf, threshold) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
