@@ -20,6 +20,7 @@ from .tailprob import (
     MONOTONE_IN_COUNT,
     ClassComposition,
     EstimationMethod,
+    _fold_certain,
     aggregate_stats,
     estimate,
     lower_tail,
@@ -117,10 +118,10 @@ class UnderconsumptionReport:
 def decide(state: AdmissionState, incoming: ApplianceClass) -> Decision:
     """Admit one more appliance of a class, or reject it.
 
-    The candidate composition is the current one plus the newcomer; for a
-    deterministic newcomer that means a higher constant base load rather
-    than a new stochastic entry.  Accept when the tail estimate is at or
-    below the policy probability.
+    The candidate composition is the current one plus the newcomer.  Accept
+    when the tail estimate is at or below the policy probability.  The
+    effective threshold is ``c_max`` less the candidate's constant load,
+    always-on classes (``p_on`` 1) included.
     """
     candidate = state.composition.with_added(incoming)
     value = estimate(state.method, candidate, state.policy.c_max, state.quantum)
@@ -129,7 +130,9 @@ def decide(state: AdmissionState, incoming: ApplianceClass) -> Decision:
         verdict=verdict,
         estimate=value,
         method=state.method,
-        effective_threshold=state.policy.c_max - candidate.deterministic_load,
+        effective_threshold=(
+            state.policy.c_max - _fold_certain(candidate).deterministic_load
+        ),
     )
 
 
@@ -162,20 +165,14 @@ def _count_estimator(
 ) -> Callable[[tuple[int, ...]], bool]:
     """Admission check as a function of the enabled count of each class.
 
-    ``counts[i]`` of ``classes[i]`` join ``base``: a stochastic class as a
-    new entry, a deterministic one as constant load.
+    ``counts[i]`` of ``classes[i]`` join ``base`` as new entries; the
+    estimator folds always-on classes into the constant load.
     """
 
     def admits(counts: tuple[int, ...]) -> bool:
-        entries = base.entries
-        det_load = 0.0
-        for cls, n in zip(classes, counts):
-            if cls.deterministic:
-                det_load += n * cls.on_power
-            else:
-                entries += ((cls, n),)
         comp = ClassComposition(
-            entries=entries, deterministic_load=base.deterministic_load + det_load
+            entries=base.entries + tuple(zip(classes, counts)),
+            deterministic_load=base.deterministic_load,
         )
         return policy.admits(estimate(method, comp, policy.c_max, quantum))
 
@@ -188,9 +185,9 @@ def _search_is_monotone(
     method: EstimationMethod,
     base: ClassComposition,
 ) -> bool:
-    # a deterministic class only lowers the effective threshold, which no
+    # an always-on class only lowers the effective threshold, which no
     # estimator's value decreases under, so binary search is always sound
-    if appliance_class.deterministic:
+    if appliance_class.p_on == 1.0:
         return True
     if method not in MONOTONE_IN_COUNT:
         return False

@@ -1,7 +1,7 @@
 """File formats: traces, fitted models, pmfs, regions, results, experiments.
 
 CSV output is locale-independent ('.' decimal, '\\n' line endings, UTF-8)
-and JSON output is deterministic (sorted keys, no timestamps), so rerunning
+and JSON output is stable (sorted keys, no timestamps), so rerunning
 a command with the same inputs and seed reproduces files byte for byte.
 NaN is serialized as null.
 """
@@ -125,6 +125,18 @@ def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None
     unknown = sorted(set(obj) - allowed)
     if unknown:
         raise ValueError(f"unknown keys {unknown!r} in {where}")
+
+
+def _json_int(value: Any, key: str, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} in {where} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_bool(value: Any, key: str, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{key!r} in {where} must be true or false, got {value!r}")
+    return value
 
 
 def write_model(path: str, model: LoadModel, on_power: float) -> None:
@@ -362,19 +374,20 @@ def _parse_class(doc: Mapping[str, Any], index: int, base_dir: str) -> Appliance
     for key in ("name", "count"):
         if key not in doc:
             raise ValueError(f"missing {key!r} in {where}")
+    count = _json_int(doc["count"], "count", where)
+    shiftable = _json_bool(doc.get("shiftable", True), "shiftable", where)
     sources = [k for k in ("model", "model_file", "trace") if doc.get(k) is not None]
-    if doc.get("deterministic"):
+    if _json_bool(doc.get("deterministic", False), "deterministic", where):
         sources.append("deterministic")
     if len(sources) != 1:
         raise ValueError(
             f"{where} needs exactly one of model, model_file, trace, "
             f"deterministic; got {sources!r}"
         )
-    model: LoadModel | None
     on_power = doc.get("on_power")
     source = sources[0]
     if source == "deterministic":
-        model = None
+        model: LoadModel = Bernoulli(p_on=1.0)
     elif source == "model":
         if not isinstance(doc["model"], dict):
             raise ValueError(f"{where}.model must be an object")
@@ -397,9 +410,8 @@ def _parse_class(doc: Mapping[str, Any], index: int, base_dir: str) -> Appliance
         name=str(doc["name"]),
         on_power=float(on_power),
         model=model,
-        count=int(doc["count"]),
-        shiftable=bool(doc.get("shiftable", True)),
-        deterministic=model is None,
+        count=count,
+        shiftable=shiftable,
     )
 
 
@@ -468,8 +480,8 @@ def parse_experiment(path: str) -> ExperimentSpec:
         policy=policy,
         method=method,
         strategy=SchedulingStrategy(doc.get("strategy", "drop")),
-        slots=int(doc.get("slots", 50_000)),
-        seed=int(doc.get("seed", 0)),
+        slots=_json_int(doc.get("slots", 50_000), "slots", "experiment"),
+        seed=_json_int(doc.get("seed", 0), "seed", "experiment"),
         mode=SimMode(doc.get("mode", "composition")),
         quantum=float(doc.get("quantum", 1.0)),
         deterministic_load=float(doc.get("deterministic_load", 0.0)),

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Union
+from typing import Mapping, Union, get_args
 
 import numpy as np
 
@@ -199,19 +199,17 @@ class ApplianceClass:
     Attributes:
         name: label used in reports and CSV output.
         on_power: watts drawn while ON; must be positive.
-        model: the ON/OFF process.  ``None`` only for deterministic classes.
+        model: the ON/OFF process.  A constant load that draws ``on_power``
+            every slot is ``Bernoulli(p_on=1.0)``.
         count: population size (enabled counts never exceed it).
         shiftable: whether a scheduler may postpone this class's demand.
-        deterministic: True for constant loads that draw ``on_power`` every
-            slot while enabled; such classes carry no stochastic model.
     """
 
     name: str
     on_power: float
-    model: LoadModel | None
+    model: LoadModel
     count: int
     shiftable: bool = True
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -221,16 +219,12 @@ class ApplianceClass:
         if int(self.count) != self.count or self.count < 0:
             raise ValueError(f"count={self.count!r} must be a non-negative integer")
         object.__setattr__(self, "count", int(self.count))
-        if self.deterministic and self.model is not None:
-            raise ValueError("deterministic class must not carry a stochastic model")
-        if not self.deterministic and self.model is None:
-            raise ValueError(f"class {self.name!r} needs a load model")
+        if not isinstance(self.model, get_args(LoadModel)):
+            raise ValueError(f"class {self.name!r} needs a load model, got {self.model!r}")
 
     @cached_property
     def p_on(self) -> float:
-        """Stationary ON probability; 1 for deterministic classes."""
-        if self.deterministic:
-            return 1.0
+        """Stationary ON probability of the model."""
         return stationary_stats(self.model).p_on
 
     @property
@@ -311,8 +305,6 @@ def sample_series(appliance: ApplianceClass, slots: int, seed: int) -> np.ndarra
     if int(slots) != slots or slots < 1:
         raise ValueError(f"slots={slots!r} must be a positive integer")
     slots = int(slots)
-    if appliance.deterministic:
-        return np.full(slots, appliance.on_power, dtype=np.float64)
     rng = np.random.default_rng(int(seed))
     states = _sample_states(appliance.model, slots, rng)
     return states.astype(np.float64) * appliance.on_power

@@ -29,7 +29,7 @@ import numpy as np
 from .admission import QosPolicy, _count_estimator, max_admissible
 from .models import ApplianceClass, derive_seed, sample_series
 from .scheduling import SchedulingStrategy, load_factor
-from .tailprob import ClassComposition, EstimationMethod, _grid_steps
+from .tailprob import _GRID_RTOL, ClassComposition, EstimationMethod, _grid_steps
 
 __all__ = [
     "SimMode",
@@ -165,7 +165,7 @@ def _safe_load_factor(series: np.ndarray) -> float:
 
 def _overload_mask(series: np.ndarray, c_max: float) -> np.ndarray:
     # same grid-snap tolerance as the tail computation's threshold rounding
-    return series >= c_max - 1e-9 * max(1.0, abs(c_max))
+    return series >= c_max - _GRID_RTOL * max(1.0, abs(c_max))
 
 
 def _tail_stats(
@@ -262,16 +262,10 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
             if not cls.shiftable:
                 base_served += series
     shiftable_ids = [i for i, column in enumerate(column_of) if column >= 0]
-    base_entries = []
-    base_det = config.deterministic_load
-    for cls in config.classes:
-        if cls.shiftable:
-            continue
-        if cls.deterministic:
-            base_det += cls.count * cls.on_power
-        else:
-            base_entries.append((cls, cls.count))
-    base = ClassComposition(entries=tuple(base_entries), deterministic_load=base_det)
+    base = ClassComposition(
+        tuple((c, c.count) for c in config.classes if not c.shiftable),
+        config.deterministic_load,
+    )
     # admitted count vectors recur heavily across slots; estimate each once
     admits = functools.cache(
         _count_estimator(shiftable, config.policy, config.method, config.quantum, base)

@@ -148,8 +148,9 @@ class PowerPmf:
 class ClassComposition:
     """Enabled appliance counts per class, plus a constant base load.
 
-    Only stochastic classes may appear in ``entries``; a deterministic
-    class's contribution belongs in ``deterministic_load`` (watts).
+    ``deterministic_load`` is in watts.  Entries of always-on classes
+    (``p_on`` 1) are allowed; every estimator folds them into the base load
+    first (``_fold_certain``).
     """
 
     entries: tuple[tuple[ApplianceClass, int], ...]
@@ -159,10 +160,6 @@ class ClassComposition:
         seen: set[str] = set()
         cleaned = []
         for cls, enabled in self.entries:
-            if cls.deterministic:
-                raise ValueError(
-                    f"deterministic class {cls.name!r} belongs in deterministic_load"
-                )
             if int(enabled) != enabled or not (0 <= enabled <= cls.count):
                 raise ValueError(
                     f"enabled count {enabled!r} for {cls.name!r} outside [0, {cls.count}]"
@@ -184,14 +181,9 @@ class ClassComposition:
     def with_added(self, incoming: ApplianceClass) -> "ClassComposition":
         """Composition after admitting one more appliance of a class.
 
-        Deterministic appliances raise the constant base load instead of
-        joining the stochastic entries, so both kinds flow through the same
-        threshold-offset arithmetic downstream.
+        The class's enabled count grows by one; past the class's population
+        the new composition raises ValueError.
         """
-        if incoming.deterministic:
-            return replace(
-                self, deterministic_load=self.deterministic_load + incoming.on_power
-            )
         entries = []
         found = False
         for cls, enabled in self.entries:
@@ -244,8 +236,9 @@ def _fold_certain(composition: ClassComposition) -> ClassComposition:
     """Move always-on classes into the constant base load, drop never-on ones.
 
     A class with p_on 1 contributes a known constant, so every estimator can
-    treat it the way it treats deterministic load; keeping it stochastic
-    would needlessly slacken the moment bounds.
+    treat it as base load; keeping it stochastic would needlessly slacken
+    the moment bounds.  This is the one place always-on load becomes base
+    load.
     """
     if all(0.0 < cls.p_on < 1.0 for cls, _ in composition.entries):
         return composition
@@ -333,7 +326,8 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     accumulator is split by residue mod ``s`` and each residue is convolved
     with the window on its own.  Every class's ON wattage must sit on the
     grid, else ValueError("quantization mismatch").  The constant base load
-    is not folded in; callers offset thresholds.
+    is not folded in; callers offset thresholds.  ``PowerPmf`` checks the
+    trimmed pmf's mass and raises ValueError when it drifted from 1.
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
@@ -357,9 +351,6 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
             acc = out
     if acc is None:
         acc = np.ones(1)
-    total = math.fsum(acc.tolist())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"convolved mass drifted to {total!r}")
     # trim ends whose cumulative mass stays below the floor
     forward = np.cumsum(acc)
     start = int(np.searchsorted(forward, _TRIM_MASS, side="left"))
@@ -549,7 +540,7 @@ def lower_tail(
 
     Only the exact and normal-approximation methods have a lower-tail form;
     other methods raise ValueError.  A limit at or below the constant base
-    load returns 0 (the load can never fall below its deterministic floor).
+    load returns 0 (the load can never fall below its constant floor).
     """
     if method not in (EstimationMethod.EXACT, EstimationMethod.CLT):
         raise ValueError(f"{method.value} has no lower-tail form")

@@ -115,7 +115,7 @@ def test_decide_deterministic_newcomer_shifts_threshold() -> None:
         policy=QosPolicy(c_max=18.0, p=0.01),
         method=EstimationMethod.EXACT,
     )
-    heater = ApplianceClass(name="heat", on_power=4.0, model=None, count=1, deterministic=True)
+    heater = ApplianceClass(name="heat", on_power=4.0, model=Bernoulli(p_on=1.0), count=1)
     decision = decide(state, heater)
     assert decision.effective_threshold == pytest.approx(14.0)
     assert decision.estimate == pytest.approx(
@@ -279,7 +279,7 @@ def test_max_admissible_constant_base_load_shifts_capacity() -> None:
 
 
 def test_max_admissible_deterministic_class_is_floor_division() -> None:
-    cls = ApplianceClass(name="d", on_power=3.0, model=None, count=20, deterministic=True)
+    cls = ApplianceClass(name="d", on_power=3.0, model=Bernoulli(p_on=1.0), count=20)
     policy = QosPolicy(c_max=10.0, p=0.01)
     for method in SEARCH_METHODS:
         # 3 appliances load 9 W < 10 W; the fourth reaches 12 W

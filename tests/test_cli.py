@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,12 @@ def test_simulate_invalid_experiment_exits_2(tmp_path, capsys) -> None:
         assert "unknown keys" in capsys.readouterr().err
 
 
+def test_simulate_non_integer_slots_exits_2(tmp_path, capsys) -> None:
+    path = experiment_file(tmp_path, slots=10.9)
+    assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 2
+    assert "'slots'" in capsys.readouterr().err
+
+
 def test_simulate_sweep_jobs_below_one_exits_2(tmp_path, capsys) -> None:
     path = experiment_file(tmp_path, p_values=[0.01, 0.1], slots=100)
     assert main(["simulate", path, "--jobs", "-3", "--out-dir", str(tmp_path)]) == 2
@@ -406,6 +414,45 @@ def test_fit_then_simulate_round_trip_recovers_mean_power(tmp_path, capsys) -> N
     simulated_mean = float(np.mean(managed_w(tmp_path / "roundtrip.series.csv")))
     trace_mean = float(np.mean(series))
     assert abs(simulated_mean - trace_mean) <= 0.05 * trace_mean
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_print_what_the_readme_shows(tmp_path, monkeypatch, capsys) -> None:
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"```json\n(.*?)```", text, re.S):
+        (tmp_path / f"{json.loads(block)['name']}.json").write_text(block)
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for command, shown in re.findall(r"```\n\$ loadcap (.*?)\n(.*?)```", text, re.S):
+        argv = command.split()
+        if argv[0] == "fit":
+            continue  # its trace file is not part of the README
+        assert main(argv) == 0
+        got = capsys.readouterr()
+        lines = shown.splitlines()
+        assert got.out.splitlines() == [s for s in lines if not s.startswith("warning:")]
+        assert got.err.splitlines() == [s for s in lines if s.startswith("warning:")]
+        ran.append(argv[0])
+    assert ran == ["bounds", "region", "simulate", "simulate"]
+
+
+def test_readme_library_snippet_prints_what_the_readme_shows() -> None:
+    snippet = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    namespace: dict = {}
+    exec(snippet.group(1), namespace)
+    shown = [line.split("#") for line in snippet.group(1).splitlines() if "#" in line]
+    assert [(code.strip(), value.strip()) for code, value in shown] == [
+        ("max_admissible(heater, policy, EstimationMethod.EXACT)", "21"),
+        ("estimate(EstimationMethod.EXACT, composition, 24.0)", "0.008740158003962517"),
+    ]
+    for code, value in shown:
+        assert repr(eval(code, namespace)) == value.strip()
 
 
 # ---------------------------------------------------------------------------

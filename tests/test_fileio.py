@@ -382,9 +382,35 @@ def test_parse_experiment_deterministic_class(tmp_path) -> None:
     }
     spec = parse_experiment(write_experiment(tmp_path, doc))
     cls = spec.config.classes[0]
-    assert cls.deterministic
-    assert cls.model is None
+    assert cls.model == Bernoulli(p_on=1.0)
+    assert cls.p_on == 1.0
     assert not cls.shiftable
+
+
+@pytest.mark.parametrize(
+    "where,key,value",
+    [
+        ("class", "count", 2.7),
+        ("class", "count", 5.0),
+        ("class", "count", True),
+        ("class", "count", "5"),
+        ("top", "slots", 10.9),
+        ("top", "slots", True),
+        ("top", "seed", 3.5),
+        ("top", "seed", None),
+        ("class", "shiftable", "false"),
+        ("class", "shiftable", 0),
+        ("always-on class", "deterministic", "no"),
+        ("always-on class", "deterministic", 1),
+    ],
+)
+def test_parse_experiment_rejects_values_it_would_coerce(tmp_path, where, key, value) -> None:
+    doc = experiment_doc()
+    if where == "always-on class":
+        del doc["classes"][0]["model"]  # the flag is the class's only source
+    (doc if where == "top" else doc["classes"][0])[key] = value
+    with pytest.raises(ValueError, match=repr(key)):
+        parse_experiment(write_experiment(tmp_path, doc))
 
 
 def test_parse_experiment_model_file_reference(tmp_path) -> None:

@@ -83,7 +83,7 @@ def test_class_power_moments_follow_occupancy() -> None:
 
 
 def test_deterministic_class_is_always_on() -> None:
-    cls = ApplianceClass(name="base", on_power=3.0, model=None, count=2, deterministic=True)
+    cls = ApplianceClass(name="base", on_power=3.0, model=Bernoulli(p_on=1.0), count=2)
     assert cls.p_on == 1.0
     assert cls.mean_power == 3.0
     assert cls.power_variance == 0.0
@@ -106,7 +106,7 @@ def test_class_p_on_is_cached_without_changing_identity() -> None:
         assert restored == cls and restored.p_on == cls.p_on
         swapped = dataclasses.replace(cls, model=Bernoulli(p_on=0.9))
         assert swapped.p_on == 0.9
-    det = ApplianceClass(name="base", on_power=3.0, model=None, count=2, deterministic=True)
+    det = ApplianceClass(name="base", on_power=3.0, model=Bernoulli(p_on=1.0), count=2)
     assert det.p_on == 1.0
     assert pickle.loads(pickle.dumps(det)).p_on == 1.0
 
@@ -164,11 +164,6 @@ def test_appliance_class_validation() -> None:
     with pytest.raises(ValueError):
         ApplianceClass(name="x", on_power=1.0, model=Bernoulli(p_on=0.5), count=-1)
     with pytest.raises(ValueError):
-        # deterministic classes carry no stochastic model
-        ApplianceClass(
-            name="x", on_power=1.0, model=Bernoulli(p_on=0.5), count=1, deterministic=True
-        )
-    with pytest.raises(ValueError):
         ApplianceClass(name="x", on_power=1.0, model=None, count=1)
 
 
@@ -201,7 +196,7 @@ def test_sample_series_support_and_extremes() -> None:
 
 
 def test_sample_series_deterministic_class_is_constant() -> None:
-    cls = ApplianceClass(name="base", on_power=2.5, model=None, count=1, deterministic=True)
+    cls = ApplianceClass(name="base", on_power=2.5, model=Bernoulli(p_on=1.0), count=1)
     assert np.all(sample_series(cls, slots=64, seed=0) == 2.5)
 
 

@@ -345,16 +345,15 @@ def test_slot_dynamic_with_deterministic_classes_is_pinned(
     managed_sha256: str,
     outcomes_sha256: str,
 ) -> None:
-    # deterministic classes on both sides of the shiftable split: their
-    # load enters the admission check as constant watts, never as entries
+    # always-on classes on both sides of the shiftable split: the estimator
+    # folds their load into constant watts before any tail is computed
     def det(name: str, on_power: float, count: int, shiftable: bool = True):
         return ApplianceClass(
             name=name,
             on_power=on_power,
-            model=None,
+            model=Bernoulli(p_on=1.0),
             count=count,
             shiftable=shiftable,
-            deterministic=True,
         )
 
     pump = ApplianceClass(

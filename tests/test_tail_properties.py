@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from loadcap.admission import QosPolicy, max_admissible
 from loadcap.models import ApplianceClass, Bernoulli
 from loadcap.tailprob import (
     MONOTONE_IN_COUNT,
@@ -77,3 +78,25 @@ def test_monotone_methods_do_not_fall_when_an_appliance_joins(case, pick) -> Non
         before = estimate(method, composition, c_max)
         after = estimate(method, grown, c_max)
         assert after >= before - 1e-12 * before, method
+
+
+@SETTINGS
+@hypothesis.given(
+    compositions_and_limits(),
+    st.sampled_from([1.0, 2.0, 3.0, 7.0, 13.0]),
+    st.integers(min_value=0, max_value=60),
+)
+def test_always_on_class_is_constant_load(case, on_power, n) -> None:
+    composition, c_max = case
+    always = ApplianceClass(
+        name="always", on_power=on_power, model=Bernoulli(p_on=1.0), count=60
+    )
+    joined = ClassComposition(entries=composition.entries + ((always, n),))
+    based = ClassComposition(entries=composition.entries, deterministic_load=n * on_power)
+    for method in EstimationMethod:
+        assert estimate(method, joined, c_max) == estimate(method, based, c_max), method
+    # alone, n always-on appliances fit while n * on_power stays below c_max
+    policy = QosPolicy(c_max=c_max, p=0.01)
+    fits = min(always.count, int((2 * c_max - 1) // (2 * on_power)))
+    for method in EstimationMethod:
+        assert max_admissible(always, policy, method) == fits, method

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from loadcap import tailprob
 from loadcap.models import ApplianceClass, Bernoulli
 from loadcap.tailprob import (
     MONOTONE_IN_COUNT,
@@ -171,6 +172,18 @@ def test_exact_pmf_rejects_off_grid_power() -> None:
         exact_pmf(comp((1.5, 0.5, 2)), quantum=1.0)
     with pytest.raises(ValueError):
         exact_pmf(comp((1.0, 0.5, 2)), quantum=0.0)
+
+
+def test_exact_pmf_rejects_a_pmf_that_lost_mass(monkeypatch) -> None:
+    # a kernel carrying half the mass must not pass as a pmf, whether it is
+    # laid out alone or convolved at one step or at a stride
+    def half_mass(n: int, p_on: float) -> tuple[int, np.ndarray]:
+        return 0, np.array([0.25, 0.25])
+
+    monkeypatch.setattr(tailprob, "_class_kernel", half_mass)
+    for composition in (comp((1.0, 0.5, 3)), comp((1.0, 0.5, 3), (2.0, 0.5, 3))):
+        with pytest.raises(ValueError, match="pmf mass"):
+            exact_pmf(composition)
 
 
 def test_exact_pmf_binomial_tail_oracle() -> None:
@@ -490,16 +503,23 @@ def test_composition_validation() -> None:
         ClassComposition(entries=((cls, 1), (cls, 2)))
     with pytest.raises(ValueError):
         ClassComposition(entries=(), deterministic_load=-1.0)
-    det_cls = ApplianceClass(name="d", on_power=2.0, model=None, count=1, deterministic=True)
-    with pytest.raises(ValueError):
-        ClassComposition(entries=((det_cls, 1),))
+    # an always-on class is an ordinary entry; estimators fold it into the base
+    always = bern("d", 2.0, 1.0, 1)
+    assert ClassComposition(entries=((always, 1),)).entries == ((always, 1),)
 
 
 def test_with_added_routes_deterministic_to_base_load() -> None:
-    det_cls = ApplianceClass(name="d", on_power=2.5, model=None, count=3, deterministic=True)
+    det_cls = bern("d", 2.5, 1.0, 3)
     grown = WORKED.with_added(det_cls)
-    assert grown.deterministic_load == 2.5
-    assert grown.entries == WORKED.entries
+    assert grown.entries == WORKED.entries + ((det_cls, 1),)
+    assert grown.deterministic_load == 0.0
+    based = ClassComposition(entries=WORKED.entries, deterministic_load=2.5)
+    for method in ALL_METHODS:
+        for thr in (40.0, 52.5, 55.0, 60.5):
+            assert estimate(method, grown, thr) == estimate(method, based, thr)
+    with pytest.raises(ValueError):
+        # the population cap binds for always-on classes too
+        ClassComposition(entries=((det_cls, 3),)).with_added(det_cls)
 
     partial = ClassComposition(entries=((bern("c0", 1.0, 0.5, 5), 3),))
     stoch = partial.with_added(bern("c0", 1.0, 0.5, 5))
