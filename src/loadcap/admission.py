@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .tailprob import (
 __all__ = [
     "QosPolicy",
     "AdmissionState",
-    "Verdict",
     "Decision",
     "UnderconsumptionReport",
     "decide",
@@ -83,7 +81,7 @@ class AdmissionState:
     """Snapshot the decision rule operates on.
 
     The method is fixed for the lifetime of a decision sequence so that
-    successive verdicts are comparable.
+    successive decisions are comparable.
     """
 
     composition: ClassComposition
@@ -92,21 +90,12 @@ class AdmissionState:
     quantum: float = 1.0
 
 
-class Verdict(Enum):
-    ACCEPT = "accept"
-    REJECT = "reject"
-
-
 @dataclass(frozen=True)
 class Decision:
-    verdict: Verdict
+    accepted: bool
     estimate: float
     method: EstimationMethod
     effective_threshold: float
-
-    @property
-    def accepted(self) -> bool:
-        return self.verdict is Verdict.ACCEPT
 
 
 @dataclass(frozen=True)
@@ -125,9 +114,8 @@ def decide(state: AdmissionState, incoming: ApplianceClass) -> Decision:
     """
     candidate = state.composition.with_added(incoming)
     value = estimate(state.method, candidate, state.policy.c_max, state.quantum)
-    verdict = Verdict.ACCEPT if state.policy.admits(value) else Verdict.REJECT
     return Decision(
-        verdict=verdict,
+        accepted=state.policy.admits(value),
         estimate=value,
         method=state.method,
         effective_threshold=(

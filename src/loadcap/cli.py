@@ -28,8 +28,8 @@ from .fileio import (
     write_sweep,
     write_sweep_result,
 )
-from .models import ApplianceClass, Bernoulli, fit_model, stationary_stats
-from .simulation import run, sweep_qos
+from .models import MODEL_FAMILIES, ApplianceClass, Bernoulli, fit_model, stationary_stats
+from .simulation import SimMode, run, sweep_qos
 from .tailprob import ClassComposition, EstimationMethod, estimate, exact_pmf
 
 __all__ = ["main"]
@@ -72,11 +72,10 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    composition = _parse_composition_spec(args.composition)
-    if args.det > 0.0:
-        composition = ClassComposition(
-            entries=composition.entries, deterministic_load=args.det
-        )
+    composition = ClassComposition(
+        entries=_parse_composition_spec(args.composition).entries,
+        deterministic_load=args.det,
+    )
     methods = _parse_methods(args.methods)
     print("method,estimate")
     values = []
@@ -101,12 +100,29 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = spec.config
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    names = {"result_json": f"{spec.name}.json"}
+    if spec.is_sweep:
+        names["sweep_csv"] = f"{spec.name}.sweep.csv"
+    else:
+        names["series_csv"] = f"{spec.name}.series.csv"
+        if config.mode is SimMode.SLOT_DYNAMIC:
+            names["outcomes_csv"] = f"{spec.name}.outcomes.csv"
+    paths = {
+        key: os.path.join(args.out_dir, spec.outputs.get(key, name))
+        for key, name in names.items()
+    }
+    experiment = os.path.realpath(args.experiment)
+    for path in paths.values():
+        if os.path.realpath(path) == experiment:
+            raise ValueError(
+                f"output {path} would overwrite the experiment file; "
+                "pass another --out-dir or rename it under outputs"
+            )
+    os.makedirs(args.out_dir, exist_ok=True)
     if spec.is_sweep:
         cells = sweep_qos(config, spec.p_values, spec.methods, jobs=args.jobs)
-        sweep_csv = spec.outputs.get("sweep_csv", f"{spec.name}.sweep.csv")
-        result_json = spec.outputs.get("result_json", f"{spec.name}.json")
-        write_sweep(_out_path(args, sweep_csv), cells)
-        write_sweep_result(_out_path(args, result_json), spec.name, cells)
+        write_sweep(paths["sweep_csv"], cells)
+        write_sweep_result(paths["result_json"], spec.name, cells)
         print("p,method,enabled,p_hat,k,stderr")
         for cell in cells:
             print(
@@ -115,13 +131,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
         return 0
     result = run(config)
-    result_json = spec.outputs.get("result_json", f"{spec.name}.json")
-    series_csv = spec.outputs.get("series_csv", f"{spec.name}.series.csv")
-    write_result(_out_path(args, result_json), spec.name, result)
-    write_series(_out_path(args, series_csv), result)
+    write_result(paths["result_json"], spec.name, result)
+    write_series(paths["series_csv"], result)
     if result.outcomes is not None:
-        outcomes_csv = spec.outputs.get("outcomes_csv", f"{spec.name}.outcomes.csv")
-        write_outcomes(_out_path(args, outcomes_csv), result)
+        write_outcomes(paths["outcomes_csv"], result)
     print(f"p_hat={result.p_hat!r} k={result.k!r} stderr={result.stderr!r}")
     print(f"lf_baseline={result.lf_baseline!r} lf_managed={result.lf_managed!r}")
     print(f"enabled={','.join(str(n) for n in result.enabled_counts)}")
@@ -231,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a load model to a trace CSV")
     _add_common(fit)
     fit.add_argument("trace", help="trace CSV path")
-    fit.add_argument("--family", required=True, choices=["bernoulli", "markov", "renewal"])
+    fit.add_argument("--family", required=True, choices=MODEL_FAMILIES)
     fit.add_argument(
         "--on-threshold",
         type=float,

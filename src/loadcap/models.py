@@ -36,7 +36,6 @@ __all__ = [
     "stationary_stats",
     "sample_series",
     "fit_model",
-    "pool_trace",
 ]
 
 MODEL_FAMILIES = ("bernoulli", "markov", "renewal")
@@ -227,15 +226,6 @@ class ApplianceClass:
         """Stationary ON probability of the model."""
         return stationary_stats(self.model).p_on
 
-    @property
-    def mean_power(self) -> float:
-        return self.on_power * self.p_on
-
-    @property
-    def power_variance(self) -> float:
-        p = self.p_on
-        return self.on_power**2 * p * (1.0 - p)
-
 
 @dataclass(frozen=True, eq=False)
 class TraceSeries:
@@ -255,9 +245,6 @@ class TraceSeries:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "watts", arr)
-
-    def __len__(self) -> int:
-        return int(self.watts.size)
 
 
 def _alternating_states(
@@ -378,21 +365,3 @@ def fit_model(trace: TraceSeries, family: str, on_threshold: float) -> FitResult
         off_durations=_duration_histogram(off_runs),
     )
     return FitResult(model, on_power)
-
-
-def pool_trace(trace: TraceSeries, factor: int) -> TraceSeries:
-    """Mean-pool consecutive groups of ``factor`` samples.
-
-    Resamples a trace to a coarser slot length; a trailing partial group is
-    dropped.
-    """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"pooling factor {factor!r} must be a positive integer")
-    factor = int(factor)
-    if factor == 1:
-        return trace
-    groups = trace.watts.size // factor
-    if groups == 0:
-        raise ValueError(f"trace too short to pool by {factor}")
-    pooled = trace.watts[: groups * factor].reshape(groups, factor).mean(axis=1)
-    return TraceSeries(sample_period_s=trace.sample_period_s * factor, watts=pooled)

@@ -26,8 +26,6 @@ __all__ = [
     "ClassComposition",
     "AggregateStats",
     "exact_pmf",
-    "tail_from_pmf",
-    "mass_below",
     "aggregate_stats",
     "bound_markov",
     "bound_chebyshev",
@@ -124,7 +122,7 @@ class PowerPmf:
         return math.floor(x + _GRID_RTOL * max(1.0, abs(x)))
 
     def tail_at_or_above(self, threshold_w: float) -> float:
-        """Mass at grid points >= threshold."""
+        """Mass at grid points >= threshold; off-grid thresholds round up."""
         k = self._grid_index_at_or_above(threshold_w)
         start = k - self.offset
         if start <= 0:
@@ -134,7 +132,7 @@ class PowerPmf:
         return float(math.fsum(self.probabilities[start:].tolist()))
 
     def mass_below(self, threshold_w: float) -> float:
-        """Mass at grid points strictly below threshold."""
+        """Mass at grid points below threshold; off-grid thresholds round down."""
         k = self._grid_index_below(threshold_w)
         stop = k - self.offset
         if stop <= 0:
@@ -359,16 +357,6 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     return PowerPmf(quantum=quantum, offset=offset + start, probabilities=acc[start:stop])
 
 
-def tail_from_pmf(pmf: PowerPmf, threshold_w: float) -> float:
-    """Mass at or above the threshold; off-grid thresholds round up."""
-    return pmf.tail_at_or_above(threshold_w)
-
-
-def mass_below(pmf: PowerPmf, threshold_w: float) -> float:
-    """Mass strictly below the threshold; off-grid thresholds round down."""
-    return pmf.mass_below(threshold_w)
-
-
 def bound_markov(stats: AggregateStats, threshold_w: float) -> float:
     """First-moment bound: mean over threshold, clamped to 1."""
     if threshold_w <= 0.0:
@@ -513,7 +501,7 @@ def estimate(
     if threshold <= 0.0:
         return 1.0
     if method is EstimationMethod.EXACT:
-        return tail_from_pmf(exact_pmf(composition, quantum), threshold)
+        return exact_pmf(composition, quantum).tail_at_or_above(threshold)
     if method is EstimationMethod.CHERNOFF:
         return bound_chernoff(composition, threshold)
     stats = aggregate_stats(composition)
@@ -549,7 +537,7 @@ def lower_tail(
     if threshold <= 0.0:
         return 0.0
     if method is EstimationMethod.EXACT:
-        return mass_below(exact_pmf(composition, quantum), threshold)
+        return exact_pmf(composition, quantum).mass_below(threshold)
     stats = aggregate_stats(composition)
     if stats.variance == 0.0:
         return 1.0 if threshold > stats.mean else 0.0

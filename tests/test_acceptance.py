@@ -43,7 +43,6 @@ from loadcap.tailprob import (
     bound_markov,
     estimate,
     exact_pmf,
-    tail_from_pmf,
 )
 
 ALL_METHODS = tuple(EstimationMethod)
@@ -109,7 +108,7 @@ def test_c02_bound_dominance_suite() -> None:
         )
         for thr in thresholds:
             thr = float(thr)
-            true_tail = tail_from_pmf(pmf, thr)
+            true_tail = pmf.tail_at_or_above(thr)
             floor = true_tail - 1e-12
             assert bound_chebyshev(stats, thr) >= floor
             assert bound_hoeffding(stats, thr) >= floor

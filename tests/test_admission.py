@@ -9,7 +9,6 @@ from loadcap.admission import (
     AdmissionState,
     Decision,
     QosPolicy,
-    Verdict,
     check_underconsumption,
     decide,
     decision_region,
@@ -76,8 +75,7 @@ def test_decide_accepts_when_exact_tail_clears_policy() -> None:
     )
     decision = decide(state, pool)
     assert isinstance(decision, Decision)
-    assert decision.accepted
-    assert decision.verdict is Verdict.ACCEPT
+    assert decision.accepted is True
     assert decision.estimate == pytest.approx(0.03637850343876199, rel=1e-12)
     assert decision.effective_threshold == 60.0
 

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
+import os
+import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loadcap
 from loadcap.cli import main
 from loadcap.models import ApplianceClass, Bernoulli, TraceSeries, sample_series
 from loadcap.fileio import write_trace
@@ -86,9 +91,19 @@ def test_bounds_quantization_mismatch_exits_2(capsys) -> None:
     assert "quantization mismatch" in capsys.readouterr().err
 
 
-def test_bounds_bad_composition_spec_exits_2(capsys) -> None:
-    assert main(["bounds", "100@0.5", "--c-max", "60"]) == 2
-    assert "COUNTxWATTS@P_ON" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    ("composition", "message"),
+    [
+        (["100@0.5"], "COUNTxWATTS@P_ON"),
+        (["100x1@0.5", "--det", "-5"], "deterministic_load=-5.0"),
+        (["100x1@0.5", "--det", "nan"], "deterministic_load=nan"),
+        (["100x1@0.5", "--det", "inf"], "deterministic_load=inf"),
+    ],
+    ids=["spec", "det-negative", "det-nan", "det-inf"],
+)
+def test_bounds_bad_composition_spec_exits_2(composition, message, capsys) -> None:
+    assert main(["bounds", *composition, "--c-max", "60"]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bounds_off_grid_power_with_matching_quantum(capsys) -> None:
@@ -216,6 +231,28 @@ def test_simulate_non_integer_slots_exits_2(tmp_path, capsys) -> None:
     path = experiment_file(tmp_path, slots=10.9)
     assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 2
     assert "'slots'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"name": "experiment"},
+        {"outputs": {"series_csv": "experiment.json"}},
+        {"mode": "slot_dynamic", "outputs": {"outcomes_csv": "experiment.json"}},
+        {"p_values": [0.01, 0.1], "outputs": {"sweep_csv": "experiment.json"}},
+    ],
+    ids=["result-json", "series-csv", "outcomes-csv", "sweep-csv"],
+)
+def test_simulate_never_overwrites_its_experiment_file(
+    overrides, tmp_path, monkeypatch, capsys
+) -> None:
+    path = Path(experiment_file(tmp_path, **overrides))
+    before = path.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "experiment.json"]) == 2
+    assert "experiment.json would overwrite the experiment file" in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["experiment.json"]  # refused before sampling
 
 
 def test_simulate_sweep_jobs_below_one_exits_2(tmp_path, capsys) -> None:
@@ -456,8 +493,43 @@ def test_readme_library_snippet_prints_what_the_readme_shows() -> None:
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# public surface and entry points
 # ---------------------------------------------------------------------------
+
+SUBMODULES = sorted(
+    m.name for m in pkgutil.iter_modules(loadcap.__path__) if not m.name.startswith("_")
+)
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_every_exported_name_resolves(module) -> None:
+    namespace = importlib.import_module(f"loadcap.{module}")
+    assert [name for name in namespace.__all__ if not hasattr(namespace, name)] == []
+
+
+def test_package_root_exports_only_what_the_benchmark_probe_imports() -> None:
+    public = {
+        name
+        for name, value in vars(loadcap).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {"ApplianceClass", "Bernoulli", "ClassComposition"}
+    assert sorted(loadcap.__all__) == sorted(public)
+    assert isinstance(loadcap.__version__, str)
+
+
+def test_benchmark_setup_probe_runs(tmp_path) -> None:
+    # perfbench/probe.py imports its classes from the package root
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "probe.py"), "setup", "--"]
+        + ["bounds", "2x1@0.5", "--c-max", "1", "--out-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_runs() -> None:

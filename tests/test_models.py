@@ -5,7 +5,7 @@ Covered here:
   2. per-class power moments derived from occupancy
   3. series sampling (support, reproducibility, long-run frequencies)
   4. fitting models back from traces, including degenerate inputs
-  5. seed derivation and trace pooling utilities
+  5. seed derivation
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from loadcap.models import (
     TwoStateMarkov,
     derive_seed,
     fit_model,
-    pool_trace,
     sample_series,
     stationary_stats,
 )
+from loadcap.tailprob import ClassComposition, aggregate_stats
 
 # Shared six-sample trace used by all fit oracles below; ON threshold 1.0
 # splits it into OFF,ON,ON,OFF,ON,ON.
@@ -78,15 +78,17 @@ def test_degenerate_markov_has_no_stationary_distribution() -> None:
 def test_class_power_moments_follow_occupancy() -> None:
     cls = ApplianceClass(name="pump", on_power=2.0, model=Bernoulli(p_on=0.25), count=7)
     assert cls.p_on == 0.25
-    assert cls.mean_power == pytest.approx(0.5)
-    assert cls.power_variance == pytest.approx(4.0 * 0.25 * 0.75)
+    stats = aggregate_stats(ClassComposition(entries=((cls, 1),)))
+    assert stats.mean == pytest.approx(0.5)
+    assert stats.variance == pytest.approx(4.0 * 0.25 * 0.75)
 
 
 def test_deterministic_class_is_always_on() -> None:
     cls = ApplianceClass(name="base", on_power=3.0, model=Bernoulli(p_on=1.0), count=2)
     assert cls.p_on == 1.0
-    assert cls.mean_power == 3.0
-    assert cls.power_variance == 0.0
+    stats = aggregate_stats(ClassComposition(entries=((cls, 1),)))
+    assert stats.mean == 3.0
+    assert stats.variance == 0.0
 
 
 def test_class_p_on_is_cached_without_changing_identity() -> None:
@@ -327,25 +329,12 @@ def test_derive_seed_is_deterministic_and_path_sensitive() -> None:
     assert 0 <= derive_seed(0) < 2**64
 
 
-def test_pool_trace_mean_pools_and_drops_remainder() -> None:
-    trace = TraceSeries(watts=np.array([1.0, 3.0, 5.0, 7.0, 100.0]), sample_period_s=2.0)
-    pooled = pool_trace(trace, factor=2)
-    assert np.array_equal(pooled.watts, np.array([2.0, 6.0]))
-    assert pooled.sample_period_s == 4.0
-
-
-def test_pool_trace_identity_and_validation() -> None:
-    trace = TraceSeries(watts=np.array([1.0, 2.0]), sample_period_s=1.0)
-    assert np.array_equal(pool_trace(trace, factor=1).watts, trace.watts)
-    with pytest.raises(ValueError):
-        pool_trace(trace, factor=0)
-    with pytest.raises(ValueError):
-        pool_trace(trace, factor=3)
-
-
 def test_stationary_p_on_times_power_is_mean_power() -> None:
-    # cross-check the two public routes to the same quantity
+    # the class's cached p_on and the aggregate moments both come from the
+    # model's stationary distribution
     model = TwoStateMarkov(p_off_to_on=0.1, p_on_to_off=0.3)
     cls = ApplianceClass(name="x", on_power=8.0, model=model, count=1)
-    assert cls.mean_power == pytest.approx(stationary_stats(model).p_on * 8.0)
-    assert math.isclose(cls.power_variance, 64.0 * 0.25 * 0.75)
+    assert cls.p_on == stationary_stats(model).p_on
+    stats = aggregate_stats(ClassComposition(entries=((cls, 1),)))
+    assert stats.mean == pytest.approx(stationary_stats(model).p_on * 8.0)
+    assert math.isclose(stats.variance, 64.0 * 0.25 * 0.75)

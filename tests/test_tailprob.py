@@ -32,8 +32,6 @@ from loadcap.tailprob import (
     estimate,
     exact_pmf,
     lower_tail,
-    mass_below,
-    tail_from_pmf,
 )
 from loadcap.tailprob import _TRIM_MASS, _binomial_pmf
 
@@ -112,16 +110,16 @@ def test_power_pmf_moments_match_numpy() -> None:
 
 def test_tail_and_mass_partition_the_distribution() -> None:
     pmf = PowerPmf(quantum=1.0, offset=0, probabilities=np.array([0.25, 0.5, 0.25]))
-    assert tail_from_pmf(pmf, 1.0) == pytest.approx(0.75)
-    assert mass_below(pmf, 1.0) == pytest.approx(0.25)
+    assert pmf.tail_at_or_above(1.0) == pytest.approx(0.75)
+    assert pmf.mass_below(1.0) == pytest.approx(0.25)
     # off-grid thresholds round up for the upper tail, down for the lower
-    assert tail_from_pmf(pmf, 0.5) == pytest.approx(0.75)
-    assert mass_below(pmf, 0.5) == 0.0
-    assert mass_below(pmf, 1.5) == pytest.approx(0.25)
-    assert tail_from_pmf(pmf, 0.0) == 1.0
-    assert tail_from_pmf(pmf, 2.5) == 0.0
-    assert mass_below(pmf, 0.0) == 0.0
-    assert mass_below(pmf, 99.0) == pytest.approx(1.0)
+    assert pmf.tail_at_or_above(0.5) == pytest.approx(0.75)
+    assert pmf.mass_below(0.5) == 0.0
+    assert pmf.mass_below(1.5) == pytest.approx(0.25)
+    assert pmf.tail_at_or_above(0.0) == 1.0
+    assert pmf.tail_at_or_above(2.5) == 0.0
+    assert pmf.mass_below(0.0) == 0.0
+    assert pmf.mass_below(99.0) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +187,14 @@ def test_exact_pmf_rejects_a_pmf_that_lost_mass(monkeypatch) -> None:
 def test_exact_pmf_binomial_tail_oracle() -> None:
     # Pr(Bin(10, 1/2) >= 8) = (45 + 10 + 1) / 1024
     pmf = exact_pmf(comp((1.0, 0.5, 10)))
-    assert tail_from_pmf(pmf, 8.0) == pytest.approx(56.0 / 1024.0, abs=1e-15)
+    assert pmf.tail_at_or_above(8.0) == pytest.approx(56.0 / 1024.0, abs=1e-15)
 
 
 def test_exact_pmf_quantum_scaling_preserves_probability() -> None:
     coarse = exact_pmf(comp((4.0, 0.3, 6)), quantum=4.0)
     fine = exact_pmf(comp((4.0, 0.3, 6)), quantum=2.0)
     for thr in (0.0, 4.0, 10.0, 12.0, 24.0):
-        assert tail_from_pmf(coarse, thr) == pytest.approx(tail_from_pmf(fine, thr), abs=1e-15)
+        assert coarse.tail_at_or_above(thr) == pytest.approx(fine.tail_at_or_above(thr), abs=1e-15)
 
 
 def dense_reference_pmf(composition: ClassComposition, quantum: float) -> tuple[int, np.ndarray]:
@@ -241,9 +239,9 @@ def test_exact_pmf_matches_dense_zero_padded_convolution(specs, quantum) -> None
     # from the mean out to the last support point, where tails reach ~1e-300
     for fraction in (0.0, 0.1, 0.3, 0.6, 1.0):
         threshold = mean + fraction * (top - mean)
-        expected = tail_from_pmf(dense, threshold)
+        expected = dense.tail_at_or_above(threshold)
         assert 0.0 < expected < 1.0
-        assert tail_from_pmf(pmf, threshold) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert pmf.tail_at_or_above(threshold) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +458,7 @@ def test_bounds_dominate_exact_tail() -> None:
         top = float(pmf.support_watts[-1])
         for thr in rng.uniform(0.5, top + 2.0, size=4):
             thr = float(thr)
-            true_tail = tail_from_pmf(pmf, thr)
+            true_tail = pmf.tail_at_or_above(thr)
             assert bound_chebyshev(stats, thr) >= true_tail - 1e-12
             assert bound_hoeffding(stats, thr) >= true_tail - 1e-12
             assert bound_bennett(stats, thr) >= true_tail - 1e-12
