@@ -16,7 +16,6 @@ import numpy as np
 
 from .models import ApplianceClass
 from .tailprob import (
-    MONOTONE_IN_COUNT,
     ClassComposition,
     EstimationMethod,
     _fold_certain,
@@ -173,18 +172,16 @@ def _search_is_monotone(
     method: EstimationMethod,
     base: ClassComposition,
 ) -> bool:
-    # an always-on class only lowers the effective threshold, which no
-    # estimator's value decreases under, so binary search is always sound
-    if appliance_class.p_on == 1.0:
+    # One more appliance raises the mean m and the variance v and lowers
+    # d = t - m (an always-on one only lowers the threshold t).  Chebyshev
+    # v/d**2 rises, and is 1 once d <= 0.  Bennett's exponent (v/b**2)*h(u),
+    # u = d*b/v, falls as v rises (its v-derivative is (ln(1+u) - u)/b**2 < 0),
+    # as d falls, and as b rises (h(x)/x**2 decreases).  Only clt can fall:
+    # at or below the base's mean its normal estimate is scanned instead.
+    if method is not EstimationMethod.CLT or appliance_class.p_on == 1.0:
         return True
-    if method not in MONOTONE_IN_COUNT:
-        return False
-    if method is EstimationMethod.CLT:
-        # the normal estimate rises with the count only while the threshold
-        # sits above the base composition's mean; elsewhere scan linearly
-        threshold = policy.c_max - base.deterministic_load
-        return threshold > aggregate_stats(base).mean
-    return True
+    threshold = policy.c_max - base.deterministic_load
+    return threshold > aggregate_stats(base).mean
 
 
 def max_admissible(
@@ -198,20 +195,16 @@ def max_admissible(
 
     ``base`` holds load that is present regardless (other classes, constant
     load); the search varies only this class's count, capped at its
-    population.  Methods whose estimate is monotone in the count get an
-    exponential-then-binary search; the others get a full linear scan that
-    keeps the largest feasible count.  Returns 0 when nothing fits.
+    population.  An exponential-then-binary search runs unless the estimate
+    can fall as the count rises (clt at or below the base's mean), where a
+    linear scan keeps the largest feasible count.  Returns 0 if nothing fits.
     """
     if base is None:
         base = ClassComposition.empty()
     count = appliance_class.count
     admits = _count_estimator((appliance_class,), policy, method, quantum, base)
     if not _search_is_monotone(appliance_class, policy, method, base):
-        best = 0
-        for n in range(count + 1):
-            if admits((n,)):
-                best = n
-        return best
+        return max((n for n in range(count + 1) if admits((n,))), default=0)
     if not admits((0,)):
         return 0
     if count == 0 or admits((count,)):

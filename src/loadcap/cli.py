@@ -111,13 +111,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         key: os.path.join(args.out_dir, spec.outputs.get(key, name))
         for key, name in names.items()
     }
-    experiment = os.path.realpath(args.experiment)
-    for path in paths.values():
-        if os.path.realpath(path) == experiment:
+    claimed = {os.path.realpath(args.experiment): "the experiment file"}
+    for key, path in paths.items():
+        real = os.path.realpath(path)
+        if real in claimed:
             raise ValueError(
-                f"output {path} would overwrite the experiment file; "
+                f"output {key} {path} would overwrite {claimed[real]}; "
                 "pass another --out-dir or rename it under outputs"
             )
+        claimed[real] = f"output {key}"
     os.makedirs(args.out_dir, exist_ok=True)
     if spec.is_sweep:
         cells = sweep_qos(config, spec.p_values, spec.methods, jobs=args.jobs)

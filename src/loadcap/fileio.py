@@ -462,6 +462,9 @@ def parse_experiment(path: str) -> ExperimentSpec:
         if not isinstance(doc["p_values"], list) or not doc["p_values"]:
             raise ValueError("p_values must be a non-empty array")
         p_values = tuple(float(v) for v in doc["p_values"])
+    mode = SimMode(doc.get("mode", "composition"))
+    if p_values is not None and mode is SimMode.SLOT_DYNAMIC:
+        raise ValueError("p_values makes a sweep, which cannot run with mode 'slot_dynamic'")
     if "method" in doc:
         method = EstimationMethod(doc["method"])
     elif methods:
@@ -482,7 +485,7 @@ def parse_experiment(path: str) -> ExperimentSpec:
         strategy=SchedulingStrategy(doc.get("strategy", "drop")),
         slots=_json_int(doc.get("slots", 50_000), "slots", "experiment"),
         seed=_json_int(doc.get("seed", 0), "seed", "experiment"),
-        mode=SimMode(doc.get("mode", "composition")),
+        mode=mode,
         quantum=float(doc.get("quantum", 1.0)),
         deterministic_load=float(doc.get("deterministic_load", 0.0)),
     )

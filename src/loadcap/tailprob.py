@@ -55,18 +55,6 @@ class EstimationMethod(Enum):
     CLT = "clt"
 
 
-#: methods whose estimate is provably non-decreasing in the appliance count
-MONOTONE_IN_COUNT = frozenset(
-    {
-        EstimationMethod.EXACT,
-        EstimationMethod.MARKOV,
-        EstimationMethod.HOEFFDING,
-        EstimationMethod.CHERNOFF,
-        EstimationMethod.CLT,
-    }
-)
-
-
 @dataclass(frozen=True, eq=False)
 class PowerPmf:
     """Probability mass function of a load on a uniform watt grid.
@@ -104,27 +92,17 @@ class PowerPmf:
     def support_watts(self) -> np.ndarray:
         return (self.offset + np.arange(self.probabilities.size)) * self.quantum
 
-    def mean(self) -> float:
-        return float(np.dot(self.support_watts, self.probabilities))
+    def _split_index(self, threshold_w: float) -> int:
+        """Index of the first support point at or above the threshold.
 
-    def variance(self) -> float:
-        centered = self.support_watts - self.mean()
-        return float(np.dot(centered * centered, self.probabilities))
-
-    def _grid_index_at_or_above(self, threshold_w: float) -> int:
-        # off-grid thresholds round UP to the next grid point
+        Both tails split the pmf here, so they always add up to the whole pmf.
+        """
         x = threshold_w / self.quantum
-        return math.ceil(x - _GRID_RTOL * max(1.0, abs(x)))
-
-    def _grid_index_below(self, threshold_w: float) -> int:
-        # off-grid thresholds round DOWN to the previous grid point
-        x = threshold_w / self.quantum
-        return math.floor(x + _GRID_RTOL * max(1.0, abs(x)))
+        return math.ceil(x - _GRID_RTOL * max(1.0, abs(x))) - self.offset
 
     def tail_at_or_above(self, threshold_w: float) -> float:
         """Mass at grid points >= threshold; off-grid thresholds round up."""
-        k = self._grid_index_at_or_above(threshold_w)
-        start = k - self.offset
+        start = self._split_index(threshold_w)
         if start <= 0:
             return 1.0
         if start >= self.probabilities.size:
@@ -132,9 +110,8 @@ class PowerPmf:
         return float(math.fsum(self.probabilities[start:].tolist()))
 
     def mass_below(self, threshold_w: float) -> float:
-        """Mass at grid points below threshold; off-grid thresholds round down."""
-        k = self._grid_index_below(threshold_w)
-        stop = k - self.offset
+        """Mass at grid points < threshold: one minus ``tail_at_or_above``."""
+        stop = self._split_index(threshold_w)
         if stop <= 0:
             return 0.0
         if stop >= self.probabilities.size:
@@ -329,7 +306,7 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
-    acc = None
+    acc = np.ones(1)  # the pmf of an empty load
     offset = 0
     for cls, enabled in composition.entries:
         if enabled == 0:
@@ -337,18 +314,10 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         steps = _grid_steps(cls.on_power, quantum)
         lo, kernel = _class_kernel(enabled, cls.p_on)
         offset += lo * steps
-        if acc is None:
-            acc = np.zeros((kernel.size - 1) * steps + 1)
-            acc[::steps] = kernel
-        elif steps == 1:
-            acc = np.convolve(acc, kernel)
-        else:
-            out = np.zeros(acc.size + (kernel.size - 1) * steps)
-            for r in range(min(steps, acc.size)):
-                out[r::steps] = np.convolve(acc[r::steps], kernel)
-            acc = out
-    if acc is None:
-        acc = np.ones(1)
+        out = np.zeros(acc.size + (kernel.size - 1) * steps)
+        for r in range(min(steps, acc.size)):
+            out[r::steps] = np.convolve(acc[r::steps], kernel)
+        acc = out
     # trim ends whose cumulative mass stays below the floor
     forward = np.cumsum(acc)
     start = int(np.searchsorted(forward, _TRIM_MASS, side="left"))
@@ -401,11 +370,9 @@ def bound_bennett(stats: AggregateStats, threshold_w: float) -> float:
 
 
 def _log_mgf_term(s: float, h: float, p: float) -> float:
-    """ln E[exp(s X)] for one two-state appliance drawing h with prob p."""
+    """ln E[exp(s X)] for one two-state appliance drawing h with prob p > 0."""
     if p >= 1.0:
         return s * h
-    if p <= 0.0:
-        return 0.0
     x = s * h
     if x > 700.0:  # exp(x) would overflow; factor the dominant term out
         return x + math.log(p + (1.0 - p) * math.exp(-x))
@@ -415,8 +382,6 @@ def _log_mgf_term(s: float, h: float, p: float) -> float:
 def _log_mgf_term_deriv(s: float, h: float, p: float) -> float:
     if p >= 1.0:
         return h
-    if p <= 0.0:
-        return 0.0
     return h * p / (p + (1.0 - p) * math.exp(-min(s * h, 745.0)))
 
 
@@ -436,14 +401,12 @@ def bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
     if threshold_w <= mean:
         return 1.0
     support_max = sum(n * h for n, h, _ in terms)
-    if threshold_w > support_max and not math.isclose(
-        threshold_w, support_max, rel_tol=1e-12, abs_tol=1e-15
-    ):
-        return 0.0  # no mass can reach the threshold
     if math.isclose(threshold_w, support_max, rel_tol=1e-12, abs_tol=1e-15):
         # infimum is the limit s -> inf: probability that everything is ON
         log_all_on = sum(n * math.log(p) for n, _, p in terms)
         return min(1.0, math.exp(log_all_on))
+    if threshold_w > support_max:
+        return 0.0  # no mass can reach the threshold
 
     def exponent(s: float) -> float:
         return sum(n * _log_mgf_term(s, h, p) for n, h, p in terms) - s * threshold_w

@@ -16,7 +16,7 @@ from loadcap.admission import (
     region_frontier,
 )
 from loadcap.models import ApplianceClass, Bernoulli
-from loadcap.tailprob import ClassComposition, EstimationMethod, estimate
+from loadcap.tailprob import ClassComposition, EstimationMethod, aggregate_stats, estimate
 
 SEARCH_METHODS = tuple(EstimationMethod)
 
@@ -29,11 +29,18 @@ def full_comp(*classes: ApplianceClass, det: float = 0.0) -> ClassComposition:
     return ClassComposition(entries=tuple((c, c.count) for c in classes), deterministic_load=det)
 
 
-def linear_scan_max(cls: ApplianceClass, policy: QosPolicy, method: EstimationMethod) -> int:
+def linear_scan_max(
+    cls: ApplianceClass,
+    policy: QosPolicy,
+    method: EstimationMethod,
+    base: ClassComposition = ClassComposition.empty(),
+) -> int:
     best = 0
     for n in range(cls.count + 1):
-        value = estimate(method, ClassComposition(entries=((cls, n),)), policy.c_max)
-        if value <= policy.p:
+        comp = ClassComposition(
+            entries=base.entries + ((cls, n),), deterministic_load=base.deterministic_load
+        )
+        if estimate(method, comp, policy.c_max) <= policy.p:
             best = n
     return best
 
@@ -234,6 +241,34 @@ def test_max_admissible_binary_search_agrees_with_linear_scan() -> None:
         policy = QosPolicy(c_max=c_max, p=p)
         for method in SEARCH_METHODS:
             assert max_admissible(cls, policy, method) == linear_scan_max(cls, policy, method)
+    # over a base whose mean lands below or above the threshold, so the clt
+    # scan and every binary search (chebyshev and bennett included) run
+    at_or_below_mean = 0
+    for _ in range(40):
+        cls = bern("x", float(rng.integers(1, 5)), float(rng.uniform(0.05, 0.95)), 30)
+        other = bern("y", float(rng.integers(1, 5)), float(rng.uniform(0.05, 0.95)), 30)
+        det = float(rng.choice([0.0, 3.0]))
+        base = ClassComposition(
+            entries=((other, int(rng.integers(0, 31))),), deterministic_load=det
+        )
+        base_mean = aggregate_stats(base).mean
+        c_max = det + max(0.5, base_mean * float(rng.uniform(0.5, 1.5)))
+        if c_max - det <= base_mean:
+            at_or_below_mean += 1
+        policy = QosPolicy(c_max=c_max, p=float(rng.uniform(1e-4, 0.9)))
+        for method in SEARCH_METHODS:
+            searched = max_admissible(cls, policy, method, base=base)
+            assert searched == linear_scan_max(cls, policy, method, base), method
+    assert 5 <= at_or_below_mean <= 35
+    # 20 x 1 W at 0.95 hold a mean of 19 W over a 17.5 W limit: the normal
+    # estimate first falls as 5 W appliances join, so none fits yet some do
+    cls = bern("x", 5.0, 0.05, 30)
+    base = full_comp(bern("y", 1.0, 0.95, 20))
+    policy = QosPolicy(c_max=17.5, p=0.9)
+    scanned = linear_scan_max(cls, policy, EstimationMethod.CLT, base)
+    assert scanned > 0
+    assert estimate(EstimationMethod.CLT, base, policy.c_max) > policy.p
+    assert max_admissible(cls, policy, EstimationMethod.CLT, base=base) == scanned
 
 
 def test_max_admissible_zero_when_even_one_is_too_risky() -> None:

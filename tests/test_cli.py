@@ -255,6 +255,34 @@ def test_simulate_never_overwrites_its_experiment_file(
     assert os.listdir(tmp_path) == ["experiment.json"]  # refused before sampling
 
 
+@pytest.mark.parametrize(
+    "overrides, kept, refused",
+    [
+        ({"outputs": {"series_csv": "demo.json"}}, "result_json", "series_csv"),
+        (
+            {"mode": "slot_dynamic", "outputs": {"outcomes_csv": "demo.series.csv"}},
+            "series_csv",
+            "outcomes_csv",
+        ),
+        (
+            {"p_values": [0.01, 0.1], "outputs": {"result_json": "demo.sweep.csv"}},
+            "result_json",
+            "sweep_csv",
+        ),
+    ],
+    ids=["series-on-result", "outcomes-on-series", "sweep-on-result"],
+)
+def test_simulate_refuses_two_outputs_on_one_file(
+    overrides, kept, refused, tmp_path, capsys
+) -> None:
+    out = tmp_path / "out"
+    path = experiment_file(tmp_path, **overrides)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"output {refused} " in err and f"would overwrite output {kept};" in err
+    assert not out.exists()  # refused before sampling
+
+
 def test_simulate_sweep_jobs_below_one_exits_2(tmp_path, capsys) -> None:
     path = experiment_file(tmp_path, p_values=[0.01, 0.1], slots=100)
     assert main(["simulate", path, "--jobs", "-3", "--out-dir", str(tmp_path)]) == 2

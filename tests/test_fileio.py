@@ -344,6 +344,14 @@ def test_parse_experiment_sweep_axes(tmp_path) -> None:
     assert spec.config.method is EstimationMethod.EXACT  # first of the axis
 
 
+def test_parse_experiment_sweep_rejects_slot_dynamic_mode(tmp_path) -> None:
+    doc = experiment_doc(p_values=[0.001, 0.01], mode="slot_dynamic")
+    with pytest.raises(ValueError, match="p_values.*mode 'slot_dynamic'"):
+        parse_experiment(write_experiment(tmp_path, doc))
+    doc["mode"] = "composition"
+    assert parse_experiment(write_experiment(tmp_path, doc)).is_sweep
+
+
 def test_parse_experiment_rejects_unknown_keys(tmp_path) -> None:
     with pytest.raises(ValueError, match="unknown keys"):
         parse_experiment(write_experiment(tmp_path, experiment_doc(banana=1)))

@@ -11,11 +11,11 @@ import pytest
 from loadcap.admission import QosPolicy, max_admissible
 from loadcap.models import ApplianceClass, Bernoulli
 from loadcap.tailprob import (
-    MONOTONE_IN_COUNT,
     ClassComposition,
     EstimationMethod,
     aggregate_stats,
     estimate,
+    lower_tail,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -72,12 +72,21 @@ def test_monotone_methods_do_not_fall_when_an_appliance_joins(case, pick) -> Non
     incoming = composition.entries[pick % len(composition.entries)][0]
     grown = composition.with_added(incoming)
     above_mean = c_max > aggregate_stats(composition).mean
-    for method in MONOTONE_IN_COUNT:
+    for method in EstimationMethod:
         if method is EstimationMethod.CLT and not above_mean:
             continue  # the normal estimate rises with the count only above the mean
         before = estimate(method, composition, c_max)
         after = estimate(method, grown, c_max)
         assert after >= before - 1e-12 * before, method
+
+
+@SETTINGS
+@hypothesis.given(compositions_and_limits())
+def test_exact_lower_and_upper_tails_add_up_to_one(case) -> None:
+    composition, limit = case
+    below = lower_tail(EstimationMethod.EXACT, composition, limit)
+    at_or_above = estimate(EstimationMethod.EXACT, composition, limit)
+    assert below + at_or_above == pytest.approx(1.0, abs=1e-12)
 
 
 @SETTINGS
