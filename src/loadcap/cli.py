@@ -17,6 +17,8 @@ from typing import Sequence
 
 from .admission import QosPolicy, decision_region
 from .fileio import (
+    _SWEEP_HEADER,
+    _sweep_rows,
     parse_experiment,
     read_trace,
     write_model,
@@ -107,6 +109,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         names["series_csv"] = f"{spec.name}.series.csv"
         if config.mode is SimMode.SLOT_DYNAMIC:
             names["outcomes_csv"] = f"{spec.name}.outcomes.csv"
+    unwritten = sorted(set(spec.outputs) - set(names))
+    if unwritten:
+        raise ValueError(
+            f"outputs names {', '.join(unwritten)}, which this run does not write; "
+            f"it writes {', '.join(names)}"
+        )
     paths = {
         key: os.path.join(args.out_dir, spec.outputs.get(key, name))
         for key, name in names.items()
@@ -125,12 +133,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         cells = sweep_qos(config, spec.p_values, spec.methods, jobs=args.jobs)
         write_sweep(paths["sweep_csv"], cells)
         write_sweep_result(paths["result_json"], spec.name, cells)
-        print("p,method,enabled,p_hat,k,stderr")
-        for cell in cells:
-            print(
-                f"{cell.p!r},{cell.method.value},{cell.enabled},"
-                f"{cell.p_hat!r},{cell.k!r},{cell.stderr!r}"
-            )
+        for row in (_SWEEP_HEADER, *_sweep_rows(cells)):
+            print(*row, sep=",")
         return 0
     result = run(config)
     write_result(paths["result_json"], spec.name, result)

@@ -12,8 +12,8 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,8 +53,11 @@ __all__ = [
 TRACE_HEADER = ("timestamp_s", "power_w")
 
 
-def _open_write(path: str):
-    return open(path, "w", encoding="utf-8", newline="")
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_trace(path: str) -> TraceSeries:
@@ -114,11 +117,9 @@ def read_trace(path: str) -> TraceSeries:
 
 
 def write_trace(path: str, trace: TraceSeries) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for i, w in enumerate(trace.watts):
-            writer.writerow([repr(i * trace.sample_period_s), repr(float(w))])
+    period = trace.sample_period_s
+    rows = ((repr(i * period), repr(w)) for i, w in enumerate(trace.watts.tolist()))
+    _write_csv(path, TRACE_HEADER, rows)
 
 
 def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -201,61 +202,47 @@ def read_model(path: str) -> tuple[LoadModel, float]:
 
 
 def write_pmf(path: str, pmf: PowerPmf) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["watts", "probability"])
-        for w, prob in zip(pmf.support_watts, pmf.probabilities):
-            writer.writerow([repr(float(w)), repr(float(prob))])
+    rows = zip(pmf.support_watts.tolist(), pmf.probabilities.tolist())
+    _write_csv(path, ("watts", "probability"), ((repr(w), repr(p)) for w, p in rows))
 
 
 def write_region(path: str, region: np.ndarray) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n1", "n2", "accept"])
-        for n1 in range(region.shape[0]):
-            for n2 in range(region.shape[1]):
-                writer.writerow([n1, n2, "true" if region[n1, n2] else "false"])
+    rows = ((n1, n2, "true" if ok else "false") for (n1, n2), ok in np.ndenumerate(region))
+    _write_csv(path, ("n1", "n2", "accept"), rows)
 
 
 def write_series(path: str, result: SimResult) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slot", "baseline_w", "managed_w"])
-        for t in range(result.slots):
-            writer.writerow(
-                [
-                    t,
-                    repr(float(result.series_baseline[t])),
-                    repr(float(result.series_managed[t])),
-                ]
-            )
+    rows = zip(result.series_baseline.tolist(), result.series_managed.tolist())
+    _write_csv(
+        path,
+        ("slot", "baseline_w", "managed_w"),
+        ((t, repr(base), repr(managed)) for t, (base, managed) in enumerate(rows)),
+    )
 
 
 def write_outcomes(path: str, result: SimResult) -> None:
     """Per-slot outcomes of a slot-dynamic run; served load is the managed series."""
     rows = zip(result.series_managed.tolist(), result.outcomes.tolist())
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"])
-        for t, (served, (dropped, depth, disabled)) in enumerate(rows):
-            writer.writerow([t, repr(served), repr(dropped), depth, disabled])
+    _write_csv(
+        path,
+        ("slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"),
+        (
+            (t, repr(served), repr(dropped), depth, disabled)
+            for t, (served, (dropped, depth, disabled)) in enumerate(rows)
+        ),
+    )
+
+
+_SWEEP_HEADER = ("p", "method", "enabled", "p_hat", "k", "stderr")
+
+
+def _sweep_rows(cells: Sequence[SweepCell]) -> Iterator[tuple[Any, ...]]:
+    for c in cells:
+        yield repr(c.p), c.method.value, c.enabled, repr(c.p_hat), repr(c.k), repr(c.stderr)
 
 
 def write_sweep(path: str, cells: Sequence[SweepCell]) -> None:
-    with _open_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "method", "enabled", "p_hat", "k", "stderr"])
-        for cell in cells:
-            writer.writerow(
-                [
-                    repr(cell.p),
-                    cell.method.value,
-                    cell.enabled,
-                    repr(cell.p_hat),
-                    repr(cell.k),
-                    repr(cell.stderr),
-                ]
-            )
+    _write_csv(path, _SWEEP_HEADER, _sweep_rows(cells))
 
 
 def _sanitize(value: Any) -> Any:
@@ -304,18 +291,7 @@ def write_result(path: str, name: str, result: SimResult) -> None:
 def write_sweep_result(path: str, name: str, cells: Sequence[SweepCell]) -> None:
     doc = {
         "name": name,
-        "cells": [
-            {
-                "p": cell.p,
-                "method": cell.method.value,
-                "enabled": cell.enabled,
-                "p_hat": cell.p_hat,
-                "k": cell.k,
-                "stderr": cell.stderr,
-                "low_confidence": cell.low_confidence,
-            }
-            for cell in cells
-        ],
+        "cells": [{**asdict(cell), "method": cell.method.value} for cell in cells],
     }
     _write_json(path, doc)
 
@@ -465,6 +441,8 @@ def parse_experiment(path: str) -> ExperimentSpec:
     mode = SimMode(doc.get("mode", "composition"))
     if p_values is not None and mode is SimMode.SLOT_DYNAMIC:
         raise ValueError("p_values makes a sweep, which cannot run with mode 'slot_dynamic'")
+    if "strategy" in doc and mode is not SimMode.SLOT_DYNAMIC:
+        raise ValueError("'strategy' applies only to runs with mode 'slot_dynamic'")
     if "method" in doc:
         method = EstimationMethod(doc["method"])
     elif methods:

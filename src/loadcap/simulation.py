@@ -18,11 +18,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -163,27 +162,43 @@ def _safe_load_factor(series: np.ndarray) -> float:
         return math.nan
 
 
-def _overload_mask(series: np.ndarray, c_max: float) -> np.ndarray:
+def _population(config: SimConfig) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(class index, index within the class, series) of every appliance, in file order."""
+    index = 0
+    for c, cls in enumerate(config.classes):
+        for i in range(cls.count):
+            yield c, i, sample_series(cls, config.slots, derive_seed(config.seed, 0, index))
+            index += 1
+
+
+def _result(
+    config: SimConfig,
+    baseline: np.ndarray,
+    managed: np.ndarray,
+    enabled_counts: tuple[int, ...],
+    ledger: EnergyLedger | None = None,
+    outcomes: np.ndarray | None = None,
+) -> SimResult:
+    policy, slots = config.policy, config.slots
     # same grid-snap tolerance as the tail computation's threshold rounding
-    return series >= c_max - _GRID_RTOL * max(1.0, abs(c_max))
-
-
-def _tail_stats(
-    managed: np.ndarray, policy: QosPolicy, slots: int
-) -> tuple[float, float, float, bool, int]:
-    overload = int(np.count_nonzero(_overload_mask(managed, policy.c_max)))
+    threshold = policy.c_max - _GRID_RTOL * max(1.0, abs(policy.c_max))
+    overload = int(np.count_nonzero(managed >= threshold))
     p_hat = overload / slots
-    k = p_hat / policy.p
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / slots) / policy.p
-    low_confidence = policy.p * slots < _MIN_EXPECTED_EVENTS
-    return p_hat, k, stderr, low_confidence, overload
-
-
-def _appliance_offsets(classes: Sequence[ApplianceClass]) -> list[int]:
-    offsets = [0]
-    for cls in classes:
-        offsets.append(offsets[-1] + cls.count)
-    return offsets
+    return SimResult(
+        p_hat=p_hat,
+        k=p_hat / policy.p,
+        stderr=math.sqrt(p_hat * (1.0 - p_hat) / slots) / policy.p,
+        low_confidence=policy.p * slots < _MIN_EXPECTED_EVENTS,
+        lf_baseline=_safe_load_factor(baseline),
+        lf_managed=_safe_load_factor(managed),
+        enabled_counts=enabled_counts,
+        overload_slots=overload,
+        slots=slots,
+        series_baseline=baseline,
+        series_managed=managed,
+        ledger=ledger,
+        outcomes=outcomes,
+    )
 
 
 def run(config: SimConfig) -> SimResult:
@@ -206,29 +221,13 @@ def run_composition(config: SimConfig) -> SimResult:
         max_admissible(cls, config.policy, config.method, config.quantum, base=base)
         for cls in config.classes
     )
-    offsets = _appliance_offsets(config.classes)
     baseline = np.full(config.slots, config.deterministic_load)
     managed = np.full(config.slots, config.deterministic_load)
-    for cls, enabled, offset in zip(config.classes, enabled_counts, offsets):
-        for i in range(cls.count):
-            series = sample_series(cls, config.slots, derive_seed(config.seed, 0, offset + i))
-            baseline += series
-            if i < enabled:
-                managed += series
-    p_hat, k, stderr, low_conf, overload = _tail_stats(managed, config.policy, config.slots)
-    return SimResult(
-        p_hat=p_hat,
-        k=k,
-        stderr=stderr,
-        low_confidence=low_conf,
-        lf_baseline=_safe_load_factor(baseline),
-        lf_managed=_safe_load_factor(managed),
-        enabled_counts=enabled_counts,
-        overload_slots=overload,
-        slots=config.slots,
-        series_baseline=baseline,
-        series_managed=managed,
-    )
+    for c, i, series in _population(config):
+        baseline += series
+        if i < enabled_counts[c]:
+            managed += series
+    return _result(config, baseline, managed, enabled_counts)
 
 
 def run_slot_dynamic(config: SimConfig) -> SimResult:
@@ -243,25 +242,22 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     per slot; further units it holds cascade to later slots.
     """
     slots = config.slots
-    offsets = _appliance_offsets(config.classes)
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
+    # per shiftable appliance, indexed by its appliance id
     column_of: list[int] = []  # position of the appliance's class in shiftable
     steps_of: list[int] = []  # grid steps of one slot of the appliance's demand
     demand: list[np.ndarray] = []
     base_served = np.full(slots, config.deterministic_load)
     baseline = np.full(slots, config.deterministic_load)
-    for cls, offset in zip(config.classes, offsets):
-        column = shiftable.index(cls) if cls.shiftable else -1
-        steps = _grid_steps(cls.on_power, config.quantum)
-        for i in range(cls.count):
-            series = sample_series(cls, slots, derive_seed(config.seed, 0, offset + i))
+    for c, _, series in _population(config):
+        cls = config.classes[c]
+        baseline += series
+        if cls.shiftable:
+            column_of.append(shiftable.index(cls))
+            steps_of.append(_grid_steps(cls.on_power, config.quantum))
             demand.append(series > 0.0)
-            column_of.append(column)
-            steps_of.append(steps)
-            baseline += series
-            if not cls.shiftable:
-                base_served += series
-    shiftable_ids = [i for i, column in enumerate(column_of) if column >= 0]
+        else:
+            base_served += series
     base = ClassComposition(
         tuple((c, c.count) for c in config.classes if not c.shiftable),
         config.deterministic_load,
@@ -273,7 +269,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     scheduler_rng = np.random.default_rng(derive_seed(config.seed, 1))
 
     shift = config.strategy is SchedulingStrategy.ONE_STEP_SHIFT
-    backlog: deque[int] = deque()  # appliance ids, one per blocked slot of demand
+    backlog: list[int] = []  # appliance ids, one per blocked slot of demand
     managed = np.zeros(slots)
     outcomes = np.zeros(
         slots,
@@ -282,79 +278,48 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     demanded_steps = 0
     served_steps = 0
     dropped_steps = 0
-    admitted = [0] * len(shiftable)
-    served_this_slot: set[int] = set()
-
-    def try_serve(appliance_id: int) -> bool:
-        if appliance_id in served_this_slot:
-            return False
-        j = column_of[appliance_id]
-        admitted[j] += 1
-        if admits(tuple(admitted)):
-            served_this_slot.add(appliance_id)
-            return True
-        admitted[j] -= 1
-        return False
 
     for t in range(slots):
-        admitted[:] = [0] * len(shiftable)
-        served_this_slot.clear()
-        served_units_w = 0.0
-        dropped_now = 0
-        disabled_ids: set[int] = set()
-
-        for _ in range(len(backlog)):
-            appliance_id = backlog.popleft()
-            if try_serve(appliance_id):
-                steps = steps_of[appliance_id]
-                served_steps += steps
-                served_units_w += steps * config.quantum
-            else:
-                backlog.append(appliance_id)  # cascades, FIFO position kept
-                disabled_ids.add(appliance_id)
-
-        new_ids = [i for i in shiftable_ids if demand[i][t]]
+        new_ids = [i for i, wants in enumerate(demand) if wants[t]]
+        demanded_steps += sum(steps_of[i] for i in new_ids)
         order = scheduler_rng.permutation(len(new_ids))
-        for idx in order:
-            appliance_id = new_ids[int(idx)]
+        # backlog in FIFO order, then the slot's new demand in seeded order
+        queue = backlog + [new_ids[int(idx)] for idx in order]
+        backlog = []
+        admitted = [0] * len(shiftable)
+        served_ids: set[int] = set()
+        disabled_ids: set[int] = set()
+        served_w = 0.0
+        dropped_now = 0
+        for appliance_id in queue:
             steps = steps_of[appliance_id]
-            demanded_steps += steps
-            if try_serve(appliance_id):
-                served_steps += steps
-                served_units_w += steps * config.quantum
+            if appliance_id not in served_ids:  # tested first: no estimate is spent
+                column = column_of[appliance_id]
+                admitted[column] += 1
+                if admits(tuple(admitted)):
+                    served_ids.add(appliance_id)
+                    served_steps += steps
+                    served_w += steps * config.quantum
+                    continue
+                admitted[column] -= 1
+            disabled_ids.add(appliance_id)
+            if shift:
+                backlog.append(appliance_id)  # cascades, FIFO position kept
             else:
-                disabled_ids.add(appliance_id)
-                if shift:
-                    backlog.append(appliance_id)
-                else:
-                    dropped_now += steps
+                dropped_now += steps
 
         dropped_steps += dropped_now
-        managed[t] = base_served[t] + served_units_w
+        managed[t] = base_served[t] + served_w
         outcomes[t] = (dropped_now * config.quantum, len(backlog), len(disabled_ids))
 
-    p_hat, k, stderr, low_conf, overload = _tail_stats(managed, config.policy, slots)
     ledger = EnergyLedger(
         demanded_steps=demanded_steps,
         served_steps=served_steps,
         dropped_steps=dropped_steps,
         backlog_steps=sum(steps_of[i] for i in backlog),
     )
-    return SimResult(
-        p_hat=p_hat,
-        k=k,
-        stderr=stderr,
-        low_confidence=low_conf,
-        lf_baseline=_safe_load_factor(baseline),
-        lf_managed=_safe_load_factor(managed),
-        enabled_counts=tuple(cls.count for cls in config.classes),
-        overload_slots=overload,
-        slots=slots,
-        series_baseline=baseline,
-        series_managed=managed,
-        ledger=ledger,
-        outcomes=outcomes,
-    )
+    enabled_counts = tuple(cls.count for cls in config.classes)
+    return _result(config, baseline, managed, enabled_counts, ledger, outcomes)
 
 
 def _sweep_cell(args: tuple[SimConfig, float, EstimationMethod, int]) -> SweepCell:
@@ -364,7 +329,6 @@ def _sweep_cell(args: tuple[SimConfig, float, EstimationMethod, int]) -> SweepCe
         policy=replace(config.policy, p=p),
         method=method,
         seed=int(derive_seed(config.seed, 2, p_index)),
-        mode=SimMode.COMPOSITION,
     )
     result = run_composition(cell_config)
     return SweepCell(

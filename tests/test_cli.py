@@ -203,8 +203,9 @@ def test_simulate_sweep_outputs(tmp_path, capsys) -> None:
     assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("p,method,enabled,p_hat,k,stderr")
-    csv_lines = (tmp_path / "grid.csv").read_text().splitlines()
-    assert len(csv_lines) == 5  # header + 2 p-values x 2 methods
+    grid = (tmp_path / "grid.csv").read_text()
+    assert len(grid.splitlines()) == 5  # header + 2 p-values x 2 methods
+    assert out == grid
     doc = json.loads((tmp_path / "grid.json").read_text())
     assert len(doc["cells"]) == 4
 
@@ -280,6 +281,28 @@ def test_simulate_refuses_two_outputs_on_one_file(
     assert main(["simulate", path, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"output {refused} " in err and f"would overwrite output {kept};" in err
+    assert not out.exists()  # refused before sampling
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"outputs": {"outcomes_csv": "o.csv"}}, "outcomes_csv"),
+        ({"outputs": {"sweep_csv": "s.csv"}}, "sweep_csv"),
+        ({"p_values": [0.01, 0.1], "outputs": {"series_csv": "s.csv"}}, "series_csv"),
+        ({"p_values": [0.01, 0.1], "outputs": {"outcomes_csv": "o.csv"}}, "outcomes_csv"),
+        ({"mode": "slot_dynamic", "outputs": {"sweep_csv": "s.csv"}}, "sweep_csv"),
+    ],
+    ids=["outcomes-composition", "sweep-composition", "series-sweep", "outcomes-sweep",
+         "sweep-slot-dynamic"],
+)
+def test_simulate_refuses_outputs_the_run_does_not_write(
+    overrides, key, tmp_path, capsys
+) -> None:
+    out = tmp_path / "out"
+    path = experiment_file(tmp_path, **overrides)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    assert f"outputs names {key}" in capsys.readouterr().err
     assert not out.exists()  # refused before sampling
 
 

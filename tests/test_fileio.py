@@ -352,6 +352,20 @@ def test_parse_experiment_sweep_rejects_slot_dynamic_mode(tmp_path) -> None:
     assert parse_experiment(write_experiment(tmp_path, doc)).is_sweep
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"mode": "composition"}, {"p_values": [0.001, 0.01]}],
+    ids=["default-mode", "composition", "sweep"],
+)
+def test_parse_experiment_strategy_is_slot_dynamic_only(tmp_path, overrides) -> None:
+    doc = experiment_doc(strategy="one_step_shift", **overrides)
+    with pytest.raises(ValueError, match="'strategy'.*slot_dynamic"):
+        parse_experiment(write_experiment(tmp_path, doc))
+    doc = experiment_doc(strategy="one_step_shift", mode="slot_dynamic")
+    spec = parse_experiment(write_experiment(tmp_path, doc))
+    assert spec.config.strategy is SchedulingStrategy.ONE_STEP_SHIFT
+
+
 def test_parse_experiment_rejects_unknown_keys(tmp_path) -> None:
     with pytest.raises(ValueError, match="unknown keys"):
         parse_experiment(write_experiment(tmp_path, experiment_doc(banana=1)))

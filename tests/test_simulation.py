@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from loadcap.admission import QosPolicy, max_admissible
-from loadcap.fileio import write_outcomes
+from loadcap.fileio import write_outcomes, write_result, write_series
 from loadcap.models import (
     AlternatingRenewal,
     ApplianceClass,
@@ -146,6 +146,61 @@ def test_composition_constant_base_load_floors_both_series() -> None:
     assert np.all(result.series_managed >= 3.0)
 
 
+@pytest.mark.parametrize(
+    "method, enabled, series_sha256, result_sha256",
+    [
+        (
+            EstimationMethod.EXACT,
+            (22, 8, 10, 3),
+            "64772bee4f0d17eb0d76910a1042659b9cf7f69e5fbc67151c5b75ec556ebefe",
+            "8be912130c86502b07feda7ea6f9de88fad76b65775206d816efa77e1248976d",
+        ),
+        (
+            EstimationMethod.CHERNOFF,
+            (18, 6, 10, 3),
+            "c1412ae68a1d40864a7b733b7f0e3ae2a9578a41054f19507f76d90935ac0d9f",
+            "9c96bc35d15054587eb200e0f004b9bc2411ca8d32d03ebb120890d55259bfba",
+        ),
+    ],
+    ids=["exact", "chernoff"],
+)
+def test_composition_with_several_classes_is_pinned(
+    tmp_path,
+    method: EstimationMethod,
+    enabled: tuple[int, ...],
+    series_sha256: str,
+    result_sha256: str,
+) -> None:
+    # one class per model family plus an always-on one, over a constant base
+    # load; the first two are cut to different counts, so a count applied to
+    # the wrong class changes the managed series
+    renewal = AlternatingRenewal(
+        on_durations=DurationPmf.from_mapping({2: 0.5, 4: 0.5}),
+        off_durations=DurationPmf.from_mapping({6: 1.0}),
+    )
+    cfg = config_of(
+        classes=(
+            bern("bern", 1.0, 0.3, 30),
+            ApplianceClass(name="pump", on_power=2.0, model=TwoStateMarkov(0.1, 0.2), count=12),
+            ApplianceClass(name="cycler", on_power=1.5, model=renewal, count=10),
+            bern("fridge", 2.0, 1.0, 3),
+        ),
+        policy=QosPolicy(c_max=14.0, p=0.02),
+        method=method,
+        slots=400,
+        seed=11,
+        quantum=0.5,
+        deterministic_load=2.5,
+    )
+    result = run_composition(cfg)
+    assert result.enabled_counts == enabled
+    series, doc = tmp_path / "series.csv", tmp_path / "result.json"
+    write_series(str(series), result)
+    write_result(str(doc), "multi", result)
+    assert hashlib.sha256(series.read_bytes()).hexdigest() == series_sha256
+    assert hashlib.sha256(doc.read_bytes()).hexdigest() == result_sha256
+
+
 def test_tail_statistics_definitions() -> None:
     cfg = config_of(
         classes=(bern("c0", 1.0, 0.5, 1),),
@@ -250,6 +305,29 @@ def test_slot_dynamic_non_shiftable_demand_is_never_blocked() -> None:
     for i in range(3):
         fixed += sample_series(cfg.classes[0], cfg.slots, derive_seed(cfg.seed, 0, i))
     assert np.all(result.series_managed >= fixed - 1e-12)
+
+
+def test_slot_dynamic_off_grid_non_shiftable_class_is_base_load() -> None:
+    # non-shiftable load is never queued, so its power need not sit on the
+    # grid; two always-on 0.7 W fridges act as 1.4 W of constant load
+    pumps = bern("pump", 1.0, 0.3, 12)
+    fridges = ApplianceClass(
+        name="fridge", on_power=0.7, model=Bernoulli(p_on=1.0), count=2, shiftable=False
+    )
+    common = dict(
+        policy=QosPolicy(c_max=6.0, p=0.05),
+        mode=SimMode.SLOT_DYNAMIC,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        slots=300,
+    )
+    with_class = run_slot_dynamic(config_of(classes=(pumps, fridges), **common))
+    as_load = run_slot_dynamic(config_of(classes=(pumps,), deterministic_load=1.4, **common))
+    assert with_class.ledger == as_load.ledger
+    assert np.array_equal(with_class.outcomes, as_load.outcomes)
+    assert with_class.outcomes["disabled_count"].sum() > 0  # the base load binds
+    np.testing.assert_allclose(
+        with_class.series_managed, as_load.series_managed, rtol=0.0, atol=1e-12
+    )
 
 
 def test_slot_dynamic_outcomes_align_with_series() -> None:
