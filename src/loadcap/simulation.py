@@ -10,7 +10,9 @@ statistics.
 All randomness descends from the single config seed.  Appliance streams are
 keyed by global appliance index, so the series of appliance i is the same
 regardless of which method or policy is being evaluated (common random
-numbers across compared runs).
+numbers across compared runs).  A QoS sweep relies on that: it samples the
+population once per p and builds every method's managed series from that
+one pass.
 """
 
 from __future__ import annotations
@@ -87,6 +89,11 @@ class SimConfig:
         if not (det >= 0.0 and math.isfinite(det)):
             raise ValueError(f"deterministic_load={det!r} must be >= 0 and finite")
         object.__setattr__(self, "deterministic_load", det)
+        shifting = self.strategy is not SchedulingStrategy.DROP
+        if shifting and self.mode is not SimMode.SLOT_DYNAMIC:
+            raise ValueError(
+                f"strategy {self.strategy.value!r} applies only to mode 'slot_dynamic'"
+            )
 
 
 @dataclass(frozen=True)
@@ -216,18 +223,36 @@ def run_composition(config: SimConfig) -> SimResult:
     appliances never run; no scheduling is involved.  The baseline series
     runs every appliance for comparison.
     """
+    return _compositions(config, (config.method,))[0]
+
+
+def _compositions(
+    config: SimConfig, methods: Sequence[EstimationMethod]
+) -> list[SimResult]:
+    """``run_composition`` under each of ``methods``, from one sampled population.
+
+    Each method's managed row gets the same additions, in the same order, as
+    a run of that method alone; the series themselves are never kept.
+    """
     base = ClassComposition(entries=(), deterministic_load=config.deterministic_load)
-    enabled_counts = tuple(
-        max_admissible(cls, config.policy, config.method, config.quantum, base=base)
-        for cls in config.classes
-    )
+    sized = [
+        tuple(
+            max_admissible(cls, config.policy, method, config.quantum, base=base)
+            for cls in config.classes
+        )
+        for method in methods
+    ]
     baseline = np.full(config.slots, config.deterministic_load)
-    managed = np.full(config.slots, config.deterministic_load)
+    managed = [np.full(config.slots, config.deterministic_load) for _ in methods]
     for c, i, series in _population(config):
         baseline += series
-        if i < enabled_counts[c]:
-            managed += series
-    return _result(config, baseline, managed, enabled_counts)
+        for enabled_counts, row in zip(sized, managed):
+            if i < enabled_counts[c]:
+                row += series
+    return [
+        _result(config, baseline, row, enabled_counts)
+        for enabled_counts, row in zip(sized, managed)
+    ]
 
 
 def run_slot_dynamic(config: SimConfig) -> SimResult:
@@ -322,24 +347,27 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     return _result(config, baseline, managed, enabled_counts, ledger, outcomes)
 
 
-def _sweep_cell(args: tuple[SimConfig, float, EstimationMethod, int]) -> SweepCell:
-    config, p, method, p_index = args
-    cell_config = replace(
+def _sweep_p(
+    args: tuple[SimConfig, float, int, tuple[EstimationMethod, ...]],
+) -> list[SweepCell]:
+    config, p, p_index, methods = args
+    p_config = replace(
         config,
         policy=replace(config.policy, p=p),
-        method=method,
         seed=int(derive_seed(config.seed, 2, p_index)),
     )
-    result = run_composition(cell_config)
-    return SweepCell(
-        p=p,
-        method=method,
-        enabled=int(sum(result.enabled_counts)),
-        p_hat=result.p_hat,
-        k=result.k,
-        stderr=result.stderr,
-        low_confidence=result.low_confidence,
-    )
+    return [
+        SweepCell(
+            p=p,
+            method=method,
+            enabled=int(sum(result.enabled_counts)),
+            p_hat=result.p_hat,
+            k=result.k,
+            stderr=result.stderr,
+            low_confidence=result.low_confidence,
+        )
+        for method, result in zip(methods, _compositions(p_config, methods))
+    ]
 
 
 def sweep_qos(
@@ -350,11 +378,14 @@ def sweep_qos(
 ) -> list[SweepCell]:
     """Composition-mode runs over a grid of QoS probabilities and methods.
 
-    All methods at one p share a seed, so they see identical appliance
-    series and differ only in how many appliances they enable.  Cells are
-    independent; they run in min(jobs, cells, CPUs) worker processes when
-    that is above 1, with output order unchanged.
+    All methods at one p share a seed and one sampled population, so they
+    see identical appliance series and differ only in how many appliances
+    they enable.  Cells come back in (p, method) order.  The p values are
+    independent; they run in min(jobs, len(p_values), CPUs) worker processes
+    when that is above 1, with output order unchanged.
     """
+    if config.mode is not SimMode.COMPOSITION:
+        raise ValueError(f"a sweep runs composition mode, not {config.mode.value!r}")
     values = [float(v) for v in p_values]
     if not values:
         raise ValueError("p_values must be non-empty")
@@ -365,16 +396,14 @@ def sweep_qos(
     if jobs < 1:
         raise ValueError(f"jobs={jobs!r} must be at least 1")
     chosen = tuple(methods) if methods is not None else tuple(EstimationMethod)
-    tasks = [
-        (config, p, method, p_index)
-        for p_index, p in enumerate(values)
-        for method in chosen
-    ]
+    tasks = [(config, p, p_index, chosen) for p_index, p in enumerate(values)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_cell, tasks))
-    return [_sweep_cell(task) for task in tasks]
+            per_p = list(pool.map(_sweep_p, tasks))
+    else:
+        per_p = [_sweep_p(task) for task in tasks]
+    return [cell for cells in per_p for cell in cells]
 
 
 def enabled_percentage_table(
@@ -395,7 +424,10 @@ def enabled_percentage_table(
     )
     rows = []
     for method in chosen:
-        enabled = max_admissible(appliance_class, policy, method, quantum, base=base)
+        if method is EstimationMethod.EXACT:
+            enabled = reference
+        else:
+            enabled = max_admissible(appliance_class, policy, method, quantum, base=base)
         if reference > 0:
             percent = 100.0 * enabled / reference
         else:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,12 +17,15 @@ from loadcap.models import (
     Bernoulli,
     DurationPmf,
     TwoStateMarkov,
+    derive_seed,
+    sample_series,
 )
 from loadcap.scheduling import SchedulingStrategy
 from loadcap.simulation import (
     SimConfig,
     SimMode,
     SimResult,
+    SweepCell,
     enabled_percentage_table,
     run,
     run_composition,
@@ -71,6 +75,16 @@ def test_sim_config_validation() -> None:
         config_of(quantum=0.0)
     with pytest.raises(ValueError):
         config_of(deterministic_load=-2.0)
+
+
+def test_sim_config_rejects_a_strategy_outside_slot_dynamic_mode() -> None:
+    # composition mode never schedules, so a shifting strategy would be ignored
+    with pytest.raises(ValueError, match="one_step_shift.*slot_dynamic"):
+        config_of(strategy=SchedulingStrategy.ONE_STEP_SHIFT)
+    shifting = config_of(
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT, mode=SimMode.SLOT_DYNAMIC
+    )
+    assert shifting.strategy is SchedulingStrategy.ONE_STEP_SHIFT
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +508,81 @@ def test_sweep_validation(monkeypatch) -> None:
             sweep_qos(cfg, [0.01, 0.1], jobs=jobs)
 
 
+def test_sweep_rejects_a_slot_dynamic_config() -> None:
+    with pytest.raises(ValueError, match="composition"):
+        sweep_qos(config_of(mode=SimMode.SLOT_DYNAMIC), [0.01, 0.1])
+
+
+@pytest.mark.parametrize(
+    ("quantum", "deterministic_load"), [(0.5, 1.25), (0.1, 0.7)], ids=["dyadic", "decimal"]
+)
+def test_sweep_samples_once_per_p_and_matches_per_cell_runs(
+    monkeypatch, quantum, deterministic_load
+) -> None:
+    renewal = AlternatingRenewal(
+        on_durations=DurationPmf.from_mapping({2: 0.5, 4: 0.5}),
+        off_durations=DurationPmf.from_mapping({6: 1.0}),
+    )
+    models = (Bernoulli(p_on=0.3), TwoStateMarkov(0.1, 0.2), renewal, Bernoulli(p_on=1.0))
+    classes = tuple(
+        ApplianceClass(name=f"c{j}", on_power=steps * quantum, model=model, count=count)
+        for j, (steps, model, count) in enumerate(zip((3, 5, 2, 1), models, (12, 10, 8, 4)))
+    )
+    config = SimConfig(
+        classes=classes,
+        policy=QosPolicy(c_max=deterministic_load + 14 * quantum, p=0.05),
+        method=EstimationMethod.EXACT,
+        slots=300,
+        seed=11,
+        quantum=quantum,
+        deterministic_load=deterministic_load,
+    )
+    p_values = [0.01, 0.1]
+    methods = (
+        EstimationMethod.EXACT,
+        EstimationMethod.CHERNOFF,
+        EstimationMethod.MARKOV,
+        EstimationMethod.CLT,
+    )
+    calls = 0
+
+    def counting_sample_series(*args):
+        nonlocal calls
+        calls += 1
+        return sample_series(*args)
+
+    monkeypatch.setattr("loadcap.simulation.sample_series", counting_sample_series)
+    cells = sweep_qos(config, p_values, methods=methods)
+    # every method at one p reads the same single pass over the population
+    assert calls == sum(cls.count for cls in classes) * len(p_values)
+
+    expected = []
+    for p_index, p in enumerate(p_values):
+        for method in methods:
+            result = run_composition(
+                replace(
+                    config,
+                    policy=replace(config.policy, p=p),
+                    method=method,
+                    seed=derive_seed(config.seed, 2, p_index),
+                )
+            )
+            expected.append(
+                SweepCell(
+                    p=p,
+                    method=method,
+                    enabled=sum(result.enabled_counts),
+                    p_hat=result.p_hat,
+                    k=result.k,
+                    stderr=result.stderr,
+                    low_confidence=result.low_confidence,
+                )
+            )
+    assert cells == expected
+    # the methods enable different appliances, so their managed rows differ
+    assert len({cell.enabled for cell in cells[: len(methods)]}) > 1
+
+
 def test_sweep_workers_are_capped_by_cells_and_cpus(monkeypatch) -> None:
     asked: list[int] = []
 
@@ -516,11 +605,11 @@ def test_sweep_workers_are_capped_by_cells_and_cpus(monkeypatch) -> None:
     serial = sweep_qos(cfg, [0.01, 0.1], methods=methods)
     monkeypatch.setattr("loadcap.simulation.os.cpu_count", lambda: 64)
     assert sweep_qos(cfg, [0.01, 0.1], methods=methods, jobs=10_000) == serial
-    assert asked == [4]  # one worker per cell, not per requested job
+    assert asked == [2]  # one worker per p value, not per cell or requested job
     for cpus in (1, None):
         monkeypatch.setattr("loadcap.simulation.os.cpu_count", lambda: cpus)
         assert sweep_qos(cfg, [0.01, 0.1], methods=methods, jobs=10_000) == serial
-    assert asked == [4]  # a single CPU runs the cells in-process
+    assert asked == [2]  # a single CPU runs the p values in-process
 
 
 def test_sweep_grid_layout_and_determinism() -> None:
