@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Union, get_args
+from typing import Callable, Mapping, Union, get_args
 
 import numpy as np
 
@@ -101,11 +101,14 @@ class DurationPmf:
     def mean(self) -> float:
         return math.fsum(d * w for d, w in self.entries)
 
-    def sample(self, rng: np.random.Generator) -> int:
-        """Draw one run length by inverse-cdf lookup."""
-        idx = int(np.searchsorted(self._cdf, rng.random(), side="right"))
-        idx = min(idx, len(self.entries) - 1)
-        return int(self._durations[idx])
+    def inverse_cdf(self, uniforms: np.ndarray) -> np.ndarray:
+        """Run lengths at uniforms in [0, 1), by inverse-cdf lookup.
+
+        A uniform at or above the last cdf entry (which may fall short of 1
+        by rounding) maps to the longest duration.
+        """
+        idx = np.searchsorted(self._cdf, uniforms, side="right")
+        return self._durations[np.minimum(idx, len(self.entries) - 1)]
 
 
 @dataclass(frozen=True)
@@ -248,19 +251,35 @@ class TraceSeries:
 
 
 def _alternating_states(
-    slots: int, first_on: bool, draw_run, rng: np.random.Generator
+    slots: int, first_on: bool, draw_runs: Callable[[], np.ndarray]
 ) -> np.ndarray:
-    """Fill a boolean series from alternating runs; draw_run(on) -> length."""
-    states = np.empty(slots, dtype=bool)
-    pos = 0
-    on = first_on
-    while pos < slots:
-        run = int(draw_run(on, rng))
-        end = min(pos + run, slots)
-        states[pos:end] = on
-        pos = end
-        on = not on
-    return states
+    """Fill a boolean series from alternating runs, the first in ``first_on``.
+
+    ``draw_runs()`` returns one block of run lengths whose even positions
+    are runs in the first state and odd positions runs in the other; an even
+    block size keeps every block starting in the first state.  Blocks are
+    drawn until the runs cover ``slots``.  Each run is clipped to ``slots``
+    before any sum, so no total can overflow however long a run is drawn
+    (a geometric run at p near 0 comes back as 2**63 - 1), and the run that
+    reaches the horizon is cut there.  The clip changes no slot: a run of
+    ``slots`` reaches the horizon from any start.  Runs drawn beyond it are
+    discarded; the caller's generator is not used afterwards, so the series
+    is the one a draw-per-run loop gives from the same generator.
+    """
+    blocks = []
+    total = 0
+    while total < slots:
+        runs = np.minimum(draw_runs(), slots)
+        blocks.append(runs)
+        total += int(runs.sum())
+    runs = np.concatenate(blocks)
+    ends = np.cumsum(runs)
+    last = int(np.searchsorted(ends, slots))  # the run that reaches the horizon
+    runs = runs[: last + 1]
+    runs[last] -= ends[last] - slots
+    states = np.zeros(last + 1, dtype=bool)
+    states[0 if first_on else 1 :: 2] = True
+    return np.repeat(states, runs)
 
 
 def _sample_states(model: LoadModel, slots: int, rng: np.random.Generator) -> np.ndarray:
@@ -268,19 +287,26 @@ def _sample_states(model: LoadModel, slots: int, rng: np.random.Generator) -> np
         return rng.random(slots) < model.p_on
     stats = stationary_stats(model)
     first_on = bool(rng.random() < stats.p_on)
+    # about one horizon of stationary cycles per block, plus a margin
+    block = 2 * (int(slots // (stats.mean_on_run + stats.mean_off_run)) + 8)
     if isinstance(model, TwoStateMarkov):
         # geometric runs reproduce the chain exactly; a stationary initial
         # state keeps the whole series stationary
-        def draw(on: bool, r: np.random.Generator) -> int:
-            return int(r.geometric(model.p_on_to_off if on else model.p_off_to_on))
-
-        return _alternating_states(slots, first_on, draw, rng)
+        rates = (model.p_on_to_off, model.p_off_to_on)
+        p = np.tile(rates if first_on else rates[::-1], block // 2)
+        return _alternating_states(slots, first_on, lambda: rng.geometric(p))
     if isinstance(model, AlternatingRenewal):
-        def draw(on: bool, r: np.random.Generator) -> int:
-            pmf = model.on_durations if on else model.off_durations
-            return pmf.sample(r)
+        pmfs = (model.on_durations, model.off_durations)
+        first, second = pmfs if first_on else pmfs[::-1]
 
-        return _alternating_states(slots, first_on, draw, rng)
+        def draw_runs() -> np.ndarray:
+            uniforms = rng.random(block)
+            runs = np.empty(block, dtype=np.int64)
+            runs[0::2] = first.inverse_cdf(uniforms[0::2])
+            runs[1::2] = second.inverse_cdf(uniforms[1::2])
+            return runs
+
+        return _alternating_states(slots, first_on, draw_runs)
     raise TypeError(f"unknown load model {model!r}")
 
 

@@ -271,16 +271,20 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     # per shiftable appliance, indexed by its appliance id
     column_of: list[int] = []  # position of the appliance's class in shiftable
     steps_of: list[int] = []  # grid steps of one slot of the appliance's demand
-    demand: list[np.ndarray] = []
+    # row t holds which appliances want a slot of demand in slot t
+    demand = np.empty((slots, sum(cls.count for cls in shiftable)), dtype=bool)
+    demanded_steps = 0
     base_served = np.full(slots, config.deterministic_load)
     baseline = np.full(slots, config.deterministic_load)
     for c, _, series in _population(config):
         cls = config.classes[c]
         baseline += series
         if cls.shiftable:
+            wants = series > 0.0
+            demand[:, len(steps_of)] = wants
             column_of.append(shiftable.index(cls))
             steps_of.append(_grid_steps(cls.on_power, config.quantum))
-            demand.append(series > 0.0)
+            demanded_steps += steps_of[-1] * int(np.count_nonzero(wants))
         else:
             base_served += series
     base = ClassComposition(
@@ -300,16 +304,14 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         slots,
         dtype=[("dropped_w", "f8"), ("backlog_depth", "i8"), ("disabled_count", "i8")],
     )
-    demanded_steps = 0
     served_steps = 0
     dropped_steps = 0
 
     for t in range(slots):
-        new_ids = [i for i, wants in enumerate(demand) if wants[t]]
-        demanded_steps += sum(steps_of[i] for i in new_ids)
+        new_ids = np.flatnonzero(demand[t])
         order = scheduler_rng.permutation(len(new_ids))
         # backlog in FIFO order, then the slot's new demand in seeded order
-        queue = backlog + [new_ids[int(idx)] for idx in order]
+        queue = backlog + new_ids[order].tolist()
         backlog = []
         admitted = [0] * len(shiftable)
         served_ids: set[int] = set()

@@ -22,6 +22,7 @@ from loadcap.models import (
 )
 from loadcap.scheduling import SchedulingStrategy
 from loadcap.simulation import (
+    EnergyLedger,
     SimConfig,
     SimMode,
     SimResult,
@@ -393,6 +394,31 @@ def test_slot_dynamic_renewal_demand_round_trips() -> None:
     ledger = run(cfg).ledger
     assert ledger is not None
     assert ledger.served_steps + ledger.backlog_steps == ledger.demanded_steps
+
+
+@pytest.mark.parametrize("strategy", list(SchedulingStrategy))
+def test_slot_dynamic_without_shiftable_classes_serves_everything(
+    strategy: SchedulingStrategy,
+) -> None:
+    # no column of demand: every slot's queue is empty and the whole load
+    # is base load, served whatever the policy says
+    fixed = ApplianceClass(
+        name="fixed", on_power=2.0, model=TwoStateMarkov(0.2, 0.3), count=4, shiftable=False
+    )
+    cfg = config_of(
+        classes=(fixed, bern("other", 1.0, 0.5, 3, shiftable=False)),
+        policy=QosPolicy(c_max=3.0, p=0.01),
+        mode=SimMode.SLOT_DYNAMIC,
+        strategy=strategy,
+        slots=200,
+        deterministic_load=0.5,
+    )
+    result = run_slot_dynamic(cfg)
+    assert result.ledger == EnergyLedger(0, 0, 0, 0)
+    assert np.array_equal(result.series_managed, result.series_baseline)
+    assert result.overload_slots > 0  # the policy is broken, and nothing is refused
+    assert result.outcomes is not None
+    assert not any(result.outcomes[name].any() for name in result.outcomes.dtype.names)
 
 
 @pytest.mark.parametrize(
