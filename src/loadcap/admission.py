@@ -42,9 +42,9 @@ class QosPolicy:
     """Consumption limits and tolerated violation probabilities.
 
     ``c_max`` is the ceiling guarded with probability ``p``.  ``c_min`` and
-    ``r`` optionally configure the symmetric underconsumption check.
-    ``c_sys`` is the physical ceiling; it validates ``c_max`` at
-    construction and plays no further part in decisions.
+    ``r`` configure the underconsumption check, their only reader (library
+    use only: experiment files refuse them).  ``c_sys`` is the physical
+    ceiling; it validates ``c_max`` at construction and nothing else.
     """
 
     c_max: float

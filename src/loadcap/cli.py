@@ -31,7 +31,7 @@ from .fileio import (
     write_sweep_result,
 )
 from .models import MODEL_FAMILIES, ApplianceClass, Bernoulli, fit_model, stationary_stats
-from .simulation import SimMode, run, sweep_qos
+from .simulation import run, sweep_qos
 from .tailprob import ClassComposition, EstimationMethod, estimate, exact_pmf
 
 __all__ = ["main"]
@@ -102,23 +102,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     config = spec.config
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    names = {"result_json": f"{spec.name}.json"}
-    if spec.is_sweep:
-        names["sweep_csv"] = f"{spec.name}.sweep.csv"
-    else:
-        names["series_csv"] = f"{spec.name}.series.csv"
-        if config.mode is SimMode.SLOT_DYNAMIC:
-            names["outcomes_csv"] = f"{spec.name}.outcomes.csv"
-    unwritten = sorted(set(spec.outputs) - set(names))
-    if unwritten:
-        raise ValueError(
-            f"outputs names {', '.join(unwritten)}, which this run does not write; "
-            f"it writes {', '.join(names)}"
-        )
-    paths = {
-        key: os.path.join(args.out_dir, spec.outputs.get(key, name))
-        for key, name in names.items()
-    }
+    paths = {key: os.path.join(args.out_dir, name) for key, name in spec.output_files.items()}
     claimed = {os.path.realpath(args.experiment): "the experiment file"}
     for key, path in paths.items():
         real = os.path.realpath(path)

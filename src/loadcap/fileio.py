@@ -30,7 +30,7 @@ from .models import (
     fit_model,
 )
 from .scheduling import SchedulingStrategy
-from .simulation import SimConfig, SimMode, SimResult, SweepCell
+from .simulation import SimConfig, SimMode, SimResult, SweepCell, _sweep_axes
 from .tailprob import EstimationMethod, PowerPmf
 
 __all__ = [
@@ -296,9 +296,18 @@ def write_sweep_result(path: str, name: str, cells: Sequence[SweepCell]) -> None
     _write_json(path, doc)
 
 
+# the files each kind of run writes: output key -> default name suffix
+_RUN_OUTPUTS = {
+    "sweep": {"result_json": ".json", "sweep_csv": ".sweep.csv"},
+    "composition": {"result_json": ".json", "series_csv": ".series.csv"},
+    "slot_dynamic": {"result_json": ".json", "series_csv": ".series.csv",
+                     "outcomes_csv": ".outcomes.csv"},
+}  # fmt: skip
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Parsed experiment file: a run config plus sweep axes and outputs."""
+    """Parsed experiment file: a run config plus sweep axes and output names."""
 
     name: str
     config: SimConfig
@@ -309,6 +318,12 @@ class ExperimentSpec:
     @property
     def is_sweep(self) -> bool:
         return self.p_values is not None
+
+    @property
+    def output_files(self) -> dict[str, str]:
+        """Output key -> file name for every file the run writes, ``outputs`` applied."""
+        kind = "sweep" if self.is_sweep else self.config.mode.value
+        return {k: self.outputs.get(k, self.name + s) for k, s in _RUN_OUTPUTS[kind].items()}
 
 
 _CLASS_KEYS = {
@@ -323,7 +338,7 @@ _CLASS_KEYS = {
     "family",
     "on_threshold",
 }
-_POLICY_KEYS = {"c_max", "p", "c_min", "r", "c_sys"}
+_POLICY_KEYS = {"c_max", "p", "c_sys"}
 _TOP_KEYS = {
     "name",
     "classes",
@@ -339,7 +354,6 @@ _TOP_KEYS = {
     "deterministic_load",
     "outputs",
 }
-_OUTPUT_KEYS = {"result_json", "series_csv", "outcomes_csv", "sweep_csv"}
 
 
 def _parse_class(doc: Mapping[str, Any], index: int, base_dir: str) -> ApplianceClass:
@@ -360,26 +374,27 @@ def _parse_class(doc: Mapping[str, Any], index: int, base_dir: str) -> Appliance
             f"{where} needs exactly one of model, model_file, trace, "
             f"deterministic; got {sources!r}"
         )
-    on_power = doc.get("on_power")
     source = sources[0]
+    stray = sorted({"family", "on_threshold"} & set(doc))
+    if stray and source != "trace":
+        raise ValueError(f"{stray!r} in {where} apply only to a class fitted from a trace")
+    source_power = None
     if source == "deterministic":
         model: LoadModel = Bernoulli(p_on=1.0)
     elif source == "model":
         if not isinstance(doc["model"], dict):
             raise ValueError(f"{where}.model must be an object")
-        model, fitted_power = _model_from_doc(doc["model"], f"{where}.model")
-        on_power = on_power if on_power is not None else fitted_power
+        model, source_power = _model_from_doc(doc["model"], f"{where}.model")
     elif source == "model_file":
-        model, fitted_power = read_model(os.path.join(base_dir, doc["model_file"]))
-        on_power = on_power if on_power is not None else fitted_power
+        model, source_power = read_model(os.path.join(base_dir, doc["model_file"]))
     else:
         family = doc.get("family")
         if family not in MODEL_FAMILIES:
             raise ValueError(f"{where}.family must be one of {MODEL_FAMILIES}")
         trace = read_trace(os.path.join(base_dir, doc["trace"]))
         fitted = fit_model(trace, family, float(doc.get("on_threshold", 0.0)))
-        model = fitted.model
-        on_power = on_power if on_power is not None else fitted.on_power
+        model, source_power = fitted.model, fitted.on_power
+    on_power = source_power if doc.get("on_power") is None else doc["on_power"]
     if on_power is None:
         raise ValueError(f"missing on_power in {where}")
     return ApplianceClass(
@@ -409,8 +424,8 @@ def parse_experiment(path: str) -> ExperimentSpec:
     base_dir = os.path.dirname(os.path.abspath(path))
 
     raw_classes = doc["classes"]
-    if not isinstance(raw_classes, list) or not raw_classes:
-        raise ValueError("classes must be a non-empty array")
+    if not isinstance(raw_classes, list):
+        raise ValueError("classes must be an array")
     classes = tuple(_parse_class(c, i, base_dir) for i, c in enumerate(raw_classes))
 
     raw_policy = doc["policy"]
@@ -423,54 +438,51 @@ def parse_experiment(path: str) -> ExperimentSpec:
     policy = QosPolicy(
         c_max=float(raw_policy["c_max"]),
         p=float(raw_policy["p"]),
-        c_min=None if raw_policy.get("c_min") is None else float(raw_policy["c_min"]),
-        r=None if raw_policy.get("r") is None else float(raw_policy["r"]),
         c_sys=None if raw_policy.get("c_sys") is None else float(raw_policy["c_sys"]),
     )
 
-    methods = None
-    if doc.get("methods") is not None:
-        if not isinstance(doc["methods"], list) or not doc["methods"]:
-            raise ValueError("methods must be a non-empty array")
-        methods = tuple(EstimationMethod(m) for m in doc["methods"])
-    p_values = None
-    if doc.get("p_values") is not None:
-        if not isinstance(doc["p_values"], list) or not doc["p_values"]:
-            raise ValueError("p_values must be a non-empty array")
-        p_values = tuple(float(v) for v in doc["p_values"])
-    mode = SimMode(doc.get("mode", "composition"))
-    if p_values is not None and mode is SimMode.SLOT_DYNAMIC:
-        raise ValueError("p_values makes a sweep, which cannot run with mode 'slot_dynamic'")
-    if "strategy" in doc and mode is not SimMode.SLOT_DYNAMIC:
-        raise ValueError("'strategy' applies only to runs with mode 'slot_dynamic'")
-    if "method" in doc:
-        method = EstimationMethod(doc["method"])
-    elif methods:
-        method = methods[0]
-    else:
-        raise ValueError("missing 'method' (or a 'methods' array) in experiment")
+    # a single run reads 'method'; a sweep runs every entry of 'methods'
+    sweep = "p_values" in doc
+    unread, readers = ("method", "single runs") if sweep else ("methods", "sweeps (p_values)")
+    if unread in doc:
+        raise ValueError(f"{unread!r} applies only to {readers}")
+    if sweep:
+        for key in ("p_values", "methods"):
+            if not isinstance(doc.get(key), list):
+                raise ValueError(f"a sweep needs {key!r} as an array")
+    elif "method" not in doc:
+        raise ValueError("missing 'method' in experiment")
 
     outputs_doc = doc.get("outputs", {})
     if not isinstance(outputs_doc, dict):
         raise ValueError("outputs must be an object")
-    _require_keys(outputs_doc, _OUTPUT_KEYS, "outputs")
-    outputs = {k: str(v) for k, v in outputs_doc.items()}
 
     config = SimConfig(
         classes=classes,
         policy=policy,
-        method=method,
-        strategy=SchedulingStrategy(doc.get("strategy", "drop")),
+        method=EstimationMethod.EXACT if sweep else EstimationMethod(doc["method"]),
+        strategy=SchedulingStrategy(doc["strategy"]) if "strategy" in doc else None,
         slots=_json_int(doc.get("slots", 50_000), "slots", "experiment"),
         seed=_json_int(doc.get("seed", 0), "seed", "experiment"),
-        mode=mode,
+        mode=SimMode(doc.get("mode", "composition")),
         quantum=float(doc.get("quantum", 1.0)),
         deterministic_load=float(doc.get("deterministic_load", 0.0)),
     )
-    return ExperimentSpec(
+    p_values = methods = None
+    if sweep:
+        methods = [EstimationMethod(m) for m in doc["methods"]]
+        p_values, methods = _sweep_axes(config, doc["p_values"], methods)
+    spec = ExperimentSpec(
         name=str(doc["name"]),
         config=config,
         p_values=p_values,
         methods=methods,
-        outputs=outputs,
+        outputs={k: str(v) for k, v in outputs_doc.items()},
     )
+    unwritten = sorted(set(spec.outputs) - set(spec.output_files))
+    if unwritten:
+        raise ValueError(
+            f"outputs names {', '.join(unwritten)}, which this run does not write; "
+            f"it writes {', '.join(spec.output_files)}"
+        )
+    return spec

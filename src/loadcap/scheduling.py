@@ -8,6 +8,7 @@ module names them and measures the resulting load shape.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from enum import Enum
 
@@ -22,11 +23,8 @@ class SchedulingStrategy(Enum):
 
 
 def load_factor(series: Sequence[float]) -> float:
-    """Mean load over peak load, in (0, 1]."""
+    """Mean over peak load, in (0, 1]; NaN if empty, non-finite or never positive."""
     values = np.asarray(series, dtype=np.float64)
-    if values.size == 0 or not np.all(np.isfinite(values)):
-        raise ValueError("undefined load factor")
-    peak = float(values.max())
-    if peak <= 0.0:
-        raise ValueError("undefined load factor")
-    return float(values.mean()) / peak
+    if values.size == 0 or not np.all(np.isfinite(values)) or values.max() <= 0.0:
+        return math.nan
+    return float(values.mean()) / float(values.max())

@@ -62,7 +62,7 @@ class SimConfig:
     classes: tuple[ApplianceClass, ...]
     policy: QosPolicy
     method: EstimationMethod
-    strategy: SchedulingStrategy = SchedulingStrategy.DROP
+    strategy: SchedulingStrategy | None = None
     slots: int = 50_000
     seed: int = 0
     mode: SimMode = SimMode.COMPOSITION
@@ -89,11 +89,12 @@ class SimConfig:
         if not (det >= 0.0 and math.isfinite(det)):
             raise ValueError(f"deterministic_load={det!r} must be >= 0 and finite")
         object.__setattr__(self, "deterministic_load", det)
-        shifting = self.strategy is not SchedulingStrategy.DROP
-        if shifting and self.mode is not SimMode.SLOT_DYNAMIC:
-            raise ValueError(
-                f"strategy {self.strategy.value!r} applies only to mode 'slot_dynamic'"
-            )
+        # only slot-dynamic mode schedules (no strategy is drop) or serves unconditionally
+        fixed = [cls.name for cls in classes if not cls.shiftable]
+        if self.mode is not SimMode.SLOT_DYNAMIC and self.strategy is not None:
+            raise ValueError(f"'strategy' {self.strategy.value!r} needs mode 'slot_dynamic'")
+        if self.mode is not SimMode.SLOT_DYNAMIC and fixed:
+            raise ValueError(f"non-shiftable classes {fixed!r} need mode 'slot_dynamic'")
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,6 @@ class TableRow:
     percent_of_exact: float
 
 
-def _safe_load_factor(series: np.ndarray) -> float:
-    try:
-        return load_factor(series)
-    except ValueError:
-        return math.nan
-
-
 def _population(config: SimConfig) -> Iterator[tuple[int, int, np.ndarray]]:
     """(class index, index within the class, series) of every appliance, in file order."""
     index = 0
@@ -196,8 +190,8 @@ def _result(
         k=p_hat / policy.p,
         stderr=math.sqrt(p_hat * (1.0 - p_hat) / slots) / policy.p,
         low_confidence=policy.p * slots < _MIN_EXPECTED_EVENTS,
-        lf_baseline=_safe_load_factor(baseline),
-        lf_managed=_safe_load_factor(managed),
+        lf_baseline=load_factor(baseline),
+        lf_managed=load_factor(managed),
         enabled_counts=enabled_counts,
         overload_slots=overload,
         slots=slots,
@@ -372,6 +366,27 @@ def _sweep_p(
     ]
 
 
+def _sweep_axes(
+    config: SimConfig,
+    p_values: Sequence[float],
+    methods: Sequence[EstimationMethod] | None,
+) -> tuple[tuple[float, ...], tuple[EstimationMethod, ...]]:
+    """A sweep's p values and methods (all when None), checked: the sweep rules' one home."""
+    if config.mode is not SimMode.COMPOSITION:
+        raise ValueError(f"p_values make a composition sweep, not mode {config.mode.value!r}")
+    values = tuple(float(v) for v in p_values)
+    if not values:
+        raise ValueError("p_values must be non-empty")
+    if any(not (0.0 < v < 1.0) for v in values):
+        raise ValueError("every p value must lie strictly inside (0, 1)")
+    if sorted(values) != list(values):
+        raise ValueError("p_values must be sorted ascending")
+    chosen = tuple(EstimationMethod) if methods is None else tuple(methods)
+    if not chosen:
+        raise ValueError("methods must be non-empty")
+    return values, chosen
+
+
 def sweep_qos(
     config: SimConfig,
     p_values: Sequence[float],
@@ -386,18 +401,9 @@ def sweep_qos(
     independent; they run in min(jobs, len(p_values), CPUs) worker processes
     when that is above 1, with output order unchanged.
     """
-    if config.mode is not SimMode.COMPOSITION:
-        raise ValueError(f"a sweep runs composition mode, not {config.mode.value!r}")
-    values = [float(v) for v in p_values]
-    if not values:
-        raise ValueError("p_values must be non-empty")
-    if any(not (0.0 < v < 1.0) for v in values):
-        raise ValueError("every p value must lie strictly inside (0, 1)")
-    if sorted(values) != values:
-        raise ValueError("p_values must be sorted ascending")
+    values, chosen = _sweep_axes(config, p_values, methods)
     if jobs < 1:
         raise ValueError(f"jobs={jobs!r} must be at least 1")
-    chosen = tuple(methods) if methods is not None else tuple(EstimationMethod)
     tasks = [(config, p, p_index, chosen) for p_index, p in enumerate(values)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:

@@ -19,7 +19,7 @@ import pytest
 import loadcap
 from loadcap.cli import main
 from loadcap.models import ApplianceClass, Bernoulli, TraceSeries, sample_series
-from loadcap.fileio import write_trace
+from loadcap.fileio import _CLASS_KEYS, _POLICY_KEYS, _TOP_KEYS, write_model, write_trace
 
 
 def bounds_table(capsys) -> dict[str, float]:
@@ -117,7 +117,12 @@ def test_bounds_off_grid_power_with_matching_quantum(capsys) -> None:
 # ---------------------------------------------------------------------------
 
 
+# a single run becomes a sweep: 'methods' replaces 'method'
+SWEEP = {"method": None, "methods": ["exact"], "p_values": [0.01, 0.1]}
+
+
 def experiment_file(tmp_path, **overrides) -> str:
+    """A composition run; overrides set top-level keys, and None leaves a key out."""
     doc = {
         "name": "demo",
         "classes": [
@@ -135,7 +140,7 @@ def experiment_file(tmp_path, **overrides) -> str:
     }
     doc.update(overrides)
     path = tmp_path / "experiment.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
     return str(path)
 
 
@@ -195,8 +200,7 @@ def test_simulate_slot_dynamic_writes_outcomes(tmp_path, capsys) -> None:
 def test_simulate_sweep_outputs(tmp_path, capsys) -> None:
     path = experiment_file(
         tmp_path,
-        p_values=[0.01, 0.1],
-        methods=["exact", "markov"],
+        **{**SWEEP, "methods": ["exact", "markov"]},
         slots=100,
         outputs={"sweep_csv": "grid.csv", "result_json": "grid.json"},
     )
@@ -222,10 +226,13 @@ def test_simulate_missing_experiment_exits_3(tmp_path, capsys) -> None:
 
 
 def test_simulate_invalid_experiment_exits_2(tmp_path, capsys) -> None:
-    for overrides in ({"banana": 1}, {"outputs": {"region_csv": "x"}}):
+    for overrides, message in (
+        ({"banana": 1}, "unknown keys"),
+        ({"outputs": {"region_csv": "x"}}, "outputs names region_csv, which this run does not"),
+    ):
         path = experiment_file(tmp_path, **overrides)
         assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 2
-        assert "unknown keys" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 def test_simulate_non_integer_slots_exits_2(tmp_path, capsys) -> None:
@@ -240,7 +247,7 @@ def test_simulate_non_integer_slots_exits_2(tmp_path, capsys) -> None:
         {"name": "experiment"},
         {"outputs": {"series_csv": "experiment.json"}},
         {"mode": "slot_dynamic", "outputs": {"outcomes_csv": "experiment.json"}},
-        {"p_values": [0.01, 0.1], "outputs": {"sweep_csv": "experiment.json"}},
+        {**SWEEP, "outputs": {"sweep_csv": "experiment.json"}},
     ],
     ids=["result-json", "series-csv", "outcomes-csv", "sweep-csv"],
 )
@@ -266,7 +273,7 @@ def test_simulate_never_overwrites_its_experiment_file(
             "outcomes_csv",
         ),
         (
-            {"p_values": [0.01, 0.1], "outputs": {"result_json": "demo.sweep.csv"}},
+            {**SWEEP, "outputs": {"result_json": "demo.sweep.csv"}},
             "result_json",
             "sweep_csv",
         ),
@@ -285,31 +292,170 @@ def test_simulate_refuses_two_outputs_on_one_file(
 
 
 @pytest.mark.parametrize(
-    "overrides, key",
+    "overrides, message",
     [
-        ({"outputs": {"outcomes_csv": "o.csv"}}, "outcomes_csv"),
-        ({"outputs": {"sweep_csv": "s.csv"}}, "sweep_csv"),
-        ({"p_values": [0.01, 0.1], "outputs": {"series_csv": "s.csv"}}, "series_csv"),
-        ({"p_values": [0.01, 0.1], "outputs": {"outcomes_csv": "o.csv"}}, "outcomes_csv"),
-        ({"mode": "slot_dynamic", "outputs": {"sweep_csv": "s.csv"}}, "sweep_csv"),
+        ({"outputs": {"outcomes_csv": "o.csv"}}, "outputs names outcomes_csv"),
+        ({"outputs": {"sweep_csv": "s.csv"}}, "outputs names sweep_csv"),
+        ({**SWEEP, "outputs": {"series_csv": "s.csv"}}, "outputs names series_csv"),
+        ({**SWEEP, "outputs": {"outcomes_csv": "o.csv"}}, "outputs names outcomes_csv"),
+        ({"mode": "slot_dynamic", "outputs": {"sweep_csv": "s.csv"}}, "outputs names sweep_csv"),
+        # settings no run would read
+        ({"methods": ["exact", "markov"]}, "'methods' applies only to sweeps"),
+        ({**SWEEP, "method": "markov"}, "'method' applies only to single runs"),
+        ({"policy": {"c_max": 5.0, "p": 0.1, "c_min": 1.0}}, "unknown keys ['c_min']"),
+        ({"policy": {"c_max": 5.0, "p": 0.1, "r": 0.2}}, "unknown keys ['r']"),
+        (
+            {"classes": [{"name": "c0", "count": 2, "on_power": 1.0, "deterministic": True,
+                          "shiftable": False}]},
+            "non-shiftable classes ['c0']",
+        ),
+        # sweep axes
+        ({**SWEEP, "p_values": [0.1, 0.01]}, "sorted ascending"),
+        ({**SWEEP, "p_values": [0.0, 0.1]}, "strictly inside (0, 1)"),
+        ({**SWEEP, "p_values": [0.1, 1.0]}, "strictly inside (0, 1)"),
+        ({**SWEEP, "p_values": []}, "p_values must be non-empty"),
+        ({**SWEEP, "methods": []}, "methods must be non-empty"),
     ],
     ids=["outcomes-composition", "sweep-composition", "series-sweep", "outcomes-sweep",
-         "sweep-slot-dynamic"],
+         "sweep-slot-dynamic", "methods-single-run", "method-sweep", "c-min", "r",
+         "fixed-composition", "p-values-unsorted", "p-value-zero", "p-value-one",
+         "p-values-empty", "methods-empty"],
 )
 def test_simulate_refuses_outputs_the_run_does_not_write(
-    overrides, key, tmp_path, capsys
+    overrides, message, tmp_path, capsys
 ) -> None:
+    # and every other setting the parser refuses: nothing is created first
     out = tmp_path / "out"
     path = experiment_file(tmp_path, **overrides)
     assert main(["simulate", path, "--out-dir", str(out)]) == 2
-    assert f"outputs names {key}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()  # refused before sampling
 
 
 def test_simulate_sweep_jobs_below_one_exits_2(tmp_path, capsys) -> None:
-    path = experiment_file(tmp_path, p_values=[0.01, 0.1], slots=100)
+    path = experiment_file(tmp_path, **SWEEP, slots=100)
     assert main(["simulate", path, "--jobs", "-3", "--out-dir", str(tmp_path)]) == 2
     assert "jobs=-3" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# experiment keys: each one changes the run or is refused
+# ---------------------------------------------------------------------------
+
+HEATER = {"name": "heater", "count": 8,
+          "model": {"family": "bernoulli", "on_power": 1.0, "p_on": 0.4}}
+KEY_CLASSES = [
+    HEATER,
+    {"name": "pump", "count": 4, "trace": "pump.csv", "family": "bernoulli",
+     "on_threshold": 1.0},
+    {"name": "fridge", "count": 3, "model_file": "fridge.json"},
+    {"name": "floor", "count": 1, "on_power": 1.0, "deterministic": True},
+]  # fmt: skip
+KEY_BASES = {
+    "single": {"name": "keys", "classes": KEY_CLASSES, "policy": {"c_max": 6.0, "p": 0.1},
+               "method": "exact", "slots": 300, "seed": 5},
+    "slot_dynamic": {"mode": "slot_dynamic"},
+    "sweep": SWEEP,
+}  # fmt: skip
+CHANGES, REFUSED = "changes", "exit 2"
+
+# (base run, where, key, alternative value, expected effect); 'where' is
+# "top", "policy" or a class name.  One named exemption: policy.p in a
+# sweep, where every p_values entry replaces it.  It stays accepted there
+# because the benchmark's committed sweep input carries it.
+KEY_CASES = [
+    ("single", "top", "name", "renamed", CHANGES),
+    ("single", "top", "classes", [HEATER], CHANGES),
+    ("single", "top", "policy", {"c_max": 7.0, "p": 0.1}, CHANGES),
+    ("single", "top", "method", "chebyshev", CHANGES),
+    ("sweep", "top", "method", "chebyshev", REFUSED),
+    ("single", "top", "methods", ["exact"], REFUSED),
+    ("sweep", "top", "methods", ["exact", "chebyshev"], CHANGES),
+    ("sweep", "top", "p_values", [0.02, 0.2], CHANGES),
+    ("single", "top", "mode", "slot_dynamic", CHANGES),
+    ("single", "top", "strategy", "drop", REFUSED),
+    ("slot_dynamic", "top", "strategy", "one_step_shift", CHANGES),
+    ("single", "top", "slots", 250, CHANGES),
+    ("single", "top", "seed", 6, CHANGES),
+    # a grid step that every power sits on gives the same answers (only
+    # the pmf size changes), so the case that shows the key is read is off-grid
+    ("single", "top", "quantum", 0.3, REFUSED),
+    ("single", "top", "deterministic_load", 1.0, CHANGES),
+    ("single", "top", "outputs", {"series_csv": "other.csv"}, CHANGES),
+    ("single", "policy", "c_max", 5.0, CHANGES),
+    ("single", "policy", "p", 0.2, CHANGES),
+    ("single", "policy", "c_sys", 5.0, REFUSED),
+    ("single", "policy", "c_min", 1.0, REFUSED),
+    ("single", "policy", "r", 0.2, REFUSED),
+    ("single", "heater", "name", "pump", REFUSED),
+    ("single", "heater", "on_power", 2.0, CHANGES),
+    ("single", "heater", "count", 6, CHANGES),
+    ("single", "heater", "shiftable", False, REFUSED),
+    ("slot_dynamic", "heater", "shiftable", False, CHANGES),
+    ("single", "heater", "deterministic", True, REFUSED),
+    ("single", "heater", "model", {"family": "bernoulli", "on_power": 1.0, "p_on": 0.6},
+     CHANGES),
+    ("single", "fridge", "model_file", "fridge2.json", CHANGES),
+    ("single", "pump", "trace", "pump2.csv", CHANGES),
+    ("single", "pump", "family", "markov", CHANGES),
+    ("single", "heater", "family", "markov", REFUSED),
+    ("single", "pump", "on_threshold", 3.0, CHANGES),
+    ("single", "heater", "on_threshold", 3.0, REFUSED),
+]  # fmt: skip
+
+
+def run_keys_experiment(tmp_path, doc) -> tuple[int, dict[str, bytes]]:
+    """Exit status and output files of one experiment run in a fresh directory."""
+    run_dir = tmp_path / f"run{len(list(tmp_path.glob('run*')))}"
+    run_dir.mkdir()
+    for name, watts in (("pump.csv", [0, 2, 4, 4, 2, 0, 0, 0, 2, 4, 4, 2]),
+                        ("pump2.csv", [0, 0, 2, 4, 2, 0, 0, 0, 0, 2, 4, 4])):
+        write_trace(str(run_dir / name),
+                    TraceSeries(watts=np.array(watts, dtype=float), sample_period_s=1.0))
+    for name, p_on in (("fridge.json", 0.3), ("fridge2.json", 0.6)):
+        write_model(str(run_dir / name), Bernoulli(p_on=p_on), on_power=2.0)
+    (run_dir / "experiment.json").write_text(
+        json.dumps({k: v for k, v in doc.items() if v is not None})
+    )
+    out = run_dir / "out"
+    code = main(["simulate", str(run_dir / "experiment.json"), "--out-dir", str(out)])
+    files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+    return code, files
+
+
+@pytest.mark.parametrize(
+    "base, where, key, value, effect",
+    KEY_CASES,
+    ids=[f"{base}-{where}-{key}" for base, where, key, *_ in KEY_CASES],
+)
+def test_every_experiment_key_changes_the_run_or_exits_2(
+    base, where, key, value, effect, tmp_path, capsys
+) -> None:
+    doc = json.loads(json.dumps({**KEY_BASES["single"], **KEY_BASES[base]}))
+    code, before = run_keys_experiment(tmp_path, doc)
+    assert code == 0
+    if where == "top":
+        doc[key] = value
+    elif where == "policy":
+        doc["policy"][key] = value
+    else:
+        next(c for c in doc["classes"] if c["name"] == where)[key] = value
+    code, after = run_keys_experiment(tmp_path, doc)
+    capsys.readouterr()
+    if effect == REFUSED:
+        assert (code, after) == (2, {})
+    else:
+        assert code == 0 and after != before
+
+
+def test_every_experiment_key_has_a_case() -> None:
+    covered = {
+        (where if where in ("top", "policy") else "class", key)
+        for _, where, key, *_ in KEY_CASES
+    }
+    assert {("top", key) for key in _TOP_KEYS} <= covered
+    assert {("policy", key) for key in _POLICY_KEYS} <= covered
+    assert {("class", key) for key in _CLASS_KEYS} <= covered
 
 
 # ---------------------------------------------------------------------------

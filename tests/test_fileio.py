@@ -294,7 +294,12 @@ def test_write_series_layout(tmp_path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# a single run becomes a sweep: 'methods' replaces 'method'
+SWEEP = {"method": None, "methods": ["exact"], "p_values": [0.001, 0.01]}
+
+
 def experiment_doc(**overrides):
+    """A composition run; overrides set top-level keys, and None leaves a key out."""
     doc = {
         "name": "demo",
         "classes": [
@@ -311,7 +316,7 @@ def experiment_doc(**overrides):
         "seed": 2,
     }
     doc.update(overrides)
-    return doc
+    return {k: v for k, v in doc.items() if v is not None}
 
 
 def write_experiment(tmp_path, doc) -> str:
@@ -327,7 +332,7 @@ def test_parse_experiment_happy_path(tmp_path) -> None:
     assert spec.config.slots == 10
     assert spec.config.seed == 2
     assert spec.config.method is EstimationMethod.EXACT
-    assert spec.config.strategy is SchedulingStrategy.DROP
+    assert spec.config.strategy is None  # a slot-dynamic run reads it as drop
     assert spec.config.mode is SimMode.COMPOSITION
     assert spec.config.classes[0].name == "c0"
     assert spec.config.classes[0].model == Bernoulli(p_on=0.5)
@@ -335,17 +340,17 @@ def test_parse_experiment_happy_path(tmp_path) -> None:
 
 
 def test_parse_experiment_sweep_axes(tmp_path) -> None:
-    doc = experiment_doc(p_values=[0.001, 0.01], methods=["exact", "markov"])
-    del doc["method"]
+    doc = experiment_doc(**SWEEP)
+    doc["methods"] = ["markov", "exact"]
     spec = parse_experiment(write_experiment(tmp_path, doc))
     assert spec.is_sweep
     assert spec.p_values == (0.001, 0.01)
-    assert spec.methods == (EstimationMethod.EXACT, EstimationMethod.MARKOV)
-    assert spec.config.method is EstimationMethod.EXACT  # first of the axis
+    assert spec.methods == (EstimationMethod.MARKOV, EstimationMethod.EXACT)
+    assert spec.output_files == {"result_json": "demo.json", "sweep_csv": "demo.sweep.csv"}
 
 
 def test_parse_experiment_sweep_rejects_slot_dynamic_mode(tmp_path) -> None:
-    doc = experiment_doc(p_values=[0.001, 0.01], mode="slot_dynamic")
+    doc = experiment_doc(**SWEEP, mode="slot_dynamic")
     with pytest.raises(ValueError, match="p_values.*mode 'slot_dynamic'"):
         parse_experiment(write_experiment(tmp_path, doc))
     doc["mode"] = "composition"
@@ -354,7 +359,7 @@ def test_parse_experiment_sweep_rejects_slot_dynamic_mode(tmp_path) -> None:
 
 @pytest.mark.parametrize(
     "overrides",
-    [{}, {"mode": "composition"}, {"p_values": [0.001, 0.01]}],
+    [{}, {"mode": "composition"}, SWEEP],
     ids=["default-mode", "composition", "sweep"],
 )
 def test_parse_experiment_strategy_is_slot_dynamic_only(tmp_path, overrides) -> None:
@@ -377,8 +382,8 @@ def test_parse_experiment_rejects_unknown_keys(tmp_path) -> None:
     doc["classes"][0]["power"] = 2.0
     with pytest.raises(ValueError, match="unknown keys"):
         parse_experiment(write_experiment(tmp_path, doc))
-    doc = experiment_doc(outputs={"mystery_csv": "x.csv"})
-    with pytest.raises(ValueError, match="unknown keys"):
+    doc = experiment_doc(outputs={"mystery_csv": "x.csv"})  # no run writes it
+    with pytest.raises(ValueError, match="outputs names mystery_csv"):
         parse_experiment(write_experiment(tmp_path, doc))
 
 
@@ -402,6 +407,7 @@ def test_parse_experiment_deterministic_class(tmp_path) -> None:
         "deterministic": True,
         "shiftable": False,
     }
+    doc["mode"] = "slot_dynamic"  # the one mode that reads 'shiftable'
     spec = parse_experiment(write_experiment(tmp_path, doc))
     cls = spec.config.classes[0]
     assert cls.model == Bernoulli(p_on=1.0)
@@ -477,15 +483,21 @@ def test_parse_experiment_missing_referenced_file_is_oserror(tmp_path) -> None:
 
 
 def test_parse_experiment_requires_method_or_methods(tmp_path) -> None:
-    doc = experiment_doc()
-    del doc["method"]
-    with pytest.raises(ValueError, match="method"):
+    # 'method' for a single run, 'methods' for a sweep, and never the other
+    with pytest.raises(ValueError, match="missing 'method'"):
+        parse_experiment(write_experiment(tmp_path, experiment_doc(method=None)))
+    doc = experiment_doc(**SWEEP)
+    del doc["methods"]
+    with pytest.raises(ValueError, match="needs 'methods'"):
         parse_experiment(write_experiment(tmp_path, doc))
 
 
 def test_parse_experiment_full_policy(tmp_path) -> None:
-    doc = experiment_doc(
-        policy={"c_max": 3.0, "p": 0.1, "c_min": 0.5, "r": 0.2, "c_sys": 10.0}
-    )
+    doc = experiment_doc(policy={"c_max": 3.0, "p": 0.1, "c_sys": 10.0})
     policy = parse_experiment(write_experiment(tmp_path, doc)).config.policy
-    assert (policy.c_min, policy.r, policy.c_sys) == (0.5, 0.2, 10.0)
+    assert (policy.c_max, policy.p, policy.c_sys) == (3.0, 0.1, 10.0)
+    # the underconsumption settings are library-only: no run reads them
+    for key, value in (("c_min", 0.5), ("r", 0.2)):
+        doc["policy"] = {"c_max": 3.0, "p": 0.1, key: value}
+        with pytest.raises(ValueError, match=f"unknown keys \\['{key}'\\]"):
+            parse_experiment(write_experiment(tmp_path, doc))

@@ -79,9 +79,14 @@ def test_sim_config_validation() -> None:
 
 
 def test_sim_config_rejects_a_strategy_outside_slot_dynamic_mode() -> None:
-    # composition mode never schedules, so a shifting strategy would be ignored
-    with pytest.raises(ValueError, match="one_step_shift.*slot_dynamic"):
-        config_of(strategy=SchedulingStrategy.ONE_STEP_SHIFT)
+    # composition mode never schedules, so a strategy or a non-shiftable
+    # class would be ignored
+    for strategy in SchedulingStrategy:
+        with pytest.raises(ValueError, match=f"{strategy.value}.*slot_dynamic"):
+            config_of(strategy=strategy)
+    with pytest.raises(ValueError, match=r"non-shiftable classes \['fixed'\].*slot_dynamic"):
+        config_of(classes=(bern("c0", 1.0, 0.5, 2), bern("fixed", 1.0, 0.5, 2, False)))
+    assert config_of().strategy is None
     shifting = config_of(
         strategy=SchedulingStrategy.ONE_STEP_SHIFT, mode=SimMode.SLOT_DYNAMIC
     )
@@ -529,6 +534,8 @@ def test_sweep_validation(monkeypatch) -> None:
         sweep_qos(cfg, [0.0, 0.1])
     with pytest.raises(ValueError):
         sweep_qos(cfg, [0.1, 1.0])
+    with pytest.raises(ValueError, match="methods must be non-empty"):
+        sweep_qos(cfg, [0.01, 0.1], methods=[])
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs"):
             sweep_qos(cfg, [0.01, 0.1], jobs=jobs)
