@@ -184,6 +184,30 @@ def _search_is_monotone(
     return threshold > aggregate_stats(base).mean
 
 
+def _largest_admitted(admits: Callable[[int], bool], count: int) -> int:
+    """Largest n in [0, count] that ``admits``, or -1 when 0 does not.
+
+    ``admits`` must never turn true again once false: an
+    exponential-then-binary search finds the edge.
+    """
+    if not admits(0):
+        return -1
+    if count == 0 or admits(count):
+        return count
+    # invariant: lo fits, hi does not
+    lo, hi = 0, 1
+    while admits(hi):
+        lo = hi
+        hi = min(2 * hi, count)  # count does not fit, so hi stays a strict bound
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if admits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def max_admissible(
     appliance_class: ApplianceClass,
     policy: QosPolicy,
@@ -205,22 +229,36 @@ def max_admissible(
     admits = _count_estimator((appliance_class,), policy, method, quantum, base)
     if not _search_is_monotone(appliance_class, policy, method, base):
         return max((n for n in range(count + 1) if admits((n,))), default=0)
-    if not admits((0,)):
-        return 0
-    if count == 0 or admits((count,)):
-        return count
-    # invariant: lo fits, hi does not
-    lo, hi = 0, 1
-    while admits((hi,)):
-        lo = hi
-        hi = min(2 * hi, count)  # count does not fit, so hi stays a strict bound
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if admits((mid,)):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return max(_largest_admitted(lambda n: admits((n,)), count), 0)
+
+
+def _admission_frontier(
+    classes: tuple[ApplianceClass, ...],
+    policy: QosPolicy,
+    method: EstimationMethod,
+    quantum: float,
+    base: ClassComposition,
+) -> list[int]:
+    """Largest admitted count of ``classes[0]`` beside each count of ``classes[1]``.
+
+    Entry n2 is the largest n1 <= ``classes[0].count`` with (n1, n2)
+    admitted over ``base``, or -1 when none is; one class gives the single
+    entry for n2 = 0.  Valid only where the admitted count vectors form a
+    down-set (every method but clt, see ``_search_is_monotone``): the
+    frontier then never rises, so one staircase walk spends at most
+    count1 + count2 + O(log count1) estimates.
+    """
+    admits = _count_estimator(classes, policy, method, quantum, base)
+    first = classes[0].count
+    if len(classes) == 1:
+        return [_largest_admitted(lambda n: admits((n,)), first)]
+    n1 = _largest_admitted(lambda n: admits((n, 0)), first)
+    front = [n1]
+    for n2 in range(1, classes[1].count + 1):
+        while n1 >= 0 and not admits((n1, n2)):
+            n1 -= 1
+        front.append(n1)
+    return front
 
 
 def decision_region(

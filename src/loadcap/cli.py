@@ -112,15 +112,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "pass another --out-dir or rename it under outputs"
             )
         claimed[real] = f"output {key}"
-    os.makedirs(args.out_dir, exist_ok=True)
+    # the out dir appears only once there is something to write into it
     if spec.is_sweep:
         cells = sweep_qos(config, spec.p_values, spec.methods, jobs=args.jobs)
+        os.makedirs(args.out_dir, exist_ok=True)
         write_sweep(paths["sweep_csv"], cells)
         write_sweep_result(paths["result_json"], spec.name, cells)
         for row in (_SWEEP_HEADER, *_sweep_rows(cells)):
             print(*row, sep=",")
         return 0
     result = run(config)
+    os.makedirs(args.out_dir, exist_ok=True)
     write_result(paths["result_json"], spec.name, result)
     write_series(paths["series_csv"], result)
     if result.outcomes is not None:

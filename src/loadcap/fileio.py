@@ -134,6 +134,12 @@ def _json_int(value: Any, key: str, where: str) -> int:
     return value
 
 
+def _json_number(value: Any, key: str, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key!r} in {where} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _json_bool(value: Any, key: str, where: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{key!r} in {where} must be true or false, got {value!r}")
@@ -165,28 +171,34 @@ def _model_from_doc(doc: Mapping[str, Any], where: str) -> tuple[LoadModel, floa
         raise ValueError(f"unknown model family {family!r} in {where}")
     if "on_power" not in doc:
         raise ValueError(f"missing on_power in {where}")
-    on_power = float(doc["on_power"])
+    on_power = _json_number(doc["on_power"], "on_power", where)
+
+    def number(key: str) -> float:  # a missing key reads as null
+        return _json_number(doc.get(key), key, where)
+
     if family == "bernoulli":
         _require_keys(doc, {"family", "on_power", "p_on"}, where)
-        return Bernoulli(p_on=float(doc["p_on"])), on_power
+        return Bernoulli(p_on=number("p_on")), on_power
     if family == "markov":
         _require_keys(doc, {"family", "on_power", "p_off_to_on", "p_on_to_off"}, where)
         return (
-            TwoStateMarkov(
-                p_off_to_on=float(doc["p_off_to_on"]),
-                p_on_to_off=float(doc["p_on_to_off"]),
-            ),
+            TwoStateMarkov(p_off_to_on=number("p_off_to_on"), p_on_to_off=number("p_on_to_off")),
             on_power,
         )
     _require_keys(doc, {"family", "on_power", "on_durations", "off_durations"}, where)
 
-    def pmf(raw: Mapping[str, Any]) -> DurationPmf:
-        return DurationPmf.from_mapping({int(k): float(v) for k, v in raw.items()})
+    def pmf(key: str) -> DurationPmf:
+        raw = doc.get(key)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{key!r} in {where} must be an object, got {raw!r}")
+        return DurationPmf.from_mapping(
+            {int(k): _json_number(v, f"{key}.{k}", where) for k, v in raw.items()}
+        )
 
     return (
         AlternatingRenewal(
-            on_durations=pmf(doc["on_durations"]),
-            off_durations=pmf(doc["off_durations"]),
+            on_durations=pmf("on_durations"),
+            off_durations=pmf("off_durations"),
         ),
         on_power,
     )
@@ -392,18 +404,30 @@ def _parse_class(doc: Mapping[str, Any], index: int, base_dir: str) -> Appliance
         if family not in MODEL_FAMILIES:
             raise ValueError(f"{where}.family must be one of {MODEL_FAMILIES}")
         trace = read_trace(os.path.join(base_dir, doc["trace"]))
-        fitted = fit_model(trace, family, float(doc.get("on_threshold", 0.0)))
+        threshold = _json_number(doc.get("on_threshold", 0.0), "on_threshold", where)
+        fitted = fit_model(trace, family, threshold)
         model, source_power = fitted.model, fitted.on_power
     on_power = source_power if doc.get("on_power") is None else doc["on_power"]
     if on_power is None:
         raise ValueError(f"missing on_power in {where}")
     return ApplianceClass(
         name=str(doc["name"]),
-        on_power=float(on_power),
+        on_power=_json_number(on_power, "on_power", where),
         model=model,
         count=count,
         shiftable=shiftable,
     )
+
+
+def _output_name(value: Any) -> str:
+    """The experiment ``name``, which prefixes every default output file name."""
+    separators = {"/", os.sep, os.altsep} - {None}
+    if not (isinstance(value, str) and value) or ".." in value or separators & set(value):
+        raise ValueError(
+            f"'name' in experiment must be a non-empty string with no path separator "
+            f"or '..', got {value!r}"
+        )
+    return value
 
 
 def parse_experiment(path: str) -> ExperimentSpec:
@@ -435,10 +459,11 @@ def parse_experiment(path: str) -> ExperimentSpec:
     for key in ("c_max", "p"):
         if key not in raw_policy:
             raise ValueError(f"missing {key!r} in policy")
+    c_sys = raw_policy.get("c_sys")
     policy = QosPolicy(
-        c_max=float(raw_policy["c_max"]),
-        p=float(raw_policy["p"]),
-        c_sys=None if raw_policy.get("c_sys") is None else float(raw_policy["c_sys"]),
+        c_max=_json_number(raw_policy["c_max"], "c_max", "policy"),
+        p=_json_number(raw_policy["p"], "p", "policy"),
+        c_sys=None if c_sys is None else _json_number(c_sys, "c_sys", "policy"),
     )
 
     # a single run reads 'method'; a sweep runs every entry of 'methods'
@@ -465,15 +490,20 @@ def parse_experiment(path: str) -> ExperimentSpec:
         slots=_json_int(doc.get("slots", 50_000), "slots", "experiment"),
         seed=_json_int(doc.get("seed", 0), "seed", "experiment"),
         mode=SimMode(doc.get("mode", "composition")),
-        quantum=float(doc.get("quantum", 1.0)),
-        deterministic_load=float(doc.get("deterministic_load", 0.0)),
+        quantum=_json_number(doc.get("quantum", 1.0), "quantum", "experiment"),
+        deterministic_load=_json_number(
+            doc.get("deterministic_load", 0.0), "deterministic_load", "experiment"
+        ),
     )
     p_values = methods = None
     if sweep:
         methods = [EstimationMethod(m) for m in doc["methods"]]
-        p_values, methods = _sweep_axes(config, doc["p_values"], methods)
+        p_numbers = [
+            _json_number(v, f"p_values[{i}]", "experiment") for i, v in enumerate(doc["p_values"])
+        ]
+        p_values, methods = _sweep_axes(config, p_numbers, methods)
     spec = ExperimentSpec(
-        name=str(doc["name"]),
+        name=_output_name(doc["name"]),
         config=config,
         p_values=p_values,
         methods=methods,

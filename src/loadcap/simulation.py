@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .admission import QosPolicy, _count_estimator, max_admissible
+from .admission import QosPolicy, _admission_frontier, _count_estimator, max_admissible
 from .models import ApplianceClass, derive_seed, sample_series
 from .scheduling import SchedulingStrategy, load_factor
 from .tailprob import _GRID_RTOL, ClassComposition, EstimationMethod, _grid_steps
@@ -258,14 +258,26 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     random order, as long as the tail estimate over the admitted
     composition stays within the policy.  Blocked demand is dropped or
     queued per the strategy.  An appliance serves at most one demand unit
-    per slot; further units it holds cascade to later slots.
+    per slot; further units it holds cascade to later slots.  A slot's
+    served load is its whole grid steps times ``quantum``.
+
+    Except under clt, one more appliance never lowers the estimate, so the
+    admitted count vectors form a down-set.  With one or two shiftable
+    classes each check then reads a frontier walked once up front, and a
+    slot with no backlog whose whole demand is admitted skips the
+    per-entry loop: the greedy pass would admit every prefix of it.
     """
     slots = config.slots
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
+    # grid steps of one slot of each class's demand; an empty class draws none
+    class_steps = [
+        _grid_steps(cls.on_power, config.quantum) if cls.count else 0 for cls in shiftable
+    ]
     # per shiftable appliance, indexed by its appliance id
     column_of: list[int] = []  # position of the appliance's class in shiftable
     steps_of: list[int] = []  # grid steps of one slot of the appliance's demand
-    # row t holds which appliances want a slot of demand in slot t
+    # row t holds which appliances want a slot of demand in slot t; each
+    # class owns a contiguous block of columns
     demand = np.empty((slots, sum(cls.count for cls in shiftable)), dtype=bool)
     demanded_steps = 0
     base_served = np.full(slots, config.deterministic_load)
@@ -277,7 +289,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
             wants = series > 0.0
             demand[:, len(steps_of)] = wants
             column_of.append(shiftable.index(cls))
-            steps_of.append(_grid_steps(cls.on_power, config.quantum))
+            steps_of.append(class_steps[column_of[-1]])
             demanded_steps += steps_of[-1] * int(np.count_nonzero(wants))
         else:
             base_served += series
@@ -285,10 +297,21 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         tuple((c, c.count) for c in config.classes if not c.shiftable),
         config.deterministic_load,
     )
-    # admitted count vectors recur heavily across slots; estimate each once
-    admits = functools.cache(
-        _count_estimator(shiftable, config.policy, config.method, config.quantum, base)
-    )
+    policy, method, quantum = config.policy, config.method, config.quantum
+    front: list[int] | None = None
+    if method is not EstimationMethod.CLT and 1 <= len(shiftable) <= 2:
+        front = _admission_frontier(shiftable, policy, method, quantum, base)
+        # per-slot demand count of each class, summed one column block at a time
+        edges = np.cumsum([0] + [cls.count for cls in shiftable])
+        counts = [demand[:, lo:hi].sum(axis=1) for lo, hi in zip(edges, edges[1:])]
+        slot_steps = sum(n * steps for n, steps in zip(counts, class_steps))
+        second = counts[1] if len(counts) == 2 else 0
+        whole = counts[0] <= np.asarray(front)[second]
+        width = 2  # one class leaves the second count at 0
+    else:
+        # admitted count vectors recur heavily across slots; estimate each once
+        admits = functools.cache(_count_estimator(shiftable, policy, method, quantum, base))
+        width = len(shiftable)
     scheduler_rng = np.random.default_rng(derive_seed(config.seed, 1))
 
     shift = config.strategy is SchedulingStrategy.ONE_STEP_SHIFT
@@ -302,25 +325,34 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     dropped_steps = 0
 
     for t in range(slots):
-        new_ids = np.flatnonzero(demand[t])
+        new_ids = demand[t].nonzero()[0]
+        # drawn even for a whole slot, so later slots see the same stream
         order = scheduler_rng.permutation(len(new_ids))
+        if front is not None and not backlog and whole[t]:
+            served_now = int(slot_steps[t])
+            served_steps += served_now
+            managed[t] = base_served[t] + served_now * quantum
+            continue  # nothing dropped, queued or turned away
         # backlog in FIFO order, then the slot's new demand in seeded order
         queue = backlog + new_ids[order].tolist()
         backlog = []
-        admitted = [0] * len(shiftable)
+        admitted = [0] * width
         served_ids: set[int] = set()
         disabled_ids: set[int] = set()
-        served_w = 0.0
+        served_now = 0
         dropped_now = 0
         for appliance_id in queue:
             steps = steps_of[appliance_id]
             if appliance_id not in served_ids:  # tested first: no estimate is spent
                 column = column_of[appliance_id]
                 admitted[column] += 1
-                if admits(tuple(admitted)):
+                if front is None:
+                    fits = admits(tuple(admitted))
+                else:
+                    fits = admitted[0] <= front[admitted[1]]
+                if fits:
                     served_ids.add(appliance_id)
-                    served_steps += steps
-                    served_w += steps * config.quantum
+                    served_now += steps
                     continue
                 admitted[column] -= 1
             disabled_ids.add(appliance_id)
@@ -329,9 +361,10 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
             else:
                 dropped_now += steps
 
+        served_steps += served_now
         dropped_steps += dropped_now
-        managed[t] = base_served[t] + served_w
-        outcomes[t] = (dropped_now * config.quantum, len(backlog), len(disabled_ids))
+        managed[t] = base_served[t] + served_now * quantum
+        outcomes[t] = (dropped_now * quantum, len(backlog), len(disabled_ids))
 
     ledger = EnergyLedger(
         demanded_steps=demanded_steps,

@@ -332,6 +332,85 @@ def test_simulate_refuses_outputs_the_run_does_not_write(
     assert not out.exists()  # refused before sampling
 
 
+def _bernoulli_class(**model) -> list[dict]:
+    return [{"name": "c0", "count": 10,
+             "model": {"family": "bernoulli", "on_power": 1.0, "p_on": 0.4, **model}}]
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"policy": {"c_max": None, "p": 0.1}}, "'c_max' in policy must be a JSON number, got None"),
+        ({"policy": {"c_max": 5.0, "p": "0.1"}}, "'p' in policy must be a JSON number, got '0.1'"),
+        ({"policy": {"c_max": 5.0, "p": 0.1, "c_sys": [9]}}, "'c_sys' in policy must be"),
+        ({"quantum": "0.5"}, "'quantum' in experiment must be a JSON number, got '0.5'"),
+        ({"deterministic_load": True}, "'deterministic_load' in experiment must be"),
+        ({**SWEEP, "p_values": [None]}, "'p_values[0]' in experiment must be a JSON number"),
+        ({"classes": _bernoulli_class(p_on=None)}, "'p_on' in classes[0].model must be"),
+        ({"classes": _bernoulli_class(on_power=None)}, "'on_power' in classes[0].model must"),
+        (
+            {"classes": [{"name": "c0", "count": 2, "model": {
+                "family": "renewal", "on_power": 1.0,
+                "on_durations": {"2": None}, "off_durations": {"3": 1.0}}}]},
+            "'on_durations.2' in classes[0].model must be a JSON number",
+        ),
+        (
+            {"classes": [{"name": "c0", "count": 2, "model": {
+                "family": "markov", "on_power": 1.0, "p_off_to_on": 0.2}}]},
+            "'p_on_to_off' in classes[0].model must be a JSON number, got None",
+        ),
+    ],
+    ids=["c-max-null", "p-string", "c-sys-array", "quantum-string", "det-load-bool",
+         "p-value-null", "p-on-null", "model-on-power-null", "duration-null",
+         "markov-rate-missing"],
+)  # fmt: skip
+def test_simulate_refuses_a_non_number_with_its_key_path(
+    overrides, message, tmp_path, capsys
+) -> None:
+    out = tmp_path / "out"
+    path = experiment_file(tmp_path, **overrides)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def experiment_file_with(tmp_path, key: str, value) -> str:
+    """``experiment_file`` with one top-level key set as given, null included."""
+    path = Path(experiment_file(tmp_path))
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    return str(path)
+
+
+@pytest.mark.parametrize("key", ["quantum", "deterministic_load"])
+def test_simulate_refuses_a_null_number(key, tmp_path, capsys) -> None:
+    out = tmp_path / "out"
+    path = experiment_file_with(tmp_path, key, None)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    assert f"'{key}' in experiment must be a JSON number, got None" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name", ["../escaped", "sub/x", "..", "", ["x"], None],
+    ids=["parent", "separator", "dotdot", "empty", "array", "null"],
+)
+def test_simulate_refuses_a_name_that_is_no_plain_file_name(name, tmp_path, capsys) -> None:
+    out = tmp_path / "out"
+    path = experiment_file_with(tmp_path, "name", name)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    assert "'name' in experiment must be a non-empty string" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["experiment.json"]
+
+
+def test_simulate_refused_during_the_run_leaves_no_out_dir(tmp_path, capsys) -> None:
+    # an off-grid quantum passes the parser and fails at sizing, before any write
+    out = tmp_path / "out"
+    path = experiment_file(tmp_path, quantum=0.3)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    assert "quantization mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_sweep_jobs_below_one_exits_2(tmp_path, capsys) -> None:
     path = experiment_file(tmp_path, **SWEEP, slots=100)
     assert main(["simulate", path, "--jobs", "-3", "--out-dir", str(tmp_path)]) == 2

@@ -383,6 +383,38 @@ def test_slot_dynamic_is_reproducible() -> None:
     assert a.ledger == b.ledger
 
 
+def test_two_class_slot_dynamic_walks_the_frontier_once(monkeypatch) -> None:
+    # the admitted count vectors form a down-set, so one staircase walk over
+    # the two shiftable classes answers every check of the run
+    import loadcap.admission as admission
+
+    calls = 0
+    real_estimate = admission.estimate
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(admission, "estimate", counting)
+    n1, n2 = 60, 20
+    cfg = config_of(
+        classes=(
+            bern("small", 1.0, 0.3, n1),
+            bern("fixed", 2.0, 0.3, 5, shiftable=False),
+            bern("large", 3.0, 0.2, n2),
+        ),
+        policy=QosPolicy(c_max=24.0, p=0.01),
+        mode=SimMode.SLOT_DYNAMIC,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        slots=2000,
+    )
+    result = run_slot_dynamic(cfg)
+    assert result.outcomes is not None
+    assert result.outcomes["backlog_depth"].max() > 0  # the per-entry checks ran too
+    assert 0 < calls <= n1 + n2 + 2 * math.ceil(math.log2(n1 + 1)) + 4
+
+
 def test_slot_dynamic_renewal_demand_round_trips() -> None:
     renewal = AlternatingRenewal(
         on_durations=DurationPmf.from_mapping({2: 0.5, 4: 0.5}),

@@ -1,15 +1,30 @@
-"""Property checks of the slot-dynamic loop over small random configurations."""
+"""Property checks of the slot-dynamic loop over small random configurations.
+
+One property holds the loop to a per-entry reference, byte for byte: the
+loop as it stood before the frontier table and whole-slot admission, with
+one cached estimate lookup per queued demand.
+"""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pytest
 
-from loadcap.admission import QosPolicy
-from loadcap.models import ApplianceClass, Bernoulli, TwoStateMarkov
+from loadcap.admission import QosPolicy, _count_estimator
+from loadcap.models import ApplianceClass, Bernoulli, TwoStateMarkov, derive_seed
 from loadcap.scheduling import SchedulingStrategy
-from loadcap.simulation import SimConfig, SimMode, run_slot_dynamic
-from loadcap.tailprob import EstimationMethod
+from loadcap.simulation import (
+    EnergyLedger,
+    SimConfig,
+    SimMode,
+    SimResult,
+    _population,
+    _result,
+    run_slot_dynamic,
+)
+from loadcap.tailprob import ClassComposition, EstimationMethod, _grid_steps
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -81,3 +96,166 @@ def test_ledger_balances_and_outcome_columns_follow_the_strategy(cfg: SimConfig)
         assert np.all(disabled[queued] >= 1)
         assert np.all(disabled[queued] <= depth[queued])
         assert np.all(disabled[~queued] == 0)
+
+
+def _reference_slot_dynamic(config: SimConfig) -> SimResult:
+    """The per-entry loop: every queued demand asks the cached estimator."""
+    slots = config.slots
+    shiftable = tuple(cls for cls in config.classes if cls.shiftable)
+    column_of: list[int] = []
+    steps_of: list[int] = []
+    demand = np.empty((slots, sum(cls.count for cls in shiftable)), dtype=bool)
+    demanded_steps = 0
+    base_served = np.full(slots, config.deterministic_load)
+    baseline = np.full(slots, config.deterministic_load)
+    for c, _, series in _population(config):
+        cls = config.classes[c]
+        baseline += series
+        if cls.shiftable:
+            wants = series > 0.0
+            demand[:, len(steps_of)] = wants
+            column_of.append(shiftable.index(cls))
+            steps_of.append(_grid_steps(cls.on_power, config.quantum))
+            demanded_steps += steps_of[-1] * int(np.count_nonzero(wants))
+        else:
+            base_served += series
+    base = ClassComposition(
+        tuple((c, c.count) for c in config.classes if not c.shiftable),
+        config.deterministic_load,
+    )
+    admits = functools.cache(
+        _count_estimator(shiftable, config.policy, config.method, config.quantum, base)
+    )
+    scheduler_rng = np.random.default_rng(derive_seed(config.seed, 1))
+    shift = config.strategy is SchedulingStrategy.ONE_STEP_SHIFT
+    backlog: list[int] = []
+    managed = np.zeros(slots)
+    outcomes = np.zeros(
+        slots,
+        dtype=[("dropped_w", "f8"), ("backlog_depth", "i8"), ("disabled_count", "i8")],
+    )
+    served_steps = 0
+    dropped_steps = 0
+    for t in range(slots):
+        new_ids = np.flatnonzero(demand[t])
+        order = scheduler_rng.permutation(len(new_ids))
+        queue = backlog + new_ids[order].tolist()
+        backlog = []
+        admitted = [0] * len(shiftable)
+        served_ids: set[int] = set()
+        disabled_ids: set[int] = set()
+        served_w = 0.0
+        dropped_now = 0
+        for appliance_id in queue:
+            steps = steps_of[appliance_id]
+            if appliance_id not in served_ids:
+                column = column_of[appliance_id]
+                admitted[column] += 1
+                if admits(tuple(admitted)):
+                    served_ids.add(appliance_id)
+                    served_steps += steps
+                    served_w += steps * config.quantum
+                    continue
+                admitted[column] -= 1
+            disabled_ids.add(appliance_id)
+            if shift:
+                backlog.append(appliance_id)
+            else:
+                dropped_now += steps
+        dropped_steps += dropped_now
+        managed[t] = base_served[t] + served_w
+        outcomes[t] = (dropped_now * config.quantum, len(backlog), len(disabled_ids))
+    ledger = EnergyLedger(
+        demanded_steps=demanded_steps,
+        served_steps=served_steps,
+        dropped_steps=dropped_steps,
+        backlog_steps=sum(steps_of[i] for i in backlog),
+    )
+    enabled_counts = tuple(cls.count for cls in config.classes)
+    return _result(config, baseline, managed, enabled_counts, ledger, outcomes)
+
+
+@st.composite
+def reference_configs(draw) -> SimConfig:
+    # dyadic quanta, where summing served watts in any order is exact
+    quantum = draw(st.sampled_from([1.0, 0.5]))
+    powers = [1.0, 2.0, 3.0] + ([1.5] if quantum == 0.5 else [])
+    shiftable_models = st.one_of(models, st.just(Bernoulli(p_on=1.0)))
+    classes = [
+        ApplianceClass(
+            name=f"s{j}",
+            on_power=draw(st.sampled_from(powers)),
+            model=draw(shiftable_models),
+            count=draw(st.integers(min_value=0, max_value=8)),
+        )
+        for j in range(draw(st.integers(min_value=0, max_value=3)))
+    ]
+    classes.insert(
+        draw(st.integers(min_value=0, max_value=len(classes))),
+        ApplianceClass(
+            name="fixed",
+            on_power=draw(st.sampled_from(powers)),
+            model=draw(models),
+            count=draw(st.integers(min_value=1, max_value=4)),
+            shiftable=False,
+        ),
+    )
+    det = draw(st.sampled_from([0.0, 1.0]))
+    # mostly a ceiling above the fixed load's peak, where the frontier is
+    # interior and a queue both builds and drains
+    floor = det + sum(cls.on_power * cls.count for cls in classes if not cls.shiftable)
+    room = sum(cls.on_power * cls.count for cls in classes if cls.shiftable)
+    c_max = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=int(floor + room) + 1),
+            st.integers(min_value=int(floor) + 1, max_value=int(floor + room / 2) + 1),
+        )
+    )
+    return SimConfig(
+        classes=tuple(classes),
+        policy=QosPolicy(c_max=float(c_max), p=draw(st.sampled_from([0.01, 0.05, 0.2]))),
+        method=draw(st.sampled_from(list(EstimationMethod))),
+        strategy=draw(st.sampled_from(list(SchedulingStrategy))),
+        mode=SimMode.SLOT_DYNAMIC,
+        slots=draw(st.integers(min_value=20, max_value=120)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        quantum=quantum,
+        deterministic_load=det,
+    )
+
+
+def _queue_drains() -> SimConfig:
+    """Two shiftable classes whose queue builds and drains, backlogged slots
+    alternating with wholly admitted ones."""
+    return SimConfig(
+        classes=(
+            ApplianceClass(name="a", on_power=1.0, model=Bernoulli(p_on=0.5), count=6),
+            ApplianceClass(name="f", on_power=1.0, model=Bernoulli(p_on=0.5), count=1,
+                           shiftable=False),
+            ApplianceClass(name="b", on_power=2.0, model=TwoStateMarkov(0.3, 0.4), count=3),
+        ),
+        policy=QosPolicy(c_max=6.0, p=0.2),
+        method=EstimationMethod.EXACT,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        mode=SimMode.SLOT_DYNAMIC,
+        slots=60,
+        seed=1,
+        quantum=0.5,
+    )  # fmt: skip
+
+
+@hypothesis.settings(max_examples=120, deadline=None, database=None)
+@hypothesis.given(reference_configs())
+@hypothesis.example(_queue_drains())
+def test_loop_equals_the_per_entry_reference_byte_for_byte(cfg: SimConfig) -> None:
+    got = run_slot_dynamic(cfg)
+    want = _reference_slot_dynamic(cfg)
+    assert got.series_managed.tobytes() == want.series_managed.tobytes()
+    assert got.series_baseline.tobytes() == want.series_baseline.tobytes()
+    assert got.outcomes.tobytes() == want.outcomes.tobytes()
+    assert got.ledger == want.ledger
+    assert (got.p_hat, got.overload_slots, got.enabled_counts) == (
+        want.p_hat,
+        want.overload_slots,
+        want.enabled_counts,
+    )
