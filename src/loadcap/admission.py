@@ -33,7 +33,6 @@ __all__ = [
     "check_underconsumption",
     "max_admissible",
     "decision_region",
-    "region_frontier",
 ]
 
 
@@ -283,17 +282,3 @@ def decision_region(
             region[n1, n2] = admits((n1, n2))
     return region
 
-
-def region_frontier(region: np.ndarray) -> np.ndarray:
-    """Largest accepted first-class count per second-class count.
-
-    Entry j is the largest n1 with region[n1, j] true, or -1 when the whole
-    column is rejected.
-    """
-    counts = np.asarray(region, dtype=bool)
-    frontier = np.full(counts.shape[1], -1, dtype=np.int64)
-    for j in range(counts.shape[1]):
-        hits = np.flatnonzero(counts[:, j])
-        if hits.size:
-            frontier[j] = hits[-1]
-    return frontier

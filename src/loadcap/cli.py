@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -74,6 +75,9 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    for flag, value in (("--c-max", args.c_max), ("--require", args.require)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be a finite number, got {value!r}")
     composition = ClassComposition(
         entries=_parse_composition_spec(args.composition).entries,
         deterministic_load=args.det,

@@ -128,22 +128,57 @@ def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None
         raise ValueError(f"unknown keys {unknown!r} in {where}")
 
 
-def _json_int(value: Any, key: str, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} in {where} must be a JSON integer, got {value!r}")
-    return value
+_REQUIRED = object()
+_FILE_NAME = "file name"  # a string usable as an output file name inside --out-dir
+_SEPARATORS = {"/", os.sep, os.altsep} - {None}
+_KINDS = {  # what a value of each kind must be, as error messages say it
+    int: "a JSON integer",
+    float: "a JSON number",
+    bool: "true or false",
+    str: "a JSON string",
+    dict: "an object",
+    list: "an array",
+    _FILE_NAME: "a non-empty string with no path separator or '..'",
+}
 
 
-def _json_number(value: Any, key: str, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{key!r} in {where} must be a JSON number, got {value!r}")
-    return float(value)
+def _json(
+    doc: Mapping[str, Any], key: str, where: str, kind: Any, default: Any = _REQUIRED
+) -> Any:
+    """``doc[key]`` checked against a kind of ``_KINDS``; nothing is coerced.
+
+    ``where`` names ``doc`` in messages.  A missing key is an error unless
+    a ``default`` is given, and a default of None also reads a null as
+    absent.  A bool is never a number; a number comes back as a float.
+    """
+    value = doc.get(key)
+    if key not in doc or (value is None and default is None):
+        if default is _REQUIRED:
+            raise ValueError(f"missing {key!r} in {where}")
+        return default
+    if kind is _FILE_NAME:
+        ok = isinstance(value, str) and value != "" and ".." not in value
+        ok = ok and not _SEPARATORS & set(value)
+    elif isinstance(value, bool):
+        ok = kind is bool
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise ValueError(f"{key!r} in {where} must be {_KINDS[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{key!r} in {where} is too large for a float") from None
 
 
-def _json_bool(value: Any, key: str, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{key!r} in {where} must be true or false, got {value!r}")
-    return value
+def _read_object(path: str, what: str) -> dict[str, Any]:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object")
+    return doc
 
 
 def write_model(path: str, model: LoadModel, on_power: float) -> None:
@@ -166,15 +201,13 @@ def write_model(path: str, model: LoadModel, on_power: float) -> None:
 
 
 def _model_from_doc(doc: Mapping[str, Any], where: str) -> tuple[LoadModel, float]:
-    family = doc.get("family")
+    family = _json(doc, "family", where, str)
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r} in {where}")
-    if "on_power" not in doc:
-        raise ValueError(f"missing on_power in {where}")
-    on_power = _json_number(doc["on_power"], "on_power", where)
+    on_power = _json(doc, "on_power", where, float)
 
-    def number(key: str) -> float:  # a missing key reads as null
-        return _json_number(doc.get(key), key, where)
+    def number(key: str) -> float:
+        return _json(doc, key, where, float)
 
     if family == "bernoulli":
         _require_keys(doc, {"family", "on_power", "p_on"}, where)
@@ -188,11 +221,9 @@ def _model_from_doc(doc: Mapping[str, Any], where: str) -> tuple[LoadModel, floa
     _require_keys(doc, {"family", "on_power", "on_durations", "off_durations"}, where)
 
     def pmf(key: str) -> DurationPmf:
-        raw = doc.get(key)
-        if not isinstance(raw, dict):
-            raise ValueError(f"{key!r} in {where} must be an object, got {raw!r}")
+        weights = _json(doc, key, where, dict)
         return DurationPmf.from_mapping(
-            {int(k): _json_number(v, f"{key}.{k}", where) for k, v in raw.items()}
+            {int(k): _json(weights, k, f"{where}.{key}", float) for k in weights}
         )
 
     return (
@@ -206,11 +237,8 @@ def _model_from_doc(doc: Mapping[str, Any], where: str) -> tuple[LoadModel, floa
 
 def read_model(path: str) -> tuple[LoadModel, float]:
     """Load a model JSON; returns the model and its ON wattage."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"model file {path!r} must hold a JSON object")
-    return _model_from_doc(doc, f"model file {path!r}")
+    where = f"model file {path!r}"
+    return _model_from_doc(_read_object(path, where), where)
 
 
 def write_pmf(path: str, pmf: PowerPmf) -> None:
@@ -368,19 +396,22 @@ _TOP_KEYS = {
 }
 
 
-def _parse_class(doc: Mapping[str, Any], index: int, base_dir: str) -> ApplianceClass:
-    where = f"classes[{index}]"
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be an object")
+def _parse_class(doc: Mapping[str, Any], where: str, base_dir: str) -> ApplianceClass:
     _require_keys(doc, _CLASS_KEYS, where)
-    for key in ("name", "count"):
-        if key not in doc:
-            raise ValueError(f"missing {key!r} in {where}")
-    count = _json_int(doc["count"], "count", where)
-    shiftable = _json_bool(doc.get("shiftable", True), "shiftable", where)
-    sources = [k for k in ("model", "model_file", "trace") if doc.get(k) is not None]
-    if _json_bool(doc.get("deterministic", False), "deterministic", where):
-        sources.append("deterministic")
+
+    def read(key: str, kind: Any, default: Any = _REQUIRED) -> Any:
+        return _json(doc, key, where, kind, default)
+
+    name = read("name", str)
+    count = read("count", int)
+    shiftable = read("shiftable", bool, True)
+    given = {
+        "model": read("model", dict, None),
+        "model_file": read("model_file", str, None),
+        "trace": read("trace", str, None),
+        "deterministic": read("deterministic", bool, False) or None,
+    }
+    sources = [key for key, value in given.items() if value is not None]
     if len(sources) != 1:
         raise ValueError(
             f"{where} needs exactly one of model, model_file, trace, "
@@ -390,44 +421,28 @@ def _parse_class(doc: Mapping[str, Any], index: int, base_dir: str) -> Appliance
     stray = sorted({"family", "on_threshold"} & set(doc))
     if stray and source != "trace":
         raise ValueError(f"{stray!r} in {where} apply only to a class fitted from a trace")
-    source_power = None
-    if source == "deterministic":
+    if source == "deterministic":  # no wattage of its own: on_power is required
         model: LoadModel = Bernoulli(p_on=1.0)
+        source_power = read("on_power", float)
     elif source == "model":
-        if not isinstance(doc["model"], dict):
-            raise ValueError(f"{where}.model must be an object")
-        model, source_power = _model_from_doc(doc["model"], f"{where}.model")
+        model, source_power = _model_from_doc(given["model"], f"{where}.model")
     elif source == "model_file":
-        model, source_power = read_model(os.path.join(base_dir, doc["model_file"]))
+        model, source_power = read_model(os.path.join(base_dir, given["model_file"]))
     else:
-        family = doc.get("family")
+        family = read("family", str)
         if family not in MODEL_FAMILIES:
             raise ValueError(f"{where}.family must be one of {MODEL_FAMILIES}")
-        trace = read_trace(os.path.join(base_dir, doc["trace"]))
-        threshold = _json_number(doc.get("on_threshold", 0.0), "on_threshold", where)
-        fitted = fit_model(trace, family, threshold)
+        trace = read_trace(os.path.join(base_dir, given["trace"]))
+        fitted = fit_model(trace, family, read("on_threshold", float, 0.0))
         model, source_power = fitted.model, fitted.on_power
-    on_power = source_power if doc.get("on_power") is None else doc["on_power"]
-    if on_power is None:
-        raise ValueError(f"missing on_power in {where}")
+    on_power = read("on_power", float, None)  # absent or null: the source's wattage
     return ApplianceClass(
-        name=str(doc["name"]),
-        on_power=_json_number(on_power, "on_power", where),
+        name=name,
+        on_power=source_power if on_power is None else on_power,
         model=model,
         count=count,
         shiftable=shiftable,
     )
-
-
-def _output_name(value: Any) -> str:
-    """The experiment ``name``, which prefixes every default output file name."""
-    separators = {"/", os.sep, os.altsep} - {None}
-    if not (isinstance(value, str) and value) or ".." in value or separators & set(value):
-        raise ValueError(
-            f"'name' in experiment must be a non-empty string with no path separator "
-            f"or '..', got {value!r}"
-        )
-    return value
 
 
 def parse_experiment(path: str) -> ExperimentSpec:
@@ -437,33 +452,27 @@ def parse_experiment(path: str) -> ExperimentSpec:
     files are read during parsing, so a missing file fails here, not midway
     through a run.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError("experiment file must hold a JSON object")
+    doc = _read_object(path, "experiment file")
     _require_keys(doc, _TOP_KEYS, "experiment")
-    for key in ("name", "classes", "policy"):
-        if key not in doc:
-            raise ValueError(f"missing {key!r} in experiment")
-    base_dir = os.path.dirname(os.path.abspath(path))
 
-    raw_classes = doc["classes"]
-    if not isinstance(raw_classes, list):
-        raise ValueError("classes must be an array")
-    classes = tuple(_parse_class(c, i, base_dir) for i, c in enumerate(raw_classes))
+    def read(key: str, kind: Any, default: Any = _REQUIRED) -> Any:
+        return _json(doc, key, "experiment", kind, default)
 
-    raw_policy = doc["policy"]
-    if not isinstance(raw_policy, dict):
-        raise ValueError("policy must be an object")
-    _require_keys(raw_policy, _POLICY_KEYS, "policy")
-    for key in ("c_max", "p"):
-        if key not in raw_policy:
-            raise ValueError(f"missing {key!r} in policy")
-    c_sys = raw_policy.get("c_sys")
+    def array(key: str, kind: Any) -> list[Any]:  # entry i is read as 'key[i]'
+        entries = {f"{key}[{i}]": value for i, value in enumerate(read(key, list))}
+        return [_json(entries, k, "experiment", kind) for k in entries]
+
+    name = read("name", _FILE_NAME)
+    policy_doc = read("policy", dict)
+    _require_keys(policy_doc, _POLICY_KEYS, "policy")
     policy = QosPolicy(
-        c_max=_json_number(raw_policy["c_max"], "c_max", "policy"),
-        p=_json_number(raw_policy["p"], "p", "policy"),
-        c_sys=None if c_sys is None else _json_number(c_sys, "c_sys", "policy"),
+        c_max=_json(policy_doc, "c_max", "policy", float),
+        p=_json(policy_doc, "p", "policy", float),
+        c_sys=_json(policy_doc, "c_sys", "policy", float, None),
+    )
+    base_dir = os.path.dirname(os.path.abspath(path))
+    classes = tuple(
+        _parse_class(c, f"classes[{i}]", base_dir) for i, c in enumerate(array("classes", dict))
     )
 
     # a single run reads 'method'; a sweep runs every entry of 'methods'
@@ -471,43 +480,28 @@ def parse_experiment(path: str) -> ExperimentSpec:
     unread, readers = ("method", "single runs") if sweep else ("methods", "sweeps (p_values)")
     if unread in doc:
         raise ValueError(f"{unread!r} applies only to {readers}")
+    p_values = methods = None
     if sweep:
-        for key in ("p_values", "methods"):
-            if not isinstance(doc.get(key), list):
-                raise ValueError(f"a sweep needs {key!r} as an array")
-    elif "method" not in doc:
-        raise ValueError("missing 'method' in experiment")
-
-    outputs_doc = doc.get("outputs", {})
-    if not isinstance(outputs_doc, dict):
-        raise ValueError("outputs must be an object")
+        p_values = array("p_values", float)
+        methods = [EstimationMethod(m) for m in array("methods", str)]
+    outputs_doc = read("outputs", dict, {})
+    outputs = {key: _json(outputs_doc, key, "outputs", _FILE_NAME) for key in outputs_doc}
 
     config = SimConfig(
         classes=classes,
         policy=policy,
-        method=EstimationMethod.EXACT if sweep else EstimationMethod(doc["method"]),
-        strategy=SchedulingStrategy(doc["strategy"]) if "strategy" in doc else None,
-        slots=_json_int(doc.get("slots", 50_000), "slots", "experiment"),
-        seed=_json_int(doc.get("seed", 0), "seed", "experiment"),
-        mode=SimMode(doc.get("mode", "composition")),
-        quantum=_json_number(doc.get("quantum", 1.0), "quantum", "experiment"),
-        deterministic_load=_json_number(
-            doc.get("deterministic_load", 0.0), "deterministic_load", "experiment"
-        ),
+        method=EstimationMethod.EXACT if sweep else EstimationMethod(read("method", str)),
+        strategy=SchedulingStrategy(read("strategy", str)) if "strategy" in doc else None,
+        slots=read("slots", int, 50_000),
+        seed=read("seed", int, 0),
+        mode=SimMode(read("mode", str, "composition")),
+        quantum=read("quantum", float, 1.0),
+        deterministic_load=read("deterministic_load", float, 0.0),
     )
-    p_values = methods = None
     if sweep:
-        methods = [EstimationMethod(m) for m in doc["methods"]]
-        p_numbers = [
-            _json_number(v, f"p_values[{i}]", "experiment") for i, v in enumerate(doc["p_values"])
-        ]
-        p_values, methods = _sweep_axes(config, p_numbers, methods)
+        p_values, methods = _sweep_axes(config, p_values, methods)
     spec = ExperimentSpec(
-        name=_output_name(doc["name"]),
-        config=config,
-        p_values=p_values,
-        methods=methods,
-        outputs={k: str(v) for k, v in outputs_doc.items()},
+        name=name, config=config, p_values=p_values, methods=methods, outputs=outputs
     )
     unwritten = sorted(set(spec.outputs) - set(spec.output_files))
     if unwritten:

@@ -7,13 +7,13 @@ import pytest
 
 from loadcap.admission import (
     AdmissionState,
+    _admission_frontier,
     Decision,
     QosPolicy,
     check_underconsumption,
     decide,
     decision_region,
     max_admissible,
-    region_frontier,
 )
 from loadcap.models import ApplianceClass, Bernoulli
 from loadcap.tailprob import ClassComposition, EstimationMethod, aggregate_stats, estimate
@@ -371,25 +371,28 @@ def test_decision_region_downward_closed_for_monotone_methods() -> None:
 
 
 def test_decision_region_frontier_matches_max_admissible() -> None:
+    # the staircase walk and the one-class search, each against full enumeration;
+    # the second c2 rejects every n1 beside all four of its appliances
     c1 = bern("a", 1.0, 0.35, 12)
-    c2 = bern("b", 3.0, 0.15, 5)
     policy = QosPolicy(c_max=8.0, p=0.03)
-    for method in SEARCH_METHODS:
-        region = decision_region(c1, c2, policy, method)
-        frontier = region_frontier(region)
-        for n2 in range(c2.count + 1):
-            base = ClassComposition(entries=((c2, n2),))
-            expected = max_admissible(c1, policy, method, base=base)
-            if frontier[n2] < 0:
-                # even n1 = 0 violates; the search reports 0 regardless
-                assert not region[0, n2]
-            else:
-                assert frontier[n2] == expected
-
-
-def test_region_frontier_all_rejected_column() -> None:
-    region = np.array([[True, False], [False, False]])
-    assert region_frontier(region).tolist() == [0, -1]
+    for c2, last_column_rejected in ((bern("b", 3.0, 0.15, 5), False),
+                                     (bern("b", 3.0, 0.9, 4), True)):  # fmt: skip
+        for method in SEARCH_METHODS:
+            region = decision_region(c1, c2, policy, method)
+            # largest accepted n1 of each column, -1 when the whole column is rejected
+            column_max = [int(max(np.flatnonzero(column), default=-1)) for column in region.T]
+            if last_column_rejected:
+                assert column_max[-1] == -1, method
+            if method is not EstimationMethod.CLT:  # the staircase needs a down-set
+                frontier = _admission_frontier(
+                    (c1, c2), policy, method, 1.0, ClassComposition.empty()
+                )
+                assert frontier == column_max, method
+            for n2, top in enumerate(column_max):
+                base = ClassComposition(entries=((c2, n2),))
+                # when even n1 = 0 violates, the search reports 0 regardless
+                expected = max(top, 0)
+                assert max_admissible(c1, policy, method, base=base) == expected, (method, n2)
 
 
 def test_tight_region_is_contained_in_exact_region() -> None:

@@ -106,6 +106,27 @@ def test_bounds_bad_composition_spec_exits_2(composition, message, capsys) -> No
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--c-max", "nan"], "--c-max must be a finite number, got nan"),
+        (["--c-max", "inf"], "--c-max must be a finite number, got inf"),
+        (["--c-max=-inf"], "--c-max must be a finite number, got -inf"),
+        (["--c-max", "60", "--require", "nan"], "--require must be a finite number, got nan"),
+        (["--c-max", "60", "--require", "inf"], "--require must be a finite number, got inf"),
+        (["--c-max", "60", "--require=-inf"], "--require must be a finite number, got -inf"),
+    ],
+    ids=["c-max-nan", "c-max-inf", "c-max-minus-inf", "require-nan", "require-inf",
+         "require-minus-inf"],
+)  # fmt: skip
+def test_bounds_refuses_a_non_finite_limit(flags, message, capsys) -> None:
+    # no estimate is <= NaN, and a NaN or infinite ceiling has no meaning
+    assert main(["bounds", "100x1@0.5", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""  # refused before any estimate
+
+
 def test_bounds_off_grid_power_with_matching_quantum(capsys) -> None:
     assert main(["bounds", "4x1.5@0.5", "--c-max", "3", "--quantum-w", "0.5"]) == 0
     table = bounds_table(capsys)
@@ -343,6 +364,7 @@ def _bernoulli_class(**model) -> list[dict]:
         ({"policy": {"c_max": None, "p": 0.1}}, "'c_max' in policy must be a JSON number, got None"),
         ({"policy": {"c_max": 5.0, "p": "0.1"}}, "'p' in policy must be a JSON number, got '0.1'"),
         ({"policy": {"c_max": 5.0, "p": 0.1, "c_sys": [9]}}, "'c_sys' in policy must be"),
+        ({"policy": {"c_max": 10**400, "p": 0.1}}, "'c_max' in policy is too large for a float"),
         ({"quantum": "0.5"}, "'quantum' in experiment must be a JSON number, got '0.5'"),
         ({"deterministic_load": True}, "'deterministic_load' in experiment must be"),
         ({**SWEEP, "p_values": [None]}, "'p_values[0]' in experiment must be a JSON number"),
@@ -352,15 +374,16 @@ def _bernoulli_class(**model) -> list[dict]:
             {"classes": [{"name": "c0", "count": 2, "model": {
                 "family": "renewal", "on_power": 1.0,
                 "on_durations": {"2": None}, "off_durations": {"3": 1.0}}}]},
-            "'on_durations.2' in classes[0].model must be a JSON number",
+            "'2' in classes[0].model.on_durations must be a JSON number",
         ),
         (
             {"classes": [{"name": "c0", "count": 2, "model": {
                 "family": "markov", "on_power": 1.0, "p_off_to_on": 0.2}}]},
-            "'p_on_to_off' in classes[0].model must be a JSON number, got None",
+            "missing 'p_on_to_off' in classes[0].model",
         ),
     ],
-    ids=["c-max-null", "p-string", "c-sys-array", "quantum-string", "det-load-bool",
+    ids=["c-max-null", "p-string", "c-sys-array", "c-max-huge-integer", "quantum-string",
+         "det-load-bool",
          "p-value-null", "p-on-null", "model-on-power-null", "duration-null",
          "markov-rate-missing"],
 )  # fmt: skip
@@ -400,6 +423,44 @@ def test_simulate_refuses_a_name_that_is_no_plain_file_name(name, tmp_path, caps
     assert main(["simulate", path, "--out-dir", str(out)]) == 2
     assert "'name' in experiment must be a non-empty string" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["experiment.json"]
+
+
+C0 = {"name": "c0", "on_power": 1.0, "count": 10,
+      "model": {"family": "bernoulli", "on_power": 1.0, "p_on": 0.4}}
+FILE_NAME_RULE = "must be a non-empty string with no path separator or '..', got"
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"outputs": {"series_csv": "../escaped.csv"}},
+         f"'series_csv' in outputs {FILE_NAME_RULE} '../escaped.csv'"),
+        ({"outputs": {"result_json": None}}, f"'result_json' in outputs {FILE_NAME_RULE} None"),
+        ({"outputs": {"result_json": 5}}, f"'result_json' in outputs {FILE_NAME_RULE} 5"),
+        ({"classes": [{**C0, "name": None}]},
+         "'name' in classes[0] must be a JSON string, got None"),
+        ({"classes": [{**C0, "name": 7}]}, "'name' in classes[0] must be a JSON string, got 7"),
+        ({"classes": [{"name": "c0", "count": 2, "model_file": 5}]},
+         "'model_file' in classes[0] must be a JSON string, got 5"),
+        ({"classes": [{"name": "c0", "count": 2, "trace": 5, "family": "bernoulli"}]},
+         "'trace' in classes[0] must be a JSON string, got 5"),
+    ],
+    ids=["outputs-escape", "outputs-null", "outputs-number", "class-name-null",
+         "class-name-number", "model-file-number", "trace-number"],
+)  # fmt: skip
+def test_simulate_refuses_a_name_or_path_of_the_wrong_kind(
+    overrides, message, tmp_path, monkeypatch, capsys
+) -> None:
+    # run from the experiment's directory with no --out-dir: any file the run
+    # wrote, there or one level up, would show in a listing
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    experiment_file(run_dir, **overrides)
+    monkeypatch.chdir(run_dir)
+    assert main(["simulate", "experiment.json"]) == 2
+    assert message in capsys.readouterr().err
+    assert os.listdir(run_dir) == ["experiment.json"]
+    assert os.listdir(tmp_path) == ["run"]
 
 
 def test_simulate_refused_during_the_run_leaves_no_out_dir(tmp_path, capsys) -> None:

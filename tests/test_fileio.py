@@ -141,7 +141,7 @@ def test_model_json_rejects_unknown_family_and_keys(tmp_path) -> None:
     with pytest.raises(ValueError, match="unknown keys"):
         read_model(str(path))
     path.write_text(json.dumps({"family": "bernoulli", "p_on": 0.5}))
-    with pytest.raises(ValueError, match="missing on_power"):
+    with pytest.raises(ValueError, match="missing 'on_power' in model file"):
         read_model(str(path))
 
 
@@ -488,7 +488,7 @@ def test_parse_experiment_requires_method_or_methods(tmp_path) -> None:
         parse_experiment(write_experiment(tmp_path, experiment_doc(method=None)))
     doc = experiment_doc(**SWEEP)
     del doc["methods"]
-    with pytest.raises(ValueError, match="needs 'methods'"):
+    with pytest.raises(ValueError, match="missing 'methods' in experiment"):
         parse_experiment(write_experiment(tmp_path, doc))
 
 
