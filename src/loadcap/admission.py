@@ -19,7 +19,6 @@ from .tailprob import (
     ClassComposition,
     EstimationMethod,
     _fold_certain,
-    aggregate_stats,
     estimate,
     lower_tail,
 )
@@ -165,22 +164,19 @@ def _count_estimator(
     return admits
 
 
-def _search_is_monotone(
-    appliance_class: ApplianceClass,
-    policy: QosPolicy,
-    method: EstimationMethod,
-    base: ClassComposition,
-) -> bool:
-    # One more appliance raises the mean m and the variance v and lowers
-    # d = t - m (an always-on one only lowers the threshold t).  Chebyshev
-    # v/d**2 rises, and is 1 once d <= 0.  Bennett's exponent (v/b**2)*h(u),
-    # u = d*b/v, falls as v rises (its v-derivative is (ln(1+u) - u)/b**2 < 0),
-    # as d falls, and as b rises (h(x)/x**2 decreases).  Only clt can fall:
-    # at or below the base's mean its normal estimate is scanned instead.
-    if method is not EstimationMethod.CLT or appliance_class.p_on == 1.0:
-        return True
-    threshold = policy.c_max - base.deterministic_load
-    return threshold > aggregate_stats(base).mean
+def _admits_down_set(policy: QosPolicy, method: EstimationMethod) -> bool:
+    """Whether every count vector below an admitted one is admitted too.
+
+    Holds over any fixed base.  One more appliance raises the mean m and the
+    variance v and lowers d = t - m (an always-on one only lowers the
+    threshold t).  Every bound and the exact tail then rise: Chebyshev
+    v/d**2 rises, and is 1 once d <= 0; Bennett's exponent (v/b**2)*h(u),
+    u = d*b/v, falls as v rises (its v-derivative is (ln(1+u) - u)/b**2 < 0),
+    as d falls, and as b rises (h(x)/x**2 decreases).  The normal estimate
+    Q((t-m)/sqrt(v)) rises while t > m, and any vector estimated at
+    <= p < 1/2 has t > m, as does every vector below it.
+    """
+    return method is not EstimationMethod.CLT or policy.p < 0.5
 
 
 def _largest_admitted(admits: Callable[[int], bool], count: int) -> int:
@@ -218,15 +214,15 @@ def max_admissible(
 
     ``base`` holds load that is present regardless (other classes, constant
     load); the search varies only this class's count, capped at its
-    population.  An exponential-then-binary search runs unless the estimate
-    can fall as the count rises (clt at or below the base's mean), where a
-    linear scan keeps the largest feasible count.  Returns 0 if nothing fits.
+    population.  An exponential-then-binary search runs where
+    ``_admits_down_set`` holds (every method but clt at p >= 1/2), a linear
+    scan elsewhere.  Returns 0 if nothing fits.
     """
     if base is None:
         base = ClassComposition.empty()
     count = appliance_class.count
     admits = _count_estimator((appliance_class,), policy, method, quantum, base)
-    if not _search_is_monotone(appliance_class, policy, method, base):
+    if not _admits_down_set(policy, method):
         return max((n for n in range(count + 1) if admits((n,))), default=0)
     return max(_largest_admitted(lambda n: admits((n,)), count), 0)
 
@@ -242,10 +238,8 @@ def _admission_frontier(
 
     Entry n2 is the largest n1 <= ``classes[0].count`` with (n1, n2)
     admitted over ``base``, or -1 when none is; one class gives the single
-    entry for n2 = 0.  Valid only where the admitted count vectors form a
-    down-set (every method but clt, see ``_search_is_monotone``): the
-    frontier then never rises, so one staircase walk spends at most
-    count1 + count2 + O(log count1) estimates.
+    entry for n2 = 0.  Valid only where ``_admits_down_set`` holds: the
+    frontier then never rises, so one walk spends O(count1 + count2) estimates.
     """
     admits = _count_estimator(classes, policy, method, quantum, base)
     first = classes[0].count

@@ -12,7 +12,9 @@ import csv
 import json
 import math
 import os
+from array import array
 from dataclasses import asdict, dataclass
+from enum import EnumMeta
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -81,10 +83,9 @@ def read_trace(path: str) -> TraceSeries:
             )
         times: list[float] = []
         watts: list[float] = []
-        blank_rows: list[int] = []
+        row_numbers = array("q")  # record number of each data row, in 8 bytes
         for row_number, row in enumerate(reader, start=2):
             if not row:
-                blank_rows.append(row_number)
                 continue
             try:
                 if len(row) != 2:
@@ -93,6 +94,7 @@ def read_trace(path: str) -> TraceSeries:
                 watts.append(float(row[1]))
             except ValueError:
                 raise ValueError(f"malformed trace row {row_number}: {row!r}") from None
+            row_numbers.append(row_number)
     if not watts:
         raise ValueError("trace has no data rows")
     stamps = np.array(times)
@@ -103,10 +105,7 @@ def read_trace(path: str) -> TraceSeries:
     if bad.size:
         i = int(bad[0])
         gap = float(gaps[i])
-        row_number = i + 3  # the gap's later row, counting the header
-        for blank in blank_rows:
-            if blank <= row_number:
-                row_number += 1
+        row_number = row_numbers[i + 1]  # the gap's later row
         problem = (
             "is not positive (non-increasing timestamps)"
             if not gap > 0.0
@@ -145,18 +144,25 @@ _KINDS = {  # what a value of each kind must be, as error messages say it
 def _json(
     doc: Mapping[str, Any], key: str, where: str, kind: Any, default: Any = _REQUIRED
 ) -> Any:
-    """``doc[key]`` checked against a kind of ``_KINDS``; nothing is coerced.
+    """``doc[key]`` checked against a kind; nothing is coerced.
 
-    ``where`` names ``doc`` in messages.  A missing key is an error unless
-    a ``default`` is given, and a default of None also reads a null as
-    absent.  A bool is never a number; a number comes back as a float.
+    A kind is a key of ``_KINDS``, a tuple of the allowed strings, or an
+    Enum class, whose member named by its value comes back.  ``where`` names
+    ``doc`` in messages.  A missing key is an error unless a ``default`` is
+    given, and a default of None also reads a null as absent.  A bool is
+    never a number; a number comes back as a float.
     """
+    if isinstance(kind, EnumMeta):
+        value = _json(doc, key, where, tuple(member.value for member in kind), default)
+        return None if value is None else kind(value)
     value = doc.get(key)
     if key not in doc or (value is None and default is None):
         if default is _REQUIRED:
             raise ValueError(f"missing {key!r} in {where}")
         return default
-    if kind is _FILE_NAME:
+    if isinstance(kind, tuple):
+        ok = value in kind
+    elif kind is _FILE_NAME:
         ok = isinstance(value, str) and value != "" and ".." not in value
         ok = ok and not _SEPARATORS & set(value)
     elif isinstance(value, bool):
@@ -164,7 +170,8 @@ def _json(
     else:
         ok = isinstance(value, (int, float) if kind is float else kind)
     if not ok:
-        raise ValueError(f"{key!r} in {where} must be {_KINDS[kind]}, got {value!r}")
+        rule = _KINDS.get(kind) or "one of " + ", ".join(map(repr, kind))
+        raise ValueError(f"{key!r} in {where} must be {rule}, got {value!r}")
     if kind is not float:
         return value
     try:
@@ -201,9 +208,7 @@ def write_model(path: str, model: LoadModel, on_power: float) -> None:
 
 
 def _model_from_doc(doc: Mapping[str, Any], where: str) -> tuple[LoadModel, float]:
-    family = _json(doc, "family", where, str)
-    if family not in MODEL_FAMILIES:
-        raise ValueError(f"unknown model family {family!r} in {where}")
+    family = _json(doc, "family", where, MODEL_FAMILIES)
     on_power = _json(doc, "on_power", where, float)
 
     def number(key: str) -> float:
@@ -222,6 +227,12 @@ def _model_from_doc(doc: Mapping[str, Any], where: str) -> tuple[LoadModel, floa
 
     def pmf(key: str) -> DurationPmf:
         weights = _json(doc, key, where, dict)
+        for k in weights:  # as write_model writes them, so no two keys name one duration
+            if not (k.isascii() and k.isdigit() and str(int(k)) == k != "0"):
+                raise ValueError(
+                    f"duration {k!r} in {where}.{key} must be a whole number >= 1"
+                    " with no sign or leading zero"
+                )
         return DurationPmf.from_mapping(
             {int(k): _json(weights, k, f"{where}.{key}", float) for k in weights}
         )
@@ -429,9 +440,7 @@ def _parse_class(doc: Mapping[str, Any], where: str, base_dir: str) -> Appliance
     elif source == "model_file":
         model, source_power = read_model(os.path.join(base_dir, given["model_file"]))
     else:
-        family = read("family", str)
-        if family not in MODEL_FAMILIES:
-            raise ValueError(f"{where}.family must be one of {MODEL_FAMILIES}")
+        family = read("family", MODEL_FAMILIES)
         trace = read_trace(os.path.join(base_dir, given["trace"]))
         fitted = fit_model(trace, family, read("on_threshold", float, 0.0))
         model, source_power = fitted.model, fitted.on_power
@@ -458,7 +467,7 @@ def parse_experiment(path: str) -> ExperimentSpec:
     def read(key: str, kind: Any, default: Any = _REQUIRED) -> Any:
         return _json(doc, key, "experiment", kind, default)
 
-    def array(key: str, kind: Any) -> list[Any]:  # entry i is read as 'key[i]'
+    def read_array(key: str, kind: Any) -> list[Any]:  # entry i is read as 'key[i]'
         entries = {f"{key}[{i}]": value for i, value in enumerate(read(key, list))}
         return [_json(entries, k, "experiment", kind) for k in entries]
 
@@ -472,7 +481,8 @@ def parse_experiment(path: str) -> ExperimentSpec:
     )
     base_dir = os.path.dirname(os.path.abspath(path))
     classes = tuple(
-        _parse_class(c, f"classes[{i}]", base_dir) for i, c in enumerate(array("classes", dict))
+        _parse_class(c, f"classes[{i}]", base_dir)
+        for i, c in enumerate(read_array("classes", dict))
     )
 
     # a single run reads 'method'; a sweep runs every entry of 'methods'
@@ -482,19 +492,19 @@ def parse_experiment(path: str) -> ExperimentSpec:
         raise ValueError(f"{unread!r} applies only to {readers}")
     p_values = methods = None
     if sweep:
-        p_values = array("p_values", float)
-        methods = [EstimationMethod(m) for m in array("methods", str)]
+        p_values = read_array("p_values", float)
+        methods = read_array("methods", EstimationMethod)
     outputs_doc = read("outputs", dict, {})
     outputs = {key: _json(outputs_doc, key, "outputs", _FILE_NAME) for key in outputs_doc}
 
     config = SimConfig(
         classes=classes,
         policy=policy,
-        method=EstimationMethod.EXACT if sweep else EstimationMethod(read("method", str)),
-        strategy=SchedulingStrategy(read("strategy", str)) if "strategy" in doc else None,
+        method=EstimationMethod.EXACT if sweep else read("method", EstimationMethod),
+        strategy=read("strategy", SchedulingStrategy) if "strategy" in doc else None,
         slots=read("slots", int, 50_000),
         seed=read("seed", int, 0),
-        mode=SimMode(read("mode", str, "composition")),
+        mode=read("mode", SimMode, SimMode.COMPOSITION),
         quantum=read("quantum", float, 1.0),
         deterministic_load=read("deterministic_load", float, 0.0),
     )

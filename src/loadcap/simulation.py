@@ -27,7 +27,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .admission import QosPolicy, _admission_frontier, _count_estimator, max_admissible
+from .admission import (
+    QosPolicy,
+    _admission_frontier,
+    _admits_down_set,
+    _count_estimator,
+    max_admissible,
+)
 from .models import ApplianceClass, derive_seed, sample_series
 from .scheduling import SchedulingStrategy, load_factor
 from .tailprob import _GRID_RTOL, ClassComposition, EstimationMethod, _grid_steps
@@ -261,11 +267,10 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     per slot; further units it holds cascade to later slots.  A slot's
     served load is its whole grid steps times ``quantum``.
 
-    Except under clt, one more appliance never lowers the estimate, so the
-    admitted count vectors form a down-set.  With one or two shiftable
-    classes each check then reads a frontier walked once up front, and a
-    slot with no backlog whose whole demand is admitted skips the
-    per-entry loop: the greedy pass would admit every prefix of it.
+    Where ``admission._admits_down_set`` holds and one or two classes are
+    shiftable, checks read a frontier walked once up front, and a slot with
+    no backlog whose whole demand is admitted skips the per-entry loop: the
+    greedy pass would admit every prefix.  Otherwise checks read a cache.
     """
     slots = config.slots
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
@@ -299,7 +304,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     )
     policy, method, quantum = config.policy, config.method, config.quantum
     front: list[int] | None = None
-    if method is not EstimationMethod.CLT and 1 <= len(shiftable) <= 2:
+    if _admits_down_set(policy, method) and 1 <= len(shiftable) <= 2:
         front = _admission_frontier(shiftable, policy, method, quantum, base)
         # per-slot demand count of each class, summed one column block at a time
         edges = np.cumsum([0] + [cls.count for cls in shiftable])

@@ -8,6 +8,7 @@ import pytest
 from loadcap.admission import (
     AdmissionState,
     _admission_frontier,
+    _admits_down_set,
     Decision,
     QosPolicy,
     check_underconsumption,
@@ -269,6 +270,16 @@ def test_max_admissible_binary_search_agrees_with_linear_scan() -> None:
     assert scanned > 0
     assert estimate(EstimationMethod.CLT, base, policy.c_max) > policy.p
     assert max_admissible(cls, policy, EstimationMethod.CLT, base=base) == scanned
+    # just above p = 1/2 too: ten 1 W appliances almost always on hold a mean
+    # of 9.99 W over a 9.89 W limit, and a rare 100 W one adds far more
+    # variance than mean, so the estimate falls from 0.84 to 0.54 as it joins
+    cls = bern("x", 100.0, 0.0001, 3)
+    base = full_comp(bern("y", 1.0, 0.999, 10))
+    policy = QosPolicy(c_max=9.89, p=0.55)
+    assert not _admits_down_set(policy, EstimationMethod.CLT)
+    assert estimate(EstimationMethod.CLT, base, policy.c_max) > policy.p
+    assert linear_scan_max(cls, policy, EstimationMethod.CLT, base) == 3
+    assert max_admissible(cls, policy, EstimationMethod.CLT, base=base) == 3
 
 
 def test_max_admissible_zero_when_even_one_is_too_risky() -> None:
@@ -383,7 +394,7 @@ def test_decision_region_frontier_matches_max_admissible() -> None:
             column_max = [int(max(np.flatnonzero(column), default=-1)) for column in region.T]
             if last_column_rejected:
                 assert column_max[-1] == -1, method
-            if method is not EstimationMethod.CLT:  # the staircase needs a down-set
+            if _admits_down_set(policy, method):  # the staircase needs a down-set
                 frontier = _admission_frontier(
                     (c1, c2), policy, method, 1.0, ClassComposition.empty()
                 )

@@ -397,6 +397,67 @@ def test_simulate_refuses_a_non_number_with_its_key_path(
     assert not out.exists()
 
 
+METHODS_RULE = ("must be one of 'exact', 'markov', 'chebyshev', 'hoeffding', 'bennett', "
+                "'chernoff', 'clt', got")
+FAMILY_RULE = "must be one of 'bernoulli', 'markov', 'renewal', got"
+
+
+def _renewal_class(on_durations: dict) -> list[dict]:
+    return [{"name": "c0", "count": 2, "model": {
+        "family": "renewal", "on_power": 1.0,
+        "on_durations": on_durations, "off_durations": {"3": 1.0}}}]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"method": "fastest"}, f"'method' in experiment {METHODS_RULE} 'fastest'"),
+        ({"method": 3}, f"'method' in experiment {METHODS_RULE} 3"),
+        ({**SWEEP, "methods": ["exact", "fastest"]},
+         f"'methods[1]' in experiment {METHODS_RULE} 'fastest'"),
+        ({"mode": "batch"},
+         "'mode' in experiment must be one of 'composition', 'slot_dynamic', got 'batch'"),
+        ({"mode": "slot_dynamic", "strategy": "later"},
+         "'strategy' in experiment must be one of 'drop', 'one_step_shift', got 'later'"),
+        ({"classes": _bernoulli_class(family="weibull")},
+         f"'family' in classes[0].model {FAMILY_RULE} 'weibull'"),
+        ({"classes": [{"name": "c0", "count": 2, "trace": "t.csv", "family": "weibull"}]},
+         f"'family' in classes[0] {FAMILY_RULE} 'weibull'"),
+        ({"classes": _renewal_class({"abc": 1.0})},
+         "duration 'abc' in classes[0].model.on_durations must be a whole number >= 1"),
+        ({"classes": _renewal_class({"1.5": 1.0})},
+         "duration '1.5' in classes[0].model.on_durations must be a whole number >= 1"),
+        ({"classes": _renewal_class({"0": 1.0})},
+         "duration '0' in classes[0].model.on_durations must be a whole number >= 1"),
+        ({"classes": _renewal_class({"-2": 1.0})},
+         "duration '-2' in classes[0].model.on_durations must be a whole number >= 1"),
+        ({"classes": _renewal_class({"2": 0.5, "02": 0.5})},
+         "duration '02' in classes[0].model.on_durations must be a whole number >= 1"),
+    ],
+    ids=["method-unknown", "method-number", "methods-entry", "mode", "strategy",
+         "model-family", "trace-family", "duration-word", "duration-fraction",
+         "duration-zero", "duration-negative", "duration-leading-zero"],
+)  # fmt: skip
+def test_simulate_refuses_a_value_outside_its_choices_with_its_key_path(
+    overrides, message, tmp_path, capsys
+) -> None:
+    out = tmp_path / "out"
+    path = experiment_file(tmp_path, **overrides)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_null_strategy(tmp_path, capsys) -> None:
+    out = tmp_path / "out"
+    path = experiment_file_with(tmp_path, "strategy", None)
+    assert main(["simulate", path, "--out-dir", str(out)]) == 2
+    assert "'strategy' in experiment must be one of 'drop', 'one_step_shift', got None" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
 def experiment_file_with(tmp_path, key: str, value) -> str:
     """``experiment_file`` with one top-level key set as given, null included."""
     path = Path(experiment_file(tmp_path))

@@ -133,7 +133,11 @@ def test_model_json_round_trip(tmp_path, model) -> None:
 def test_model_json_rejects_unknown_family_and_keys(tmp_path) -> None:
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"family": "weibull", "on_power": 10.0}))
-    with pytest.raises(ValueError, match="unknown model family"):
+    with pytest.raises(
+        ValueError,
+        match="'family' in model file .* must be one of 'bernoulli', 'markov', 'renewal', "
+        "got 'weibull'",
+    ):
         read_model(str(path))
     path.write_text(
         json.dumps({"family": "bernoulli", "on_power": 10.0, "p_on": 0.5, "typo": 1})
