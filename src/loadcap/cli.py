@@ -66,7 +66,15 @@ def _parse_composition_spec(specs: Sequence[str]) -> ClassComposition:
 def _parse_methods(raw: str) -> tuple[EstimationMethod, ...]:
     if raw.strip().lower() == "all":
         return tuple(EstimationMethod)
-    return tuple(EstimationMethod(name.strip().lower()) for name in raw.split(","))
+    names = [name.strip().lower() for name in raw.split(",")]
+    allowed = tuple(method.value for method in EstimationMethod)
+    for name in names:
+        if name not in allowed:
+            raise ValueError(
+                f"--methods takes 'all' or a comma-separated list of "
+                f"{', '.join(map(repr, allowed))}; got {name!r} in {raw!r}"
+            )
+    return tuple(map(EstimationMethod, names))
 
 
 def _out_path(args: argparse.Namespace, filename: str) -> str:

@@ -62,6 +62,10 @@ class PowerPmf:
     Support point ``i`` carries the value ``(offset + i) * quantum`` watts.
     The probability vector is dense over consecutive grid points, sums to 1
     within 1e-9, and is trimmed so its first and last entries are positive.
+
+    The mass check's verdict is that of the correctly rounded ``math.fsum``.
+    It is read from the cheaper ``ndarray.sum``; ``fsum`` runs only when that
+    sum fails the check or lies within its rounding error bound of the edge.
     """
 
     quantum: float
@@ -77,11 +81,20 @@ class PowerPmf:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probabilities must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
+        if not np.isfinite(probs).all() or (probs < 0.0).any():
             raise ValueError("probabilities must be finite and non-negative")
-        total = float(math.fsum(probs.tolist()))
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"pmf mass is {total!r}, not 1 within 1e-9")
+        # Summed in any order, n non-negative terms err by at most
+        # gamma_(n-1) * sum, gamma_k = k*u / (1 - k*u), u = 2**-53 (Higham,
+        # Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 4.2);
+        # fsum's own rounding adds u * sum.  n * 2.3e-16 * sum covers both, so
+        # outside that margin of the edge both sums give the same verdict; a
+        # failing mass is reported as fsum gives it.
+        total = float(probs.sum())
+        near_edge = abs(abs(total - 1.0) - 1e-9) <= probs.size * 2.3e-16 * total
+        if near_edge or abs(total - 1.0) > 1e-9:
+            total = math.fsum(probs.tolist())
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"pmf mass is {total!r}, not 1 within 1e-9")
         if probs[0] <= 0.0 or probs[-1] <= 0.0:
             raise ValueError("pmf support is not trimmed; ends must carry mass")
         probs = probs.copy()
@@ -303,6 +316,10 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     grid, else ValueError("quantization mismatch").  The constant base load
     is not folded in; callers offset thresholds.  ``PowerPmf`` checks the
     trimmed pmf's mass and raises ValueError when it drifted from 1.
+
+    Trimming drops the longest run of points at each end whose cumulative
+    mass stays below ``_TRIM_MASS``, found by a cumulative sum from that end.
+    An end point that carries ``_TRIM_MASS`` or more is kept without one.
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
@@ -315,14 +332,20 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         lo, kernel = _class_kernel(enabled, cls.p_on)
         offset += lo * steps
         out = np.zeros(acc.size + (kernel.size - 1) * steps)
-        for r in range(min(steps, acc.size)):
-            out[r::steps] = np.convolve(acc[r::steps], kernel)
+        if acc.size == 1:
+            # convolving with one point scales the window, one product per
+            # term as np.convolve forms it: lay it out at its stride
+            out[::steps] = acc[0] * kernel
+        else:
+            for r in range(min(steps, acc.size)):
+                out[r::steps] = np.convolve(acc[r::steps], kernel)
         acc = out
-    # trim ends whose cumulative mass stays below the floor
-    forward = np.cumsum(acc)
-    start = int(np.searchsorted(forward, _TRIM_MASS, side="left"))
-    backward = np.cumsum(acc[::-1])
-    stop = acc.size - int(np.searchsorted(backward, _TRIM_MASS, side="left"))
+    start = 0
+    if acc[0] < _TRIM_MASS:
+        start = int(acc.cumsum().searchsorted(_TRIM_MASS, side="left"))
+    stop = acc.size
+    if acc[-1] < _TRIM_MASS:
+        stop -= int(acc[::-1].cumsum().searchsorted(_TRIM_MASS, side="left"))
     return PowerPmf(quantum=quantum, offset=offset + start, probabilities=acc[start:stop])
 
 

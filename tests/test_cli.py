@@ -51,6 +51,21 @@ def test_bounds_method_subset_keeps_order(capsys) -> None:
     assert [row.split(",")[0] for row in lines[1:]] == ["clt", "exact"]
 
 
+@pytest.mark.parametrize(
+    ("raw", "name"),
+    [("fastest", "fastest"), ("exact,", ""), ("", "")],
+    ids=["unknown", "trailing-comma", "empty"],
+)
+def test_bounds_refuses_a_method_name_outside_its_choices(raw, name, capsys) -> None:
+    assert main(["bounds", "2x1@0.5", "--c-max", "1", "--methods", raw]) == 2
+    captured = capsys.readouterr()
+    assert (
+        f"--methods takes 'all' or a comma-separated list of 'exact', 'markov', "
+        f"'chebyshev', 'hoeffding', 'bennett', 'chernoff', 'clt'; got {name!r} in {raw!r}"
+    ) in captured.err
+    assert captured.out == ""  # refused before any estimate
+
+
 def test_bounds_constant_base_load_shifts_threshold(capsys) -> None:
     assert main(["bounds", "100x1@0.5", "--c-max", "72.5", "--det", "12.5"]) == 0
     shifted = bounds_table(capsys)
