@@ -332,13 +332,8 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         lo, kernel = _class_kernel(enabled, cls.p_on)
         offset += lo * steps
         out = np.zeros(acc.size + (kernel.size - 1) * steps)
-        if acc.size == 1:
-            # convolving with one point scales the window, one product per
-            # term as np.convolve forms it: lay it out at its stride
-            out[::steps] = acc[0] * kernel
-        else:
-            for r in range(min(steps, acc.size)):
-                out[r::steps] = np.convolve(acc[r::steps], kernel)
+        for r in range(min(steps, acc.size)):
+            out[r::steps] = np.convolve(acc[r::steps], kernel)
         acc = out
     start = 0
     if acc[0] < _TRIM_MASS:

@@ -1,8 +1,7 @@
 """Property checks of the exact pmf and of its mass check.
 
 One property holds ``exact_pmf`` to a reference, byte for byte: its body as
-it stood when every class, the first one too, was convolved with the
-accumulator and both ends were trimmed by full cumulative sums.  The others
+it stood when both ends were trimmed by full cumulative sums.  The others
 hold the ``PowerPmf`` mass check to the verdict of ``math.fsum`` next to
 both edges, where a cheaper sum could round to the wrong side.
 """
@@ -34,8 +33,8 @@ st = hypothesis.strategies
 def reference_exact_pmf(composition: ClassComposition, quantum: float) -> tuple[int, np.ndarray]:
     """``exact_pmf`` as it stood before, returning ``(offset, probabilities)``.
 
-    Every class, the first one too, is convolved with the accumulator, and
-    both ends are trimmed by a full cumulative sum; the mass is not checked.
+    Both ends are trimmed by a full cumulative sum, and the mass is not
+    checked.
     """
     acc = np.ones(1)  # the pmf of an empty load
     offset = 0
