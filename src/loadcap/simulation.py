@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Sequence
@@ -445,6 +444,10 @@ def sweep_qos(
     tasks = [(config, p, p_index, chosen) for p_index, p in enumerate(values)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # imported here: it loads multiprocessing, socket and subprocess,
+        # which no serial command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_p = list(pool.map(_sweep_p, tasks))
     else:

@@ -90,6 +90,8 @@ class PowerPmf:
         # outside that margin of the edge both sums give the same verdict; a
         # failing mass is reported as fsum gives it.
         total = float(probs.sum())
+        if not math.isfinite(total):  # fsum would raise OverflowError
+            raise ValueError(f"pmf mass is {total!r}, not 1 within 1e-9")
         near_edge = abs(abs(total - 1.0) - 1e-9) <= probs.size * 2.3e-16 * total
         if near_edge or abs(total - 1.0) > 1e-9:
             total = math.fsum(probs.tolist())

@@ -955,6 +955,25 @@ def test_module_entry_point_runs() -> None:
     assert proc.stdout.startswith("method,estimate")
 
 
+def test_importing_the_cli_loads_no_process_pool() -> None:
+    # only a sweep with --jobs above 1 imports the pool and multiprocessing
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    probe = (
+        "import sys, loadcap.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_unknown_subcommand_exits_2() -> None:
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -556,7 +556,7 @@ def test_sweep_validation(monkeypatch) -> None:
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr("loadcap.simulation.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     cfg = config_of()
     with pytest.raises(ValueError):
         sweep_qos(cfg, [])
@@ -664,7 +664,7 @@ def test_sweep_workers_are_capped_by_cells_and_cpus(monkeypatch) -> None:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("loadcap.simulation.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cfg = config_of(slots=40)
     methods = (EstimationMethod.EXACT, EstimationMethod.MARKOV)
     serial = sweep_qos(cfg, [0.01, 0.1], methods=methods)

@@ -97,6 +97,13 @@ def test_power_pmf_validation() -> None:
         PowerPmf(quantum=1.0, offset=0, probabilities=np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("probabilities", [[1e308, 1e308], [1.0, 1.7e308, 1.7e308, 1.0]])
+def test_power_pmf_whose_mass_overflows_is_a_value_error(probabilities) -> None:
+    # finite entries whose sum is not: fsum would raise OverflowError
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="pmf mass is inf"):
+        PowerPmf(quantum=1.0, offset=0, probabilities=np.array(probabilities))
+
+
 def test_power_pmf_moments_match_numpy() -> None:
     probs = np.array([0.2, 0.5, 0.3])
     pmf = PowerPmf(quantum=2.0, offset=1, probabilities=probs)
