@@ -70,7 +70,14 @@ class QosPolicy:
 
     def admits(self, value: float) -> bool:
         """Whether a tail estimate respects ``p``; equality accepts."""
-        return value <= self.p
+        return _admits_estimate(value, self.p)
+
+
+def _admits_estimate(value: float, p: float) -> bool:
+    """The admission rule: a tail estimate respects a tolerated probability
+    ``p`` when it is at most ``p``.  ``QosPolicy.admits`` applies it to the
+    policy's ``p``, ``bounds --require`` to any finite bound."""
+    return value <= p
 
 
 @dataclass(frozen=True)

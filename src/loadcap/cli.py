@@ -16,10 +16,10 @@ import re
 import sys
 from typing import Sequence
 
-from .admission import QosPolicy, decision_region
+from .admission import QosPolicy, _admits_estimate, decision_region
 from .fileio import (
     _SWEEP_HEADER,
-    _sweep_rows,
+    _sweep_lines,
     parse_experiment,
     read_trace,
     write_model,
@@ -99,7 +99,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         print(f"{method.value},{value!r}")
     if args.dump_pmf is not None:
         write_pmf(_out_path(args, args.dump_pmf), exact_pmf(composition, args.quantum_w))
-    if args.require is not None and min(values) > args.require:
+    if args.require is not None and not any(
+        _admits_estimate(value, args.require) for value in values
+    ):
         print(
             f"no method certifies p <= {args.require!r}; "
             f"best estimate is {min(values)!r}",
@@ -130,8 +132,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         write_sweep(paths["sweep_csv"], cells)
         write_sweep_result(paths["result_json"], spec.name, cells)
-        for row in (_SWEEP_HEADER, *_sweep_rows(cells)):
-            print(*row, sep=",")
+        print(*_SWEEP_HEADER, sep=",")
+        sys.stdout.writelines(_sweep_lines(cells))
         return 0
     result = run(config)
     os.makedirs(args.out_dir, exist_ok=True)

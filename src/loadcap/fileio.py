@@ -57,18 +57,23 @@ __all__ = [
 TRACE_HEADER = ("timestamp_s", "power_w")
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the header, then ``lines`` as given, each ending in '\\n'.
+
+    Every field loadcap writes is an int, a float repr or a fixed word,
+    none holding a comma, quote or line break, so no field needs quoting.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
 
 
 def read_trace(path: str) -> TraceSeries:
     """Load a measured power trace from CSV.
 
     The header must be exactly ``timestamp_s,power_w``; every data row must
-    hold two numbers.  Fields follow standard CSV quoting, a number may carry
+    hold two numbers.  Fields follow standard CSV quoting (a quote left open
+    at the end of the file is a malformed row), a number may carry
     whitespace around it, blank lines are skipped (but counted in the row
     numbers of error messages), and ``#`` starts no comment.  Timestamps
     must be strictly increasing and evenly spaced: every gap must match the
@@ -149,16 +154,24 @@ def _read_trace_rows(path: str) -> TraceSeries:
     The reference parser: it reads every file ``read_trace`` accepts, to the
     same trace, and raises the message each refused file gets.
     """
+    ended = False
+
+    def lines() -> Iterator[str]:
+        nonlocal ended
+        yield from fh
+        ended = True
+
     with open(path, "r", encoding="utf-8", newline="") as fh:
         _check_trace_header(fh)
         times: list[float] = []
         watts: list[float] = []
         row_numbers = array("q")  # record number of each data row, in 8 bytes
-        for row_number, row in enumerate(csv.reader(fh), start=2):
+        for row_number, row in enumerate(csv.reader(lines()), start=2):
             if not row:
                 continue
             try:
-                if len(row) != 2:
+                # a record that ends only where the file does left a quote open
+                if len(row) != 2 or ended:
                     raise ValueError
                 times.append(float(row[0]))
                 watts.append(float(row[1]))
@@ -182,8 +195,8 @@ def _read_trace_rows(path: str) -> TraceSeries:
 
 def write_trace(path: str, trace: TraceSeries) -> None:
     period = trace.sample_period_s
-    rows = ((repr(i * period), repr(w)) for i, w in enumerate(trace.watts.tolist()))
-    _write_csv(path, TRACE_HEADER, rows)
+    lines = (f"{i * period!r},{w!r}\n" for i, w in enumerate(trace.watts.tolist()))
+    _write_csv(path, TRACE_HEADER, lines)
 
 
 def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -319,12 +332,17 @@ def read_model(path: str) -> tuple[LoadModel, float]:
 
 def write_pmf(path: str, pmf: PowerPmf) -> None:
     rows = zip(pmf.support_watts.tolist(), pmf.probabilities.tolist())
-    _write_csv(path, ("watts", "probability"), ((repr(w), repr(p)) for w, p in rows))
+    _write_csv(path, ("watts", "probability"), (f"{w!r},{p!r}\n" for w, p in rows))
 
 
 def write_region(path: str, region: np.ndarray) -> None:
-    rows = ((n1, n2, "true" if ok else "false") for (n1, n2), ok in np.ndenumerate(region))
-    _write_csv(path, ("n1", "n2", "accept"), rows)
+    words = ("false", "true")
+    lines = (
+        f"{n1},{n2},{words[ok]}\n"
+        for n1, row in enumerate(region)
+        for n2, ok in enumerate(row.tolist())
+    )
+    _write_csv(path, ("n1", "n2", "accept"), lines)
 
 
 def write_series(path: str, result: SimResult) -> None:
@@ -332,7 +350,7 @@ def write_series(path: str, result: SimResult) -> None:
     _write_csv(
         path,
         ("slot", "baseline_w", "managed_w"),
-        ((t, repr(base), repr(managed)) for t, (base, managed) in enumerate(rows)),
+        (f"{t},{base!r},{managed!r}\n" for t, (base, managed) in enumerate(rows)),
     )
 
 
@@ -343,7 +361,7 @@ def write_outcomes(path: str, result: SimResult) -> None:
         path,
         ("slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"),
         (
-            (t, repr(served), repr(dropped), depth, disabled)
+            f"{t},{served!r},{dropped!r},{depth},{disabled}\n"
             for t, (served, (dropped, depth, disabled)) in enumerate(rows)
         ),
     )
@@ -352,13 +370,13 @@ def write_outcomes(path: str, result: SimResult) -> None:
 _SWEEP_HEADER = ("p", "method", "enabled", "p_hat", "k", "stderr")
 
 
-def _sweep_rows(cells: Sequence[SweepCell]) -> Iterator[tuple[Any, ...]]:
+def _sweep_lines(cells: Sequence[SweepCell]) -> Iterator[str]:
     for c in cells:
-        yield repr(c.p), c.method.value, c.enabled, repr(c.p_hat), repr(c.k), repr(c.stderr)
+        yield f"{c.p!r},{c.method.value},{c.enabled},{c.p_hat!r},{c.k!r},{c.stderr!r}\n"
 
 
 def write_sweep(path: str, cells: Sequence[SweepCell]) -> None:
-    _write_csv(path, _SWEEP_HEADER, _sweep_rows(cells))
+    _write_csv(path, _SWEEP_HEADER, _sweep_lines(cells))
 
 
 def _sanitize(value: Any) -> Any:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -266,10 +267,18 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     per slot; further units it holds cascade to later slots.  A slot's
     served load is its whole grid steps times ``quantum``.
 
-    Where ``admission._admits_down_set`` holds and one or two classes are
-    shiftable, checks read a frontier walked once up front, and a slot with
-    no backlog whose whole demand is admitted skips the per-entry loop: the
-    greedy pass would admit every prefix.  Otherwise checks read a cache.
+    Where ``admission._admits_down_set`` holds, a slot whose distinct
+    demand fits skips the per-entry loop.  The distinct demand counts each
+    queued appliance once per class, over the backlog and the new demand.
+    Every count vector the greedy pass would check lies below it, so when
+    it is admitted the pass would serve each appliance's first entry and
+    turn every later entry away: repeats within the backlog, then new
+    demand of an appliance already queued, back into the queue in queue
+    order.  With one or two shiftable classes, checks read a frontier
+    walked once up front, and a slot with no backlog reads whether its new
+    demand fits from a table made before the loop.  Otherwise checks read a
+    cache; where the down-set does not hold (``clt`` at p >= 1/2), every
+    slot runs the per-entry loop.
     """
     slots = config.slots
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
@@ -302,43 +311,73 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         config.deterministic_load,
     )
     policy, method, quantum = config.policy, config.method, config.quantum
+    down_set = _admits_down_set(policy, method)
     front: list[int] | None = None
-    if _admits_down_set(policy, method) and 1 <= len(shiftable) <= 2:
+    if down_set and 1 <= len(shiftable) <= 2:
         front = _admission_frontier(shiftable, policy, method, quantum, base)
-        # per-slot demand count of each class, summed one column block at a time
-        edges = np.cumsum([0] + [cls.count for cls in shiftable])
-        counts = [demand[:, lo:hi].sum(axis=1) for lo, hi in zip(edges, edges[1:])]
-        slot_steps = sum(n * steps for n, steps in zip(counts, class_steps))
-        second = counts[1] if len(counts) == 2 else 0
-        whole = counts[0] <= np.asarray(front)[second]
         width = 2  # one class leaves the second count at 0
     else:
         # admitted count vectors recur heavily across slots; estimate each once
         admits = functools.cache(_count_estimator(shiftable, policy, method, quantum, base))
         width = len(shiftable)
-    scheduler_rng = np.random.default_rng(derive_seed(config.seed, 1))
+    # per-slot new demand count of each class, summed one column block at a time
+    counts = np.zeros((slots, width), dtype=np.int64)
+    edges = np.cumsum([0] + [cls.count for cls in shiftable])
+    for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        counts[:, c] = demand[:, lo:hi].sum(axis=1)
+    if front is not None:
+        whole = counts[:, 0] <= np.asarray(front)[counts[:, 1]]
+        slot_steps = counts[:, : len(shiftable)] @ class_steps
+        new_count = counts.sum(axis=1)
+    shuffle = np.random.default_rng(derive_seed(config.seed, 1)).shuffle
+    scratch = [None] * len(steps_of)  # a whole slot shuffles a slice of it
 
     shift = config.strategy is SchedulingStrategy.ONE_STEP_SHIFT
     backlog: list[int] = []  # appliance ids, one per blocked slot of demand
-    managed = np.zeros(slots)
+    served = np.zeros(slots, dtype=np.int64)  # grid steps served in each slot
     outcomes = np.zeros(
         slots,
         dtype=[("dropped_w", "f8"), ("backlog_depth", "i8"), ("disabled_count", "i8")],
     )
-    served_steps = 0
+    dropped_w, backlog_depth, disabled_count = (outcomes[f] for f in outcomes.dtype.names)
     dropped_steps = 0
 
     for t in range(slots):
-        new_ids = demand[t].nonzero()[0]
-        # drawn even for a whole slot, so later slots see the same stream
-        order = scheduler_rng.permutation(len(new_ids))
-        if front is not None and not backlog and whole[t]:
-            served_now = int(slot_steps[t])
-            served_steps += served_now
-            managed[t] = base_served[t] + served_now * quantum
-            continue  # nothing dropped, queued or turned away
+        if not backlog and front is not None and whole[t]:
+            # the same draws as shuffling the slot's ids, so later slots
+            # see the same stream; nothing dropped, queued or turned away
+            shuffle(scratch[: new_count[t]])
+            served[t] = slot_steps[t]
+            continue
+        new_ids = demand[t].nonzero()[0].tolist()
+        shuffle(new_ids)  # the same order and draws as a permutation of len(new_ids)
+        if down_set:
+            # the slot's distinct demand: each queued appliance once per class
+            queued = set(backlog)
+            distinct = counts[t].tolist()
+            for appliance_id in queued.difference(new_ids):
+                distinct[column_of[appliance_id]] += 1
+            if front is None:
+                fits = admits(tuple(distinct))
+            else:
+                fits = distinct[0] <= front[distinct[1]]
+            if fits:
+                served[t] = sum(map(operator.mul, distinct, class_steps))
+                # each later entry is turned away, in queue order: repeats within
+                # the backlog, then new demand of a queued appliance (only
+                # shifting queues, so only it repeats)
+                if len(queued) < len(backlog):
+                    seen: set[int] = set()
+                    backlog = [i for i in backlog if i in seen or seen.add(i)]
+                else:
+                    backlog = []
+                backlog += [i for i in new_ids if i in queued]
+                if backlog:
+                    backlog_depth[t] = len(backlog)
+                    disabled_count[t] = len(set(backlog))
+                continue
         # backlog in FIFO order, then the slot's new demand in seeded order
-        queue = backlog + new_ids[order].tolist()
+        queue = backlog + new_ids
         backlog = []
         admitted = [0] * width
         served_ids: set[int] = set()
@@ -365,17 +404,19 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
             else:
                 dropped_now += steps
 
-        served_steps += served_now
+        served[t] = served_now
         dropped_steps += dropped_now
-        managed[t] = base_served[t] + served_now * quantum
-        outcomes[t] = (dropped_now * quantum, len(backlog), len(disabled_ids))
+        dropped_w[t] = dropped_now * quantum
+        backlog_depth[t] = len(backlog)
+        disabled_count[t] = len(disabled_ids)
 
     ledger = EnergyLedger(
         demanded_steps=demanded_steps,
-        served_steps=served_steps,
+        served_steps=int(served.sum()),
         dropped_steps=dropped_steps,
         backlog_steps=sum(steps_of[i] for i in backlog),
     )
+    managed = base_served + served * quantum
     enabled_counts = tuple(cls.count for cls in config.classes)
     return _result(config, baseline, managed, enabled_counts, ledger, outcomes)
 

@@ -101,6 +101,20 @@ def test_bounds_require_gate(capsys) -> None:
     assert "no method certifies" in err
 
 
+def test_bounds_require_accepts_equality_and_refuses_just_below(capsys) -> None:
+    # the one admission rule: an estimate equal to the bound certifies it
+    args = ["bounds", "100x1@0.5", "--c-max", "60", "--methods", "exact"]
+    assert main(args) == 0
+    best = bounds_table(capsys)["exact"]
+    assert main([*args, "--require", repr(best)]) == 0
+    capsys.readouterr()
+    below = math.nextafter(best, 0.0)
+    assert main([*args, "--require", repr(below)]) == 4
+    assert capsys.readouterr().err == (
+        f"no method certifies p <= {below!r}; best estimate is {best!r}\n"
+    )
+
+
 def test_bounds_quantization_mismatch_exits_2(capsys) -> None:
     assert main(["bounds", "4x1.5@0.5", "--c-max", "3"]) == 2
     assert "quantization mismatch" in capsys.readouterr().err
@@ -773,6 +787,15 @@ def test_fit_missing_trace_exits_3(tmp_path, capsys) -> None:
     )
     assert code == 3
     capsys.readouterr()
+
+
+def test_fit_refuses_a_quote_left_open_in_the_last_field(tmp_path, capsys) -> None:
+    trace_path = tmp_path / "t.csv"
+    trace_path.write_bytes(b'timestamp_s,power_w\n0,0\n1,5\n2,0\n3,"5\n')
+    args = ["fit", str(trace_path), "--family", "bernoulli", "--on-threshold", "1"]
+    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "malformed trace row 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_degenerate_trace_exits_2(tmp_path, capsys) -> None:

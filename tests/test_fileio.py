@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -65,6 +66,30 @@ def test_trace_malformed_row_reports_its_number(tmp_path) -> None:
     path.write_text("timestamp_s,power_w\n0,1.5,extra\n")
     with pytest.raises(ValueError, match="malformed trace row 2"):
         read_trace(str(path))
+
+
+@pytest.mark.parametrize(
+    "last",
+    ['3,"5\n', '3,"5', '"3,5\n', '3,"5\n\n'],
+    ids=["line-ending", "no-line-ending", "first-field", "blank-line-after"],
+)
+def test_trace_refuses_a_quote_left_open_at_the_end(tmp_path, last) -> None:
+    # the csv module would close the quote at the end of the file
+    path = tmp_path / "trace.csv"
+    path.write_bytes(("timestamp_s,power_w\n0,0\n1,5\n2,0\n" + last).encode())
+    with pytest.raises(ValueError, match="malformed trace row 5"):
+        read_trace(str(path))
+
+
+@pytest.mark.parametrize(
+    "last",
+    ['3,"5\n"', '3,"5"', '3,"5" \n', '3,"5\n"\n'],
+    ids=["newline-inside", "no-line-ending", "space-after", "newline-inside-and-after"],
+)
+def test_trace_reads_a_quote_closed_in_the_last_row(tmp_path, last) -> None:
+    path = tmp_path / "trace.csv"
+    path.write_bytes(("timestamp_s,power_w\n0,0\n1,5\n2,0\n" + last).encode())
+    assert read_trace(str(path)).watts.tolist() == [0.0, 5.0, 0.0, 5.0]
 
 
 def test_trace_empty_and_headerless_files(tmp_path) -> None:
@@ -279,6 +304,69 @@ def test_write_sweep_result_round_trip(tmp_path) -> None:
             "low_confidence": True,
         }
     ]
+
+
+def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
+    # the line writers join fields without quoting; csv.writer would quote
+    # none of these either: ints, float reprs and fixed words
+    def csv_module(path, header, rows) -> None:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    odd = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e-05, 0.1, float("nan"), float("inf")]
+    watts = np.array(odd + [-math.inf, 123456789.125])
+    result = dataclasses.replace(
+        make_result(),
+        slots=len(watts),
+        series_baseline=watts,
+        series_managed=watts[::-1].copy(),
+        outcomes=np.array(
+            [(w, i, 2 * i) for i, w in enumerate(watts)],
+            dtype=[("dropped_w", "f8"), ("backlog_depth", "i8"), ("disabled_count", "i8")],
+        ),
+    )
+    cells = [
+        SweepCell(p, method, 3, p_hat, p_hat / p, math.nan, True)
+        for p, p_hat in ((1e-3, 0.0), (0.5, 1.0))
+        for method in EstimationMethod
+    ]
+    pmf = PowerPmf(quantum=0.1, offset=3, probabilities=np.array([0.25, 0.5, 0.25]))
+    region = np.array([[True, True, False], [True, False, False]])
+    trace = TraceSeries(watts=np.array(odd[:6]), sample_period_s=0.1)
+    written = {
+        "series": lambda path: write_series(path, result),
+        "outcomes": lambda path: write_outcomes(path, result),
+        "sweep": lambda path: write_sweep(path, cells),
+        "pmf": lambda path: write_pmf(path, pmf),
+        "region": lambda path: write_region(path, region),
+        "trace": lambda path: write_trace(path, trace),
+    }
+    series = zip(result.series_baseline.tolist(), result.series_managed.tolist())
+    outcomes = zip(result.series_managed.tolist(), result.outcomes.tolist())
+    expected = {
+        "series": (("slot", "baseline_w", "managed_w"),
+                   ((t, repr(b), repr(m)) for t, (b, m) in enumerate(series))),
+        "outcomes": (("slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"),
+                     ((t, repr(s), repr(d), n, k) for t, (s, (d, n, k)) in enumerate(outcomes))),
+        "sweep": (("p", "method", "enabled", "p_hat", "k", "stderr"),
+                  ((repr(c.p), c.method.value, c.enabled, repr(c.p_hat), repr(c.k),
+                    repr(c.stderr)) for c in cells)),
+        "pmf": (("watts", "probability"),
+                ((repr(w), repr(p)) for w, p in zip(pmf.support_watts.tolist(),
+                                                    pmf.probabilities.tolist()))),
+        "region": (("n1", "n2", "accept"),
+                   ((n1, n2, "true" if ok else "false")
+                    for (n1, n2), ok in np.ndenumerate(region))),
+        "trace": (("timestamp_s", "power_w"),
+                  ((repr(i * 0.1), repr(w)) for i, w in enumerate(odd[:6]))),
+    }  # fmt: skip
+    for name, write in written.items():
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.want.csv"
+        write(str(got))
+        csv_module(str(want), *expected[name])
+        assert got.read_bytes() == want.read_bytes(), name
 
 
 def test_write_series_layout(tmp_path) -> None:

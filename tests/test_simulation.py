@@ -415,6 +415,36 @@ def test_two_class_slot_dynamic_walks_the_frontier_once(monkeypatch) -> None:
     assert 0 < calls <= n1 + n2 + 2 * math.ceil(math.log2(n1 + 1)) + 4
 
 
+def test_slot_dynamic_served_load_passes_the_ceiling() -> None:
+    # admission treats an admitted demand as ON with probability p_on, but it
+    # is ON for certain, so served load can pass c_max: here in 97.45% of
+    # slots, far more than the tolerated p, peaking at 96 W over 50 W
+    pumps = ApplianceClass(
+        name="pumps",
+        on_power=1.0,
+        model=AlternatingRenewal(
+            on_durations=DurationPmf.from_mapping({8: 0.5, 12: 0.5}),
+            off_durations=DurationPmf.from_mapping({30: 0.5, 50: 0.5}),
+        ),
+        count=120,
+    )
+    heaters = ApplianceClass(
+        name="heaters", on_power=3.0, model=TwoStateMarkov(0.05, 0.1), count=40
+    )
+    cfg = config_of(
+        classes=(pumps, heaters, bern("base", 2.0, 0.3, 10, shiftable=False)),
+        policy=QosPolicy(c_max=50.0, p=1e-3),
+        mode=SimMode.SLOT_DYNAMIC,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        slots=2000,
+        seed=3,
+    )
+    served = run_slot_dynamic(cfg).series_managed
+    above = float(np.mean(served > cfg.policy.c_max))
+    assert above > cfg.policy.p
+    assert (above, served.max()) == (0.9745, 96.0)
+
+
 def test_slot_dynamic_renewal_demand_round_trips() -> None:
     renewal = AlternatingRenewal(
         on_durations=DurationPmf.from_mapping({2: 0.5, 4: 0.5}),

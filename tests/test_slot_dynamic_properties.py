@@ -1,8 +1,9 @@
 """Property checks of the slot-dynamic loop over small random configurations.
 
 One property holds the loop to a per-entry reference, byte for byte: the
-loop as it stood before the frontier table and whole-slot admission, with
-one cached estimate lookup per queued demand.
+loop as it stood before the frontier table and the slots that skip the
+per-entry pass, with one cached estimate lookup per queued demand and the
+scheduler's order drawn by ``Generator.permutation``.
 """
 
 from __future__ import annotations
@@ -267,10 +268,53 @@ def _clt_admits_above_a_rejected_count() -> SimConfig:
     )  # fmt: skip
 
 
+def _backlogged_appliance_repeats() -> SimConfig:
+    """Two shiftable classes with long ON runs, so a queued appliance holds
+    two entries or demands again while queued.  Of the 60 slots, 11 skip
+    the per-entry pass with a backlog whose distinct demand fits (4 of them
+    with an appliance repeated within the backlog), 6 are wholly admitted
+    with none, and 43 run the pass."""
+    return SimConfig(
+        classes=(
+            ApplianceClass(name="a", on_power=1.0, model=TwoStateMarkov(0.3, 0.2), count=6),
+            ApplianceClass(name="b", on_power=2.0, model=TwoStateMarkov(0.2, 0.3), count=4),
+        ),
+        policy=QosPolicy(c_max=6.0, p=0.2),
+        method=EstimationMethod.EXACT,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        mode=SimMode.SLOT_DYNAMIC,
+        slots=60,
+        seed=1,
+    )  # fmt: skip
+
+
+def _three_shiftable_classes() -> SimConfig:
+    """Three shiftable classes, where checks read the cache: 22 of the 60
+    slots skip the per-entry pass because their distinct demand fits, 12 of
+    them with an appliance repeated within the backlog."""
+    return SimConfig(
+        classes=(
+            ApplianceClass(name="a", on_power=1.0, model=TwoStateMarkov(0.3, 0.2), count=5),
+            ApplianceClass(name="f", on_power=1.0, model=Bernoulli(p_on=0.5), count=1,
+                           shiftable=False),
+            ApplianceClass(name="b", on_power=2.0, model=Bernoulli(p_on=0.4), count=3),
+            ApplianceClass(name="c", on_power=3.0, model=TwoStateMarkov(0.2, 0.3), count=2),
+        ),
+        policy=QosPolicy(c_max=9.0, p=0.2),
+        method=EstimationMethod.CHERNOFF,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        mode=SimMode.SLOT_DYNAMIC,
+        slots=60,
+        seed=1,
+    )  # fmt: skip
+
+
 @hypothesis.settings(max_examples=120, deadline=None, database=None)
 @hypothesis.given(reference_configs())
 @hypothesis.example(_queue_drains())
 @hypothesis.example(_clt_admits_above_a_rejected_count())
+@hypothesis.example(_backlogged_appliance_repeats())
+@hypothesis.example(_three_shiftable_classes())
 def test_loop_equals_the_per_entry_reference_byte_for_byte(cfg: SimConfig) -> None:
     got = run_slot_dynamic(cfg)
     want = _reference_slot_dynamic(cfg)
@@ -283,3 +327,15 @@ def test_loop_equals_the_per_entry_reference_byte_for_byte(cfg: SimConfig) -> No
         want.overload_slots,
         want.enabled_counts,
     )
+
+
+def test_shuffling_a_list_draws_the_permutation_order() -> None:
+    # the loop shuffles each slot's id list, and a scratch list in a slot it
+    # admits whole; the reference draws permutation(n): same order, same stream
+    for n in range(65):
+        ids = list(range(100, 100 + n))
+        listed = np.random.default_rng(n)
+        permuted = np.random.default_rng(n)
+        listed.shuffle(ids)
+        assert ids == np.arange(100, 100 + n)[permuted.permutation(n)].tolist()
+        assert listed.bit_generator.state == permuted.bit_generator.state

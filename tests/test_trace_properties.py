@@ -25,7 +25,11 @@ st = hypothesis.strategies
 
 
 def reference_read_trace(path: str) -> TraceSeries:
-    """``read_trace`` as it stood before, with the csv module alone."""
+    """``read_trace`` as it stood before, with the csv module alone.
+
+    It accepts one kind of file ``read_trace`` now refuses, a quote left
+    open at the end of the file; ``trace_files`` writes none.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
