@@ -4,8 +4,9 @@ The package decides how many stochastic two-state appliances may draw power
 at once so that the probability of the aggregate reaching a consumption
 ceiling stays within a quality-of-service limit.  It provides exact tail
 computation by pmf convolution, five analytic upper bounds plus a normal
-approximation, admission decision rules and search, demand scheduling for
-blocked appliances, and a seeded Monte Carlo simulator with a CLI.
+approximation, one admission check with count search and acceptance
+regions over it, demand scheduling for blocked appliances, and a seeded
+Monte Carlo simulator with a CLI.
 
 Import from the submodules: ``loadcap.tailprob``, ``loadcap.admission``,
 ``loadcap.models``, ``loadcap.simulation``, ``loadcap.scheduling``,

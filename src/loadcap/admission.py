@@ -1,9 +1,11 @@
 """Admission control for stochastic appliance loads.
 
 An admission policy fixes a consumption ceiling and a tolerated probability
-of reaching it.  An appliance is admitted when the chosen tail estimator,
-applied to the composition including the newcomer, still respects that
-probability.  Equality counts as acceptance.
+of reaching it.  A vector of enabled counts per class is admitted when the
+chosen tail estimator, applied to that composition, still respects that
+probability.  Equality counts as acceptance.  Sizing (``max_admissible``),
+acceptance regions (``decision_region``) and the slot-dynamic simulator all
+apply this one check (``_count_estimator``).
 """
 
 from __future__ import annotations
@@ -15,40 +17,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ApplianceClass
-from .tailprob import (
-    ClassComposition,
-    EstimationMethod,
-    _fold_certain,
-    estimate,
-    lower_tail,
-)
+from .tailprob import ClassComposition, EstimationMethod, estimate
 
-__all__ = [
-    "QosPolicy",
-    "AdmissionState",
-    "Decision",
-    "UnderconsumptionReport",
-    "decide",
-    "check_underconsumption",
-    "max_admissible",
-    "decision_region",
-]
+__all__ = ["QosPolicy", "max_admissible", "decision_region"]
 
 
 @dataclass(frozen=True)
 class QosPolicy:
-    """Consumption limits and tolerated violation probabilities.
+    """Consumption ceiling and tolerated probability of reaching it.
 
-    ``c_max`` is the ceiling guarded with probability ``p``.  ``c_min`` and
-    ``r`` configure the underconsumption check, their only reader (library
-    use only: experiment files refuse them).  ``c_sys`` is the physical
-    ceiling; it validates ``c_max`` at construction and nothing else.
+    ``c_max`` is the ceiling guarded with probability ``p``.  ``c_sys`` is
+    the physical ceiling; it validates ``c_max`` at construction and nothing
+    else.
     """
 
     c_max: float
     p: float
-    c_min: float | None = None
-    r: float | None = None
     c_sys: float | None = None
 
     def __post_init__(self) -> None:
@@ -56,13 +40,6 @@ class QosPolicy:
             raise ValueError(f"c_max={self.c_max!r} must be positive and finite")
         if not (0.0 < self.p < 1.0):
             raise ValueError(f"p={self.p!r} must lie strictly inside (0, 1)")
-        if self.c_min is not None:
-            if not (math.isfinite(self.c_min) and 0.0 <= self.c_min < self.c_max):
-                raise ValueError(
-                    f"c_min={self.c_min!r} must lie in [0, c_max={self.c_max!r})"
-                )
-        if self.r is not None and not (0.0 < self.r < 1.0):
-            raise ValueError(f"r={self.r!r} must lie strictly inside (0, 1)")
         if self.c_sys is not None and not self.c_max <= self.c_sys:
             raise ValueError(
                 f"c_max={self.c_max!r} exceeds the physical ceiling {self.c_sys!r}"
@@ -78,74 +55,6 @@ def _admits_estimate(value: float, p: float) -> bool:
     ``p`` when it is at most ``p``.  ``QosPolicy.admits`` applies it to the
     policy's ``p``, ``bounds --require`` to any finite bound."""
     return value <= p
-
-
-@dataclass(frozen=True)
-class AdmissionState:
-    """Snapshot the decision rule operates on.
-
-    The method is fixed for the lifetime of a decision sequence so that
-    successive decisions are comparable.
-    """
-
-    composition: ClassComposition
-    policy: QosPolicy
-    method: EstimationMethod
-    quantum: float = 1.0
-
-
-@dataclass(frozen=True)
-class Decision:
-    accepted: bool
-    estimate: float
-    method: EstimationMethod
-    effective_threshold: float
-
-
-@dataclass(frozen=True)
-class UnderconsumptionReport:
-    probability: float
-    satisfied: bool
-
-
-def decide(state: AdmissionState, incoming: ApplianceClass) -> Decision:
-    """Admit one more appliance of a class, or reject it.
-
-    The candidate composition is the current one plus the newcomer.  Accept
-    when the tail estimate is at or below the policy probability.  The
-    effective threshold is ``c_max`` less the candidate's constant load,
-    always-on classes (``p_on`` 1) included.
-    """
-    candidate = state.composition.with_added(incoming)
-    value = estimate(state.method, candidate, state.policy.c_max, state.quantum)
-    return Decision(
-        accepted=state.policy.admits(value),
-        estimate=value,
-        method=state.method,
-        effective_threshold=(
-            state.policy.c_max - _fold_certain(candidate).deterministic_load
-        ),
-    )
-
-
-def check_underconsumption(state: AdmissionState) -> UnderconsumptionReport:
-    """Probability that the load stays below the configured floor.
-
-    Only the exact and normal-approximation estimators have a lower-tail
-    form; the bound methods are mapped to the exact computation.
-    """
-    policy = state.policy
-    if policy.c_min is None or policy.r is None:
-        raise ValueError("lower limit not configured")
-    method = (
-        EstimationMethod.CLT
-        if state.method is EstimationMethod.CLT
-        else EstimationMethod.EXACT
-    )
-    probability = lower_tail(method, state.composition, policy.c_min, state.quantum)
-    return UnderconsumptionReport(
-        probability=probability, satisfied=probability <= policy.r
-    )
 
 
 def _count_estimator(

@@ -41,7 +41,6 @@ __all__ = [
     "TRACE_HEADER",
     "ExperimentSpec",
     "read_trace",
-    "write_trace",
     "read_model",
     "write_model",
     "write_pmf",
@@ -191,12 +190,6 @@ def _read_trace_rows(path: str) -> TraceSeries:
         )
         raise ValueError(f"trace row {row_number}: timestamp gap {gap!r} {problem}")
     return TraceSeries(sample_period_s=period, watts=np.array(watts))
-
-
-def write_trace(path: str, trace: TraceSeries) -> None:
-    period = trace.sample_period_s
-    lines = (f"{i * period!r},{w!r}\n" for i, w in enumerate(trace.watts.tolist()))
-    _write_csv(path, TRACE_HEADER, lines)
 
 
 def _require_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:

@@ -12,7 +12,7 @@ Natural logarithms are used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -34,7 +34,6 @@ __all__ = [
     "bound_chernoff",
     "clt_estimate",
     "estimate",
-    "lower_tail",
 ]
 
 # relative slack when snapping watt values to the quantum grid
@@ -107,31 +106,15 @@ class PowerPmf:
     def support_watts(self) -> np.ndarray:
         return (self.offset + np.arange(self.probabilities.size)) * self.quantum
 
-    def _split_index(self, threshold_w: float) -> int:
-        """Index of the first support point at or above the threshold.
-
-        Both tails split the pmf here, so they always add up to the whole pmf.
-        """
-        x = threshold_w / self.quantum
-        return math.ceil(x - _GRID_RTOL * max(1.0, abs(x))) - self.offset
-
     def tail_at_or_above(self, threshold_w: float) -> float:
         """Mass at grid points >= threshold; off-grid thresholds round up."""
-        start = self._split_index(threshold_w)
+        x = threshold_w / self.quantum
+        start = math.ceil(x - _GRID_RTOL * max(1.0, abs(x))) - self.offset
         if start <= 0:
             return 1.0
         if start >= self.probabilities.size:
             return 0.0
         return float(math.fsum(self.probabilities[start:].tolist()))
-
-    def mass_below(self, threshold_w: float) -> float:
-        """Mass at grid points < threshold: one minus ``tail_at_or_above``."""
-        stop = self._split_index(threshold_w)
-        if stop <= 0:
-            return 0.0
-        if stop >= self.probabilities.size:
-            return 1.0
-        return float(math.fsum(self.probabilities[:stop].tolist()))
 
 
 @dataclass(frozen=True)
@@ -167,24 +150,6 @@ class ClassComposition:
     @classmethod
     def empty(cls) -> "ClassComposition":
         return cls(entries=())
-
-    def with_added(self, incoming: ApplianceClass) -> "ClassComposition":
-        """Composition after admitting one more appliance of a class.
-
-        The class's enabled count grows by one; past the class's population
-        the new composition raises ValueError.
-        """
-        entries = []
-        found = False
-        for cls, enabled in self.entries:
-            if cls.name == incoming.name:
-                entries.append((cls, enabled + 1))  # count cap re-checked on init
-                found = True
-            else:
-                entries.append((cls, enabled))
-        if not found:
-            entries.append((incoming, 1))
-        return replace(self, entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -361,7 +326,11 @@ def bound_chebyshev(stats: AggregateStats, threshold_w: float) -> float:
         return 1.0
     if stats.variance == 0.0:
         return 0.0
-    return min(1.0, stats.variance / (threshold_w - stats.mean) ** 2)
+    d = threshold_w - stats.mean
+    try:
+        return min(1.0, stats.variance / d**2)
+    except OverflowError:  # d**2 past the float range; v/d/d does not overflow
+        return min(1.0, stats.variance / d / d)
 
 
 def bound_hoeffding(stats: AggregateStats, threshold_w: float) -> float:
@@ -370,7 +339,11 @@ def bound_hoeffding(stats: AggregateStats, threshold_w: float) -> float:
         return 1.0
     if stats.sum_sq_ranges == 0.0:
         return 0.0
-    return math.exp(-2.0 * (threshold_w - stats.mean) ** 2 / stats.sum_sq_ranges)
+    d = threshold_w - stats.mean
+    try:
+        return math.exp(-2.0 * d**2 / stats.sum_sq_ranges)
+    except OverflowError:  # d**2 past the float range; the product may reach inf
+        return math.exp(-2.0 * (d / stats.sum_sq_ranges) * d)
 
 
 def _bennett_h(u: float) -> float:
@@ -384,8 +357,16 @@ def bound_bennett(stats: AggregateStats, threshold_w: float) -> float:
         return 1.0
     if stats.variance == 0.0 or stats.max_abs == 0.0:
         return 0.0
-    u = (threshold_w - stats.mean) * stats.max_abs / stats.variance
-    exponent = -(stats.variance / stats.max_abs**2) * _bennett_h(u)
+    d = threshold_w - stats.mean
+    u = d * stats.max_abs / stats.variance
+    h = _bennett_h(u)
+    if not math.isfinite(h):
+        # (1 + u) * ln(1 + u) overflowed (h is nan once u is inf too).  The
+        # exponent (v/b**2)*h(u) is at least (d/b)*(ln(u) - 1), so this is
+        # still a bound; ln(u) is summed from logs, and is -inf when v is.
+        log_u = math.log(d) + math.log(stats.max_abs) - math.log(stats.variance)
+        return min(1.0, math.exp(-(d / stats.max_abs) * (log_u - 1.0)))
+    exponent = -(stats.variance / stats.max_abs**2) * h
     return min(1.0, math.exp(exponent))
 
 
@@ -500,29 +481,3 @@ def estimate(
         return clt_estimate(stats, threshold)
     raise ValueError(f"unknown estimation method {method!r}")
 
-
-def lower_tail(
-    method: EstimationMethod,
-    composition: ClassComposition,
-    c_min: float,
-    quantum: float = 1.0,
-) -> float:
-    """Probability that the aggregate load stays strictly below c_min.
-
-    Only the exact and normal-approximation methods have a lower-tail form;
-    other methods raise ValueError.  A limit at or below the constant base
-    load returns 0 (the load can never fall below its constant floor).
-    """
-    if method not in (EstimationMethod.EXACT, EstimationMethod.CLT):
-        raise ValueError(f"{method.value} has no lower-tail form")
-    composition = _fold_certain(composition)
-    threshold = c_min - composition.deterministic_load
-    if threshold <= 0.0:
-        return 0.0
-    if method is EstimationMethod.EXACT:
-        return exact_pmf(composition, quantum).mass_below(threshold)
-    stats = aggregate_stats(composition)
-    if stats.variance == 0.0:
-        return 1.0 if threshold > stats.mean else 0.0
-    z = (threshold - stats.mean) / math.sqrt(stats.variance)
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))

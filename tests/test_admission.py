@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from loadcap.admission import (
-    AdmissionState,
     _admission_frontier,
     _admits_down_set,
-    Decision,
     QosPolicy,
-    check_underconsumption,
-    decide,
     decision_region,
     max_admissible,
 )
@@ -53,17 +51,13 @@ def linear_scan_max(
 
 def test_qos_policy_validation() -> None:
     QosPolicy(c_max=60.0, p=0.05)
-    QosPolicy(c_max=60.0, p=0.05, c_min=0.0, r=0.1, c_sys=80.0)
+    QosPolicy(c_max=60.0, p=0.05, c_sys=80.0)
     with pytest.raises(ValueError):
         QosPolicy(c_max=0.0, p=0.05)
     with pytest.raises(ValueError):
         QosPolicy(c_max=60.0, p=0.0)
     with pytest.raises(ValueError):
         QosPolicy(c_max=60.0, p=1.0)
-    with pytest.raises(ValueError):
-        QosPolicy(c_max=60.0, p=0.05, c_min=60.0, r=0.1)
-    with pytest.raises(ValueError):
-        QosPolicy(c_max=60.0, p=0.05, c_min=10.0, r=1.5)
     with pytest.raises(ValueError):
         QosPolicy(c_max=60.0, p=0.05, c_sys=50.0)
 
@@ -76,136 +70,51 @@ def test_qos_policy_validation() -> None:
 def test_decide_accepts_when_exact_tail_clears_policy() -> None:
     # Pr(Bin(101, 1/2) >= 60) = 0.036378... <= 0.05
     pool = bern("c0", 1.0, 0.5, 101)
-    state = AdmissionState(
-        composition=ClassComposition(entries=((pool, 100),)),
-        policy=QosPolicy(c_max=60.0, p=0.05),
-        method=EstimationMethod.EXACT,
-    )
-    decision = decide(state, pool)
-    assert isinstance(decision, Decision)
-    assert decision.accepted is True
-    assert decision.estimate == pytest.approx(0.03637850343876199, rel=1e-12)
-    assert decision.effective_threshold == 60.0
+    policy = QosPolicy(c_max=60.0, p=0.05)
+    value = estimate(EstimationMethod.EXACT, full_comp(pool), policy.c_max)
+    assert value == pytest.approx(0.03637850343876199, rel=1e-12)
+    assert policy.admits(value)
+    assert max_admissible(pool, policy, EstimationMethod.EXACT) == 101
 
 
 def test_decide_rejects_under_coarse_first_moment_bound() -> None:
-    # same newcomer, first-moment bound: 50.5 / 60 far above the budget
+    # same pool, first-moment bound: 50.5 / 60 far above the budget
     pool = bern("c0", 1.0, 0.5, 101)
-    state = AdmissionState(
-        composition=ClassComposition(entries=((pool, 100),)),
-        policy=QosPolicy(c_max=60.0, p=0.05),
-        method=EstimationMethod.MARKOV,
-    )
-    decision = decide(state, pool)
-    assert not decision.accepted
-    assert decision.estimate == pytest.approx(50.5 / 60.0)
+    policy = QosPolicy(c_max=60.0, p=0.05)
+    value = estimate(EstimationMethod.MARKOV, full_comp(pool), policy.c_max)
+    assert value == pytest.approx(50.5 / 60.0)
+    assert not policy.admits(value)
+    assert max_admissible(pool, policy, EstimationMethod.MARKOV) == 6  # 6 * 0.5 / 60
 
 
 def test_decide_equality_accepts() -> None:
-    # mean 5 against threshold 10 puts the first-moment bound exactly at 0.5
-    state = AdmissionState(
-        composition=ClassComposition.empty(),
-        policy=QosPolicy(c_max=10.0, p=0.5),
-        method=EstimationMethod.MARKOV,
-    )
-    incoming = bern("x", 10.0, 0.5, 1)
-    decision = decide(state, incoming)
-    assert decision.estimate == 0.5
-    assert decision.accepted
+    policy = QosPolicy(c_max=10.0, p=0.5)
+    assert policy.admits(0.5)
+    assert not policy.admits(math.nextafter(0.5, 1.0))
+    # one 10 W appliance at p_on 1/2 puts the first-moment bound exactly at 0.5
+    pair = bern("x", 10.0, 0.5, 2)
+    one = ClassComposition(entries=((pair, 1),))
+    assert estimate(EstimationMethod.MARKOV, one, policy.c_max) == 0.5
+    assert max_admissible(pair, policy, EstimationMethod.MARKOV) == 1
 
 
 def test_decide_deterministic_newcomer_shifts_threshold() -> None:
-    base = full_comp(bern("c0", 1.0, 0.5, 20))
-    state = AdmissionState(
-        composition=base,
-        policy=QosPolicy(c_max=18.0, p=0.01),
-        method=EstimationMethod.EXACT,
-    )
+    pool = bern("c0", 1.0, 0.5, 20)
     heater = ApplianceClass(name="heat", on_power=4.0, model=Bernoulli(p_on=1.0), count=1)
-    decision = decide(state, heater)
-    assert decision.effective_threshold == pytest.approx(14.0)
-    assert decision.estimate == pytest.approx(
-        estimate(EstimationMethod.EXACT, base, 14.0), abs=1e-15
+    with_heater = full_comp(pool, heater)
+    assert estimate(EstimationMethod.EXACT, with_heater, 18.0) == pytest.approx(
+        estimate(EstimationMethod.EXACT, full_comp(pool), 14.0), abs=1e-15
     )
+    sized = max_admissible(
+        pool, QosPolicy(c_max=18.0, p=0.01), EstimationMethod.EXACT, base=full_comp(heater)
+    )
+    assert sized == max_admissible(pool, QosPolicy(c_max=14.0, p=0.01), EstimationMethod.EXACT)
 
 
 def test_decide_first_appliance_onto_empty_system() -> None:
-    state = AdmissionState(
-        composition=ClassComposition.empty(),
-        policy=QosPolicy(c_max=5.0, p=0.01),
-        method=EstimationMethod.EXACT,
-    )
-    assert decide(state, bern("x", 1.0, 0.9, 1)).accepted
-    assert not decide(state, bern("y", 5.0, 0.9, 1)).accepted
-
-
-# ---------------------------------------------------------------------------
-# underconsumption check
-# ---------------------------------------------------------------------------
-
-
-def test_underconsumption_requires_configured_floor() -> None:
-    state = AdmissionState(
-        composition=full_comp(bern("c0", 1.0, 0.5, 4)),
-        policy=QosPolicy(c_max=10.0, p=0.05),
-        method=EstimationMethod.EXACT,
-    )
-    with pytest.raises(ValueError, match="lower limit not configured"):
-        check_underconsumption(state)
-
-
-def test_underconsumption_exact_mass() -> None:
-    # pmf {0: 0.25, 1: 0.5, 2: 0.25}; floor at 1 leaves 0.25 strictly below
-    state = AdmissionState(
-        composition=full_comp(bern("c0", 1.0, 0.5, 2)),
-        policy=QosPolicy(c_max=10.0, p=0.5, c_min=1.0, r=0.2),
-        method=EstimationMethod.EXACT,
-    )
-    report = check_underconsumption(state)
-    assert report.probability == pytest.approx(0.25)
-    assert not report.satisfied
-
-
-def test_underconsumption_zero_floor_is_always_satisfied() -> None:
-    state = AdmissionState(
-        composition=full_comp(bern("c0", 1.0, 0.5, 2)),
-        policy=QosPolicy(c_max=10.0, p=0.5, c_min=0.0, r=0.01),
-        method=EstimationMethod.EXACT,
-    )
-    report = check_underconsumption(state)
-    assert report.probability == 0.0
-    assert report.satisfied
-
-
-def test_underconsumption_normal_approximation_route() -> None:
-    # 100 x (1 W, p 1/2): floor 40 sits two sigmas below the mean
-    state = AdmissionState(
-        composition=full_comp(bern("c0", 1.0, 0.5, 100)),
-        policy=QosPolicy(c_max=90.0, p=0.5, c_min=40.0, r=0.05),
-        method=EstimationMethod.CLT,
-    )
-    report = check_underconsumption(state)
-    assert report.probability == pytest.approx(0.022750131948179195, rel=1e-9)
-    assert report.satisfied
-
-
-def test_underconsumption_bound_methods_fall_back_to_exact() -> None:
-    composition = full_comp(bern("c0", 1.0, 0.5, 2))
-    policy = QosPolicy(c_max=10.0, p=0.5, c_min=1.0, r=0.2)
-    exact = check_underconsumption(
-        AdmissionState(composition=composition, policy=policy, method=EstimationMethod.EXACT)
-    )
-    for method in (
-        EstimationMethod.MARKOV,
-        EstimationMethod.CHEBYSHEV,
-        EstimationMethod.HOEFFDING,
-        EstimationMethod.BENNETT,
-        EstimationMethod.CHERNOFF,
-    ):
-        report = check_underconsumption(
-            AdmissionState(composition=composition, policy=policy, method=method)
-        )
-        assert report.probability == exact.probability
+    policy = QosPolicy(c_max=5.0, p=0.01)
+    assert max_admissible(bern("x", 1.0, 0.9, 1), policy, EstimationMethod.EXACT) == 1
+    assert max_admissible(bern("y", 5.0, 0.9, 1), policy, EstimationMethod.EXACT) == 0
 
 
 # ---------------------------------------------------------------------------

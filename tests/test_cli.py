@@ -19,7 +19,9 @@ import pytest
 import loadcap
 from loadcap.cli import main
 from loadcap.models import ApplianceClass, Bernoulli, TraceSeries, sample_series
-from loadcap.fileio import _CLASS_KEYS, _POLICY_KEYS, _TOP_KEYS, write_model, write_trace
+from loadcap.fileio import _CLASS_KEYS, _POLICY_KEYS, _TOP_KEYS, write_model
+
+from conftest import write_trace
 
 
 def bounds_table(capsys) -> dict[str, float]:
@@ -154,6 +156,17 @@ def test_bounds_refuses_a_non_finite_limit(flags, message, capsys) -> None:
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""  # refused before any estimate
+
+
+@pytest.mark.parametrize("c_max", ["1e300", "1.7e308"])
+def test_bounds_at_a_huge_ceiling_stay_bounds(c_max, capsys) -> None:
+    # the squared distance from the mean leaves the float range here
+    assert main(["bounds", "3x1@0.5", "--c-max", c_max]) == 0
+    table = bounds_table(capsys)
+    assert len(table) == 7
+    for method, value in table.items():
+        assert table["exact"] <= value <= 1.0, method
+    assert table["bennett"] == 0.0
 
 
 def test_bounds_off_grid_power_with_matching_quantum(capsys) -> None:

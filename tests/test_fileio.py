@@ -23,7 +23,6 @@ from loadcap.fileio import (
     write_series,
     write_sweep,
     write_sweep_result,
-    write_trace,
 )
 from loadcap.models import (
     AlternatingRenewal,
@@ -35,6 +34,8 @@ from loadcap.models import (
 from loadcap.scheduling import SchedulingStrategy
 from loadcap.simulation import SimMode, SweepCell, run
 from loadcap.tailprob import EstimationMethod, PowerPmf
+
+from conftest import write_trace
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +335,12 @@ def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
     ]
     pmf = PowerPmf(quantum=0.1, offset=3, probabilities=np.array([0.25, 0.5, 0.25]))
     region = np.array([[True, True, False], [True, False, False]])
-    trace = TraceSeries(watts=np.array(odd[:6]), sample_period_s=0.1)
     written = {
         "series": lambda path: write_series(path, result),
         "outcomes": lambda path: write_outcomes(path, result),
         "sweep": lambda path: write_sweep(path, cells),
         "pmf": lambda path: write_pmf(path, pmf),
         "region": lambda path: write_region(path, region),
-        "trace": lambda path: write_trace(path, trace),
     }
     series = zip(result.series_baseline.tolist(), result.series_managed.tolist())
     outcomes = zip(result.series_managed.tolist(), result.outcomes.tolist())
@@ -359,8 +358,6 @@ def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
         "region": (("n1", "n2", "accept"),
                    ((n1, n2, "true" if ok else "false")
                     for (n1, n2), ok in np.ndenumerate(region))),
-        "trace": (("timestamp_s", "power_w"),
-                  ((repr(i * 0.1), repr(w)) for i, w in enumerate(odd[:6]))),
     }  # fmt: skip
     for name, write in written.items():
         got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}.want.csv"

@@ -30,7 +30,6 @@ from loadcap.tailprob import (
     clt_estimate,
     estimate,
     exact_pmf,
-    lower_tail,
 )
 from loadcap.tailprob import _TRIM_MASS, _binomial_pmf
 
@@ -114,15 +113,15 @@ def test_power_pmf_moments_match_numpy() -> None:
 def test_tail_and_mass_partition_the_distribution() -> None:
     pmf = PowerPmf(quantum=1.0, offset=0, probabilities=np.array([0.25, 0.5, 0.25]))
     assert pmf.tail_at_or_above(1.0) == pytest.approx(0.75)
-    assert pmf.mass_below(1.0) == pytest.approx(0.25)
-    # an off-grid threshold rounds up, and both tails split the pmf there
+    # an off-grid threshold rounds up
     assert pmf.tail_at_or_above(0.5) == pytest.approx(0.75)
-    assert pmf.mass_below(0.5) == pytest.approx(0.25)
-    assert pmf.mass_below(1.5) == pytest.approx(0.75)
+    assert pmf.tail_at_or_above(1.5) == pytest.approx(0.25)
     assert pmf.tail_at_or_above(0.0) == 1.0
     assert pmf.tail_at_or_above(2.5) == 0.0
-    assert pmf.mass_below(0.0) == 0.0
-    assert pmf.mass_below(99.0) == pytest.approx(1.0)
+    # the tail and the mass strictly below the threshold make up the pmf
+    for threshold in (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 99.0):
+        below = pmf.probabilities[pmf.support_watts < threshold].sum()
+        assert pmf.tail_at_or_above(threshold) + below == pytest.approx(1.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +309,27 @@ def test_bennett_bound_values() -> None:
     assert bound_bennett(AggregateStats(5.0, 0.0, 25.0, 5.0), 6.0) == 0.0
 
 
+def test_moment_bounds_where_the_squared_distance_overflows() -> None:
+    # (t - m)**2 leaves the float range past 1.34e154; the bounds are then
+    # computed in an order that stays finite, not read as 0
+    huge = AggregateStats(0.0, 1e308, 1e308, 1.0)
+    assert bound_chebyshev(huge, 2e154) == 0.25  # 1e308 / 4e308
+    assert bound_hoeffding(huge, 2e154) == pytest.approx(math.exp(-8.0), rel=1e-12)
+    three = aggregate_stats(comp((1.0, 0.5, 3)))
+    for bound in (bound_chebyshev, bound_hoeffding, bound_bennett):
+        for threshold in (1e300, 1.7e308):
+            assert bound(three, threshold) == 0.0
+    # (1 + u) * ln(1 + u) overflows at u = 2e306; with v/b**2 negligible the
+    # exponent is (d/b) * (ln(1 + u) - 1), and the bound is not 0
+    value = bound_bennett(AggregateStats(0.0, 1e-306, 0.0, 2.0), 1.0)
+    assert value == pytest.approx(math.exp(-0.5 * (math.log1p(2e306) - 1.0)), rel=1e-9)
+    assert value > 0.0
+    # a variance past the float range leaves only the trivial bound
+    overflowed = AggregateStats(2e153, math.inf, math.inf, 1e155)
+    for bound in (bound_chebyshev, bound_hoeffding, bound_bennett):
+        assert bound(overflowed, 1e155) == 1.0
+
+
 def test_chernoff_bound_worked_value_and_closed_form() -> None:
     value = bound_chernoff(WORKED, 60.0)
     assert value == pytest.approx(0.1336, abs=1e-3)
@@ -400,43 +420,6 @@ def test_estimates_stay_in_unit_interval() -> None:
 
 
 # ---------------------------------------------------------------------------
-# lower tail
-# ---------------------------------------------------------------------------
-
-
-def test_lower_tail_exact_values() -> None:
-    pair = comp((1.0, 0.5, 2))
-    assert lower_tail(EstimationMethod.EXACT, pair, 1.0) == pytest.approx(0.25)
-    assert lower_tail(EstimationMethod.EXACT, pair, 0.0) == 0.0
-    assert lower_tail(EstimationMethod.EXACT, pair, 3.0) == pytest.approx(1.0)
-    # lower and upper tails partition the mass at any grid threshold
-    for thr in (1.0, 2.0):
-        total = lower_tail(EstimationMethod.EXACT, pair, thr) + estimate(
-            EstimationMethod.EXACT, pair, thr
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lower_tail_clt_value() -> None:
-    assert lower_tail(EstimationMethod.CLT, WORKED, 40.0) == pytest.approx(
-        0.022750131948179195, rel=1e-9
-    )
-    assert lower_tail(EstimationMethod.CLT, WORKED, 50.0) == pytest.approx(0.5)
-
-
-def test_lower_tail_respects_base_load_floor() -> None:
-    loaded = comp((1.0, 0.5, 4), det=10.0)
-    assert lower_tail(EstimationMethod.EXACT, loaded, 10.0) == 0.0
-    assert lower_tail(EstimationMethod.EXACT, loaded, 5.0) == 0.0
-
-
-def test_lower_tail_rejects_bound_methods() -> None:
-    for method in BOUND_METHODS:
-        with pytest.raises(ValueError, match="no lower-tail form"):
-            lower_tail(method, WORKED, 40.0)
-
-
-# ---------------------------------------------------------------------------
 # ordering and monotonicity properties
 # ---------------------------------------------------------------------------
 
@@ -486,7 +469,7 @@ def test_monotone_methods_grow_with_extra_appliance() -> None:
     for _ in range(20):
         composition = random_composition(rng)
         extra = bern("extra", float(rng.integers(1, 6)), float(rng.uniform(0.05, 0.95)), 1)
-        larger = composition.with_added(extra)
+        larger = ClassComposition(entries=composition.entries + ((extra, 1),))
         thr = float(rng.uniform(1.0, 30.0))
         above_mean = thr > aggregate_stats(composition).mean
         for method in EstimationMethod:
@@ -510,27 +493,3 @@ def test_composition_validation() -> None:
     # an always-on class is an ordinary entry; estimators fold it into the base
     always = bern("d", 2.0, 1.0, 1)
     assert ClassComposition(entries=((always, 1),)).entries == ((always, 1),)
-
-
-def test_with_added_routes_deterministic_to_base_load() -> None:
-    det_cls = bern("d", 2.5, 1.0, 3)
-    grown = WORKED.with_added(det_cls)
-    assert grown.entries == WORKED.entries + ((det_cls, 1),)
-    assert grown.deterministic_load == 0.0
-    based = ClassComposition(entries=WORKED.entries, deterministic_load=2.5)
-    for method in ALL_METHODS:
-        for thr in (40.0, 52.5, 55.0, 60.5):
-            assert estimate(method, grown, thr) == estimate(method, based, thr)
-    with pytest.raises(ValueError):
-        # the population cap binds for always-on classes too
-        ClassComposition(entries=((det_cls, 3),)).with_added(det_cls)
-
-    partial = ClassComposition(entries=((bern("c0", 1.0, 0.5, 5), 3),))
-    stoch = partial.with_added(bern("c0", 1.0, 0.5, 5))
-    assert stoch.entries[0][1] == 4
-    fresh = partial.with_added(bern("c1", 2.0, 0.4, 2))
-    assert [n for _, n in fresh.entries] == [3, 1]
-    with pytest.raises(ValueError):
-        # the per-class population cap still binds
-        full = ClassComposition(entries=((bern("c0", 1.0, 0.5, 3), 3),))
-        full.with_added(bern("c0", 1.0, 0.5, 3))
