@@ -128,7 +128,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         claimed[real] = f"output {key}"
     # the out dir appears only once there is something to write into it
     if spec.is_sweep:
-        cells = sweep_qos(config, spec.p_values, spec.methods, jobs=args.jobs)
+        cells = sweep_qos(config, spec.p_values, spec.methods)
         os.makedirs(args.out_dir, exist_ok=True)
         write_sweep(paths["sweep_csv"], cells)
         write_sweep_result(paths["result_json"], spec.name, cells)
@@ -227,9 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--seed", type=int, default=None, help="base RNG seed; default keeps the file's"
     )
-    simulate.add_argument(
-        "--jobs", type=int, default=1, help="parallel worker processes for sweeps"
-    )
+    # a sweep runs in one process; perfbench/probe.py still passes --jobs 1
+    # to every traced simulate command, so that value alone is accepted
+    simulate.add_argument("--jobs", type=int, choices=(1,), help=argparse.SUPPRESS)
     simulate.add_argument("experiment", help="experiment JSON path")
     simulate.set_defaults(func=_cmd_simulate)
 

@@ -11,8 +11,8 @@ All randomness descends from the single config seed.  Appliance streams are
 keyed by global appliance index, so the series of appliance i is the same
 regardless of which method or policy is being evaluated (common random
 numbers across compared runs).  A QoS sweep relies on that: it samples the
-population once per p and builds every method's managed series from that
-one pass.
+population once and builds every (p, method) cell's managed series from
+that one pass, so each cell is the single run at its p, method and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, Sequence
@@ -44,12 +43,10 @@ __all__ = [
     "EnergyLedger",
     "SimResult",
     "SweepCell",
-    "TableRow",
     "run",
     "run_composition",
     "run_slot_dynamic",
     "sweep_qos",
-    "enabled_percentage_table",
 ]
 
 # slots with at least this many expected violations give usable k estimates
@@ -160,15 +157,6 @@ class SweepCell:
     low_confidence: bool
 
 
-@dataclass(frozen=True)
-class TableRow:
-    """Enabled count for one method, relative to the exact reference."""
-
-    method: EstimationMethod
-    enabled: int
-    percent_of_exact: float
-
-
 def _population(config: SimConfig) -> Iterator[tuple[int, int, np.ndarray]]:
     """(class index, index within the class, series) of every appliance, in file order."""
     index = 0
@@ -223,36 +211,36 @@ def run_composition(config: SimConfig) -> SimResult:
     appliances never run; no scheduling is involved.  The baseline series
     runs every appliance for comparison.
     """
-    return _compositions(config, (config.method,))[0]
+    return _compositions(config, (config.policy.p,), (config.method,))[0]
 
 
 def _compositions(
-    config: SimConfig, methods: Sequence[EstimationMethod]
+    config: SimConfig, p_values: Sequence[float], methods: Sequence[EstimationMethod]
 ) -> list[SimResult]:
-    """``run_composition`` under each of ``methods``, from one sampled population.
+    """``run_composition`` at every (p, method), in that order, from one sampled population.
 
-    Each method's managed row gets the same additions, in the same order, as
-    a run of that method alone; the series themselves are never kept.
+    Cells sized to the same counts share one managed row, which gets the
+    same additions, in the same order, as a single run of any of them; the
+    series themselves are never kept.
     """
     base = ClassComposition(entries=(), deterministic_load=config.deterministic_load)
-    sized = [
-        tuple(
-            max_admissible(cls, config.policy, method, config.quantum, base=base)
-            for cls in config.classes
-        )
-        for method in methods
-    ]
+    cells = []
+    for p in p_values:
+        policy = replace(config.policy, p=p)
+        for method in methods:
+            sized = tuple(
+                max_admissible(cls, policy, method, config.quantum, base=base)
+                for cls in config.classes
+            )
+            cells.append((replace(config, policy=policy, method=method), sized))
     baseline = np.full(config.slots, config.deterministic_load)
-    managed = [np.full(config.slots, config.deterministic_load) for _ in methods]
+    managed = {sized: np.full(config.slots, config.deterministic_load) for _, sized in cells}
     for c, i, series in _population(config):
         baseline += series
-        for enabled_counts, row in zip(sized, managed):
+        for enabled_counts, row in managed.items():
             if i < enabled_counts[c]:
                 row += series
-    return [
-        _result(config, baseline, row, enabled_counts)
-        for enabled_counts, row in zip(sized, managed)
-    ]
+    return [_result(cell, baseline, managed[sized], sized) for cell, sized in cells]
 
 
 def run_slot_dynamic(config: SimConfig) -> SimResult:
@@ -421,29 +409,6 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     return _result(config, baseline, managed, enabled_counts, ledger, outcomes)
 
 
-def _sweep_p(
-    args: tuple[SimConfig, float, int, tuple[EstimationMethod, ...]],
-) -> list[SweepCell]:
-    config, p, p_index, methods = args
-    p_config = replace(
-        config,
-        policy=replace(config.policy, p=p),
-        seed=int(derive_seed(config.seed, 2, p_index)),
-    )
-    return [
-        SweepCell(
-            p=p,
-            method=method,
-            enabled=int(sum(result.enabled_counts)),
-            p_hat=result.p_hat,
-            k=result.k,
-            stderr=result.stderr,
-            low_confidence=result.low_confidence,
-        )
-        for method, result in zip(methods, _compositions(p_config, methods))
-    ]
-
-
 def _sweep_axes(
     config: SimConfig,
     p_values: Sequence[float],
@@ -469,58 +434,25 @@ def sweep_qos(
     config: SimConfig,
     p_values: Sequence[float],
     methods: Sequence[EstimationMethod] | None = None,
-    jobs: int = 1,
 ) -> list[SweepCell]:
     """Composition-mode runs over a grid of QoS probabilities and methods.
 
-    All methods at one p share a seed and one sampled population, so they
-    see identical appliance series and differ only in how many appliances
-    they enable.  Cells come back in (p, method) order.  The p values are
-    independent; they run in min(jobs, len(p_values), CPUs) worker processes
-    when that is above 1, with output order unchanged.
+    Every cell reads one sampled population drawn with the config's seed,
+    so all cells see identical appliance series and differ only in how many
+    appliances they enable; each equals ``run_composition`` at its p and
+    method.  Cells come back in (p, method) order.
     """
     values, chosen = _sweep_axes(config, p_values, methods)
-    if jobs < 1:
-        raise ValueError(f"jobs={jobs!r} must be at least 1")
-    tasks = [(config, p, p_index, chosen) for p_index, p in enumerate(values)]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here: it loads multiprocessing, socket and subprocess,
-        # which no serial command needs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_p = list(pool.map(_sweep_p, tasks))
-    else:
-        per_p = [_sweep_p(task) for task in tasks]
-    return [cell for cells in per_p for cell in cells]
-
-
-def enabled_percentage_table(
-    appliance_class: ApplianceClass,
-    policy: QosPolicy,
-    methods: Sequence[EstimationMethod] | None = None,
-    quantum: float = 1.0,
-    base: ClassComposition | None = None,
-) -> list[TableRow]:
-    """Maximum enabled counts per method, as a percentage of the exact one.
-
-    ``base`` carries load that is enabled regardless (a second class at
-    full count, constant load), matching the two-class table layouts.
-    """
-    chosen = tuple(methods) if methods is not None else tuple(EstimationMethod)
-    reference = max_admissible(
-        appliance_class, policy, EstimationMethod.EXACT, quantum, base=base
-    )
-    rows = []
-    for method in chosen:
-        if method is EstimationMethod.EXACT:
-            enabled = reference
-        else:
-            enabled = max_admissible(appliance_class, policy, method, quantum, base=base)
-        if reference > 0:
-            percent = 100.0 * enabled / reference
-        else:
-            percent = 0.0 if enabled == 0 else math.inf
-        rows.append(TableRow(method=method, enabled=enabled, percent_of_exact=percent))
-    return rows
+    axes = [(p, method) for p in values for method in chosen]
+    return [
+        SweepCell(
+            p=p,
+            method=method,
+            enabled=int(sum(result.enabled_counts)),
+            p_hat=result.p_hat,
+            k=result.k,
+            stderr=result.stderr,
+            low_confidence=result.low_confidence,
+        )
+        for (p, method), result in zip(axes, _compositions(config, values, chosen))
+    ]

@@ -366,8 +366,11 @@ def bound_bennett(stats: AggregateStats, threshold_w: float) -> float:
         # still a bound; ln(u) is summed from logs, and is -inf when v is.
         log_u = math.log(d) + math.log(stats.max_abs) - math.log(stats.variance)
         return min(1.0, math.exp(-(d / stats.max_abs) * (log_u - 1.0)))
-    exponent = -(stats.variance / stats.max_abs**2) * h
-    return min(1.0, math.exp(exponent))
+    try:
+        scale = stats.variance / stats.max_abs**2
+    except OverflowError:  # b**2 past the float range; v/b/b does not overflow
+        scale = stats.variance / stats.max_abs / stats.max_abs
+    return min(1.0, math.exp(-scale * h))
 
 
 def _log_mgf_term(s: float, h: float, p: float) -> float:
@@ -415,9 +418,15 @@ def bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
     def slope(s: float) -> float:
         return sum(n * _log_mgf_term_deriv(s, h, p) for n, h, p in terms) - threshold_w
 
+    def bound_at(s: float) -> float:
+        try:
+            return min(1.0, math.exp(exponent(s)))
+        except OverflowError:  # an exponent past the float range puts the bound above 1
+            return 1.0
+
     s_lo = 1e-12
     if slope(s_lo) >= 0.0:
-        return min(1.0, math.exp(exponent(s_lo)))
+        return bound_at(s_lo)
     s_hi = 1.0
     doublings = 0
     while slope(s_hi) <= 0.0 and doublings < 1024:
@@ -436,7 +445,7 @@ def bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
         else:
             s_hi = mid
     s_star = 0.5 * (s_lo + s_hi)
-    return max(0.0, min(1.0, math.exp(exponent(s_star))))
+    return bound_at(s_star)
 
 
 def clt_estimate(stats: AggregateStats, threshold_w: float) -> float:

@@ -28,7 +28,6 @@ from loadcap.scheduling import SchedulingStrategy
 from loadcap.simulation import (
     SimConfig,
     SimMode,
-    enabled_percentage_table,
     run,
     sweep_qos,
 )
@@ -193,16 +192,17 @@ def test_c04_sized_simulation_k_ratios() -> None:
 def test_c05_enabled_percentage_hierarchy() -> None:
     cls = bern("c0", 1.0, 0.1, 2000)
     policy = QosPolicy(c_max=90.0, p=1e-5)
-    rows = {row.method: row for row in enabled_percentage_table(cls, policy)}
+    enabled = {m: max_admissible(cls, policy, m) for m in EstimationMethod}
+    percent = {m: 100.0 * n / enabled[EstimationMethod.EXACT] for m, n in enabled.items()}
 
-    assert rows[EstimationMethod.EXACT].enabled == 568
-    assert rows[EstimationMethod.EXACT].percent_of_exact == 100.0
-    assert 85.0 <= rows[EstimationMethod.CHERNOFF].percent_of_exact <= 95.0
-    assert 84.0 <= rows[EstimationMethod.BENNETT].percent_of_exact <= 95.0
-    assert 72.0 <= rows[EstimationMethod.HOEFFDING].percent_of_exact <= 88.0
-    assert rows[EstimationMethod.CHEBYSHEV].percent_of_exact == 0.0
-    assert rows[EstimationMethod.MARKOV].percent_of_exact == 0.0
-    assert 100.0 <= rows[EstimationMethod.CLT].percent_of_exact <= 110.0
+    assert enabled[EstimationMethod.EXACT] == 568
+    assert percent[EstimationMethod.EXACT] == 100.0
+    assert 85.0 <= percent[EstimationMethod.CHERNOFF] <= 95.0
+    assert 84.0 <= percent[EstimationMethod.BENNETT] <= 95.0
+    assert 72.0 <= percent[EstimationMethod.HOEFFDING] <= 88.0
+    assert percent[EstimationMethod.CHEBYSHEV] == 0.0
+    assert percent[EstimationMethod.MARKOV] == 0.0
+    assert 100.0 <= percent[EstimationMethod.CLT] <= 110.0
 
     order = (
         EstimationMethod.CLT,
@@ -213,11 +213,11 @@ def test_c05_enabled_percentage_hierarchy() -> None:
         EstimationMethod.CHEBYSHEV,
         EstimationMethod.MARKOV,
     )
-    counts = [rows[m].enabled for m in order]
+    counts = [enabled[m] for m in order]
     assert counts == sorted(counts, reverse=True)
     print(
         "criterion 5 PASS: enabled percentages "
-        + ", ".join(f"{m.value}={rows[m].percent_of_exact:.1f}%" for m in order)
+        + ", ".join(f"{m.value}={percent[m]:.1f}%" for m in order)
     )
 
 

@@ -135,6 +135,8 @@ def test_max_admissible_exact_matches_linear_scan_oracle() -> None:
     result = max_admissible(cls, policy, EstimationMethod.EXACT)
     assert result == linear_scan_max(cls, policy, EstimationMethod.EXACT)
     assert result == 114  # Pr(Bin(114,.1)>=20)=0.00916 <= 0.01 < Pr(Bin(115,.1)>=20)
+    # a larger population changes nothing below its count cap
+    assert max_admissible(bern("x", 1.0, 0.1, 400), policy, EstimationMethod.EXACT) == 114
 
 
 def test_max_admissible_binary_search_agrees_with_linear_scan() -> None:

@@ -169,6 +169,24 @@ def test_bounds_at_a_huge_ceiling_stay_bounds(c_max, capsys) -> None:
     assert table["bennett"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["1x1e155@0.001", "--c-max", "2e152"],
+        ["2x1e155@0.01", "--c-max", "1e155"],
+    ],
+    ids=["bennett-range-squared", "chernoff-exponent"],
+)
+def test_bounds_at_a_huge_on_power_stay_bounds(argv, capsys) -> None:
+    # the largest wattage squared, and the Chernoff exponent at its smallest
+    # s, leave the float range here
+    assert main(["bounds", *argv, "--quantum-w", "1e155"]) == 0
+    table = bounds_table(capsys)
+    assert len(table) == 7
+    for method, value in table.items():
+        assert table["exact"] <= value <= 1.0, method
+
+
 def test_bounds_off_grid_power_with_matching_quantum(capsys) -> None:
     assert main(["bounds", "4x1.5@0.5", "--c-max", "3", "--quantum-w", "0.5"]) == 0
     table = bounds_table(capsys)
@@ -275,6 +293,20 @@ def test_simulate_sweep_outputs(tmp_path, capsys) -> None:
     assert out == grid
     doc = json.loads((tmp_path / "grid.json").read_text())
     assert len(doc["cells"]) == 4
+
+
+def test_simulate_jobs_takes_only_1(tmp_path, capsys) -> None:
+    # a sweep runs in one process; --jobs 1 is still accepted and changes nothing
+    path = experiment_file(tmp_path, **SWEEP, slots=100)
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr().out
+    assert main(["simulate", path, "--jobs", "1", "--out-dir", str(tmp_path / "one")]) == 0
+    assert capsys.readouterr().out == plain
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", path, "--jobs", "2", "--out-dir", str(tmp_path / "two")])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "two").exists()
 
 
 def test_simulate_low_confidence_warning(tmp_path, capsys) -> None:
@@ -573,12 +605,6 @@ def test_simulate_refused_during_the_run_leaves_no_out_dir(tmp_path, capsys) -> 
     assert main(["simulate", path, "--out-dir", str(out)]) == 2
     assert "quantization mismatch" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_simulate_sweep_jobs_below_one_exits_2(tmp_path, capsys) -> None:
-    path = experiment_file(tmp_path, **SWEEP, slots=100)
-    assert main(["simulate", path, "--jobs", "-3", "--out-dir", str(tmp_path)]) == 2
-    assert "jobs=-3" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -992,7 +1018,7 @@ def test_module_entry_point_runs() -> None:
 
 
 def test_importing_the_cli_loads_no_process_pool() -> None:
-    # only a sweep with --jobs above 1 imports the pool and multiprocessing
+    # nothing in loadcap starts worker processes; a sweep runs in one process
     root = Path(__file__).resolve().parents[1]
     paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     probe = (

@@ -17,7 +17,6 @@ from loadcap.models import (
     Bernoulli,
     DurationPmf,
     TwoStateMarkov,
-    derive_seed,
     sample_series,
 )
 from loadcap.scheduling import SchedulingStrategy
@@ -27,7 +26,6 @@ from loadcap.simulation import (
     SimMode,
     SimResult,
     SweepCell,
-    enabled_percentage_table,
     run,
     run_composition,
     run_slot_dynamic,
@@ -578,15 +576,11 @@ def test_slot_dynamic_with_deterministic_classes_is_pinned(
 
 
 # ---------------------------------------------------------------------------
-# sweeps and tables
+# sweeps
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_validation(monkeypatch) -> None:
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+def test_sweep_validation() -> None:
     cfg = config_of()
     with pytest.raises(ValueError):
         sweep_qos(cfg, [])
@@ -598,9 +592,6 @@ def test_sweep_validation(monkeypatch) -> None:
         sweep_qos(cfg, [0.1, 1.0])
     with pytest.raises(ValueError, match="methods must be non-empty"):
         sweep_qos(cfg, [0.01, 0.1], methods=[])
-    for jobs in (0, -3):
-        with pytest.raises(ValueError, match="jobs"):
-            sweep_qos(cfg, [0.01, 0.1], jobs=jobs)
 
 
 def test_sweep_rejects_a_slot_dynamic_config() -> None:
@@ -611,7 +602,7 @@ def test_sweep_rejects_a_slot_dynamic_config() -> None:
 @pytest.mark.parametrize(
     ("quantum", "deterministic_load"), [(0.5, 1.25), (0.1, 0.7)], ids=["dyadic", "decimal"]
 )
-def test_sweep_samples_once_per_p_and_matches_per_cell_runs(
+def test_sweep_samples_once_and_matches_per_cell_runs(
     monkeypatch, quantum, deterministic_load
 ) -> None:
     renewal = AlternatingRenewal(
@@ -648,19 +639,15 @@ def test_sweep_samples_once_per_p_and_matches_per_cell_runs(
 
     monkeypatch.setattr("loadcap.simulation.sample_series", counting_sample_series)
     cells = sweep_qos(config, p_values, methods=methods)
-    # every method at one p reads the same single pass over the population
-    assert calls == sum(cls.count for cls in classes) * len(p_values)
+    # every (p, method) cell reads the same single pass over the population
+    assert calls == sum(cls.count for cls in classes)
 
     expected = []
-    for p_index, p in enumerate(p_values):
+    for p in p_values:
         for method in methods:
+            # the single run at the cell's p and method, with the config's seed
             result = run_composition(
-                replace(
-                    config,
-                    policy=replace(config.policy, p=p),
-                    method=method,
-                    seed=derive_seed(config.seed, 2, p_index),
-                )
+                replace(config, policy=replace(config.policy, p=p), method=method)
             )
             expected.append(
                 SweepCell(
@@ -674,37 +661,10 @@ def test_sweep_samples_once_per_p_and_matches_per_cell_runs(
                 )
             )
     assert cells == expected
-    # the methods enable different appliances, so their managed rows differ
+    # the methods enable different appliances, so their managed rows differ,
+    # and so do the p values
     assert len({cell.enabled for cell in cells[: len(methods)]}) > 1
-
-
-def test_sweep_workers_are_capped_by_cells_and_cpus(monkeypatch) -> None:
-    asked: list[int] = []
-
-    class SerialPool:
-        def __init__(self, max_workers: int) -> None:
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info) -> None:
-            return None
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    cfg = config_of(slots=40)
-    methods = (EstimationMethod.EXACT, EstimationMethod.MARKOV)
-    serial = sweep_qos(cfg, [0.01, 0.1], methods=methods)
-    monkeypatch.setattr("loadcap.simulation.os.cpu_count", lambda: 64)
-    assert sweep_qos(cfg, [0.01, 0.1], methods=methods, jobs=10_000) == serial
-    assert asked == [2]  # one worker per p value, not per cell or requested job
-    for cpus in (1, None):
-        monkeypatch.setattr("loadcap.simulation.os.cpu_count", lambda: cpus)
-        assert sweep_qos(cfg, [0.01, 0.1], methods=methods, jobs=10_000) == serial
-    assert asked == [2]  # a single CPU runs the p values in-process
+    assert cells[0].enabled != cells[len(methods)].enabled
 
 
 def test_sweep_grid_layout_and_determinism() -> None:
@@ -730,39 +690,6 @@ def test_sweep_enabled_counts_non_decreasing_in_p() -> None:
     cells = sweep_qos(cfg, [0.001, 0.01, 0.1], methods=(EstimationMethod.EXACT,))
     enabled = [c.enabled for c in cells]
     assert enabled == sorted(enabled)
-
-
-def test_sweep_parallel_equals_serial() -> None:
-    cfg = config_of(slots=80)
-    serial = sweep_qos(cfg, [0.01, 0.05], methods=(EstimationMethod.EXACT,), jobs=1)
-    parallel = sweep_qos(cfg, [0.01, 0.05], methods=(EstimationMethod.EXACT,), jobs=2)
-    assert serial == parallel
-
-
-def test_enabled_percentage_table_reference_row() -> None:
-    cls = bern("c0", 1.0, 0.1, 400)
-    policy = QosPolicy(c_max=20.0, p=0.01)
-    rows = enabled_percentage_table(cls, policy)
-    by_method = {row.method: row for row in rows}
-    exact_row = by_method[EstimationMethod.EXACT]
-    assert exact_row.enabled == 114
-    assert exact_row.percent_of_exact == 100.0
-    for row in rows:
-        assert row.percent_of_exact == pytest.approx(100.0 * row.enabled / 114)
-
-
-def test_enabled_percentage_table_zero_reference() -> None:
-    # the exact search admits nothing, the normal approximation one appliance
-    cls = bern("c0", 1.0, 0.3, 5)
-    policy = QosPolicy(c_max=0.9, p=0.2)
-    rows = enabled_percentage_table(
-        cls, policy, methods=(EstimationMethod.EXACT, EstimationMethod.CLT)
-    )
-    exact_row, clt_row = rows
-    assert exact_row.enabled == 0
-    assert exact_row.percent_of_exact == 0.0
-    assert clt_row.enabled >= 1
-    assert clt_row.percent_of_exact == math.inf
 
 
 def test_run_returns_simresult_with_mode_dependent_extras() -> None:
