@@ -67,14 +67,23 @@ def _count_estimator(
     """Admission check as a function of the enabled count of each class.
 
     ``counts[i]`` of ``classes[i]`` join ``base`` as new entries; the
-    estimator folds always-on classes into the constant load.
+    estimator folds always-on classes into the constant load.  Class names
+    and the base are checked once, here; each call checks only its counts
+    against ``[0, cls.count]``.
     """
+    # the constructor refuses a name that repeats across base and classes
+    ClassComposition(entries=base.entries + tuple((cls, 0) for cls in classes))
+    limits = tuple(cls.count for cls in classes)
 
     def admits(counts: tuple[int, ...]) -> bool:
-        comp = ClassComposition(
-            entries=base.entries + tuple(zip(classes, counts)),
-            deterministic_load=base.deterministic_load,
-        )
+        for cls, n, limit in zip(classes, counts, limits):
+            if not 0 <= n <= limit or int(n) != n:
+                raise ValueError(f"enabled count {n!r} for {cls.name!r} outside [0, {limit}]")
+        # every check ClassComposition runs has passed, so its fields are
+        # filled in without running them again for each count vector
+        comp = object.__new__(ClassComposition)
+        object.__setattr__(comp, "entries", base.entries + tuple(zip(classes, map(int, counts))))
+        object.__setattr__(comp, "deterministic_load", base.deterministic_load)
         return policy.admits(estimate(method, comp, policy.c_max, quantum))
 
     return admits

@@ -40,6 +40,9 @@ __all__ = [
 _GRID_RTOL = 1e-9
 # support mass trimmed from pmf ends after the normalization check
 _TRIM_MASS = 1e-300
+# the pmf of an empty load, where every exact pmf starts (read-only: shared)
+_EMPTY_LOAD = np.ones(1)
+_EMPTY_LOAD.setflags(write=False)
 
 
 class EstimationMethod(Enum):
@@ -62,9 +65,14 @@ class PowerPmf:
     The probability vector is dense over consecutive grid points, sums to 1
     within 1e-9, and is trimmed so its first and last entries are positive.
 
-    The mass check's verdict is that of the correctly rounded ``math.fsum``.
-    It is read from the cheaper ``ndarray.sum``; ``fsum`` runs only when that
-    sum fails the check or lies within its rounding error bound of the edge.
+    The checks take two reductions.  ``min`` refuses a negative entry, -inf
+    or NaN.  ``ndarray.sum`` then gives the mass; once every entry is at
+    least 0, a finite sum means every entry is finite, so ``isfinite`` runs
+    only on an infinite sum, to tell an infinite entry from finite entries
+    whose sum overflows ("pmf mass is inf").  The mass check's verdict is
+    that of the correctly rounded ``math.fsum``, which runs only when the
+    numpy sum fails the check or lies within its rounding error bound of the
+    edge.
     """
 
     quantum: float
@@ -80,7 +88,7 @@ class PowerPmf:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probabilities must be a non-empty 1-D vector")
-        if not np.isfinite(probs).all() or (probs < 0.0).any():
+        if not probs.min() >= 0.0:  # a negative entry, -inf or NaN
             raise ValueError("probabilities must be finite and non-negative")
         # Summed in any order, n non-negative terms err by at most
         # gamma_(n-1) * sum, gamma_k = k*u / (1 - k*u), u = 2**-53 (Higham,
@@ -90,6 +98,8 @@ class PowerPmf:
         # failing mass is reported as fsum gives it.
         total = float(probs.sum())
         if not math.isfinite(total):  # fsum would raise OverflowError
+            if not np.isfinite(probs).all():  # else finite entries overflow it
+                raise ValueError("probabilities must be finite and non-negative")
             raise ValueError(f"pmf mass is {total!r}, not 1 within 1e-9")
         near_edge = abs(abs(total - 1.0) - 1e-9) <= probs.size * 2.3e-16 * total
         if near_edge or abs(total - 1.0) > 1e-9:
@@ -133,7 +143,7 @@ class ClassComposition:
         seen: set[str] = set()
         cleaned = []
         for cls, enabled in self.entries:
-            if int(enabled) != enabled or not (0 <= enabled <= cls.count):
+            if not (0 <= enabled <= cls.count) or int(enabled) != enabled:
                 raise ValueError(
                     f"enabled count {enabled!r} for {cls.name!r} outside [0, {cls.count}]"
                 )
@@ -224,7 +234,9 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf.
 
     Small n uses exact integer coefficients; large n moves to the log
-    domain, where lgamma keeps the extreme terms from underflowing.
+    domain, where lgamma keeps the extreme terms from underflowing.  There
+    ``lgamma(k + 1)`` and ``lgamma(n - k + 1)`` read one table from either
+    end, and numpy sums each term's five parts in the per-term order.
     """
     if n == 0:
         return np.ones(1)
@@ -242,16 +254,9 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     else:
         log_p = math.log(p)
         log_q = math.log1p(-p)
-        lg_n = math.lgamma(n + 1)
-        logs = [
-            lg_n
-            - math.lgamma(k + 1)
-            - math.lgamma(n - k + 1)
-            + k * log_p
-            + (n - k) * log_q
-            for k in range(n + 1)
-        ]
-        pmf = np.exp(np.array(logs))
+        lg = np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=np.float64, count=n + 1)
+        ks = np.arange(n + 1)
+        pmf = np.exp(lg[n] - lg - lg[::-1] + ks * log_p + (n - ks) * log_q)
     return pmf / math.fsum(pmf.tolist())
 
 
@@ -279,7 +284,12 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     shifting a running grid offset by the window's start.  A class drawing
     ``s`` grid steps is convolved at stride ``s`` without padding: the
     accumulator is split by residue mod ``s`` and each residue is convolved
-    with the window on its own.  Every class's ON wattage must sit on the
+    with the window on its own.  That convolution is the call ``np.convolve``
+    makes, without its Python wrapper: ``np.correlate(longer, shorter[::-1],
+    "full")``, with the residue taken as the longer one unless the window is
+    strictly longer, so the sums run in the same order to the same bytes.
+    A one-point accumulator (the first class) gives one-product sums, so it
+    scales the window instead.  Every class's ON wattage must sit on the
     grid, else ValueError("quantization mismatch").  The constant base load
     is not folded in; callers offset thresholds.  ``PowerPmf`` checks the
     trimmed pmf's mass and raises ValueError when it drifted from 1.
@@ -290,7 +300,7 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
-    acc = np.ones(1)  # the pmf of an empty load
+    acc = _EMPTY_LOAD
     offset = 0
     for cls, enabled in composition.entries:
         if enabled == 0:
@@ -299,8 +309,16 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         lo, kernel = _class_kernel(enabled, cls.p_on)
         offset += lo * steps
         out = np.zeros(acc.size + (kernel.size - 1) * steps)
-        for r in range(min(steps, acc.size)):
-            out[r::steps] = np.convolve(acc[r::steps], kernel)
+        if acc.size == 1:  # a sum of one product per point: the scaled window
+            out[::steps] = kernel * acc[0]
+        else:
+            flipped = kernel[::-1]
+            for r in range(min(steps, acc.size)):
+                residue = acc[r::steps]
+                if kernel.size > residue.size:
+                    out[r::steps] = np.correlate(kernel, residue[::-1], "full")
+                else:
+                    out[r::steps] = np.correlate(residue, flipped, "full")
         acc = out
     start = 0
     if acc[0] < _TRIM_MASS:
@@ -357,13 +375,17 @@ def bound_bennett(stats: AggregateStats, threshold_w: float) -> float:
         return 1.0
     if stats.variance == 0.0 or stats.max_abs == 0.0:
         return 0.0
+    if math.isinf(stats.variance):
+        # u would be 0 (or NaN) and the exponent (v/b**2)*h(u) NaN: only the
+        # trivial bound is left
+        return 1.0
     d = threshold_w - stats.mean
     u = d * stats.max_abs / stats.variance
     h = _bennett_h(u)
     if not math.isfinite(h):
         # (1 + u) * ln(1 + u) overflowed (h is nan once u is inf too).  The
         # exponent (v/b**2)*h(u) is at least (d/b)*(ln(u) - 1), so this is
-        # still a bound; ln(u) is summed from logs, and is -inf when v is.
+        # still a bound; ln(u) is summed from logs.
         log_u = math.log(d) + math.log(stats.max_abs) - math.log(stats.variance)
         return min(1.0, math.exp(-(d / stats.max_abs) * (log_u - 1.0)))
     try:

@@ -10,6 +10,7 @@ import pytest
 from loadcap.admission import (
     _admission_frontier,
     _admits_down_set,
+    _count_estimator,
     QosPolicy,
     decision_region,
     max_admissible,
@@ -60,6 +61,38 @@ def test_qos_policy_validation() -> None:
         QosPolicy(c_max=60.0, p=1.0)
     with pytest.raises(ValueError):
         QosPolicy(c_max=60.0, p=0.05, c_sys=50.0)
+
+
+def test_count_estimator_checks_names_once_and_counts_on_every_call() -> None:
+    a, b = bern("a", 1.0, 0.35, 12), bern("b", 3.0, 0.15, 5)
+    policy = QosPolicy(c_max=8.0, p=0.03)
+    exact = EstimationMethod.EXACT
+    with pytest.raises(ValueError, match="duplicate class name 'a'"):
+        _count_estimator((a, b), policy, exact, 1.0, ClassComposition(entries=((a, 3),)))
+    with pytest.raises(ValueError, match="duplicate class name 'b'"):
+        _count_estimator((b, b), policy, exact, 1.0, ClassComposition.empty())
+    base = ClassComposition(entries=((bern("c", 2.0, 1.0, 2), 1),), deterministic_load=0.5)
+    admits = _count_estimator((a, b), policy, exact, 1.0, base)
+    for counts, message in (
+        ((13, 0), "enabled count 13 for 'a' outside [0, 12]"),
+        ((0, -1), "enabled count -1 for 'b' outside [0, 5]"),
+        ((2.5, 0), "enabled count 2.5 for 'a' outside [0, 12]"),
+        ((0, math.inf), "enabled count inf for 'b' outside [0, 5]"),
+        ((math.nan, 0), "enabled count nan for 'a' outside [0, 12]"),
+    ):
+        with pytest.raises(ValueError) as refused:
+            admits(counts)
+        assert str(refused.value) == message
+        with pytest.raises(ValueError) as refused:
+            ClassComposition(entries=tuple(zip((a, b), counts)))
+        assert str(refused.value) == message
+    # each verdict is the one the composition built by its constructor gives
+    for n1 in range(a.count + 1):
+        for n2 in range(b.count + 1):
+            comp = ClassComposition(
+                entries=base.entries + ((a, n1), (b, n2)), deterministic_load=0.5
+            )
+            assert admits((n1, n2)) == (estimate(exact, comp, 8.0) <= 0.03), (n1, n2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Property checks of the exact pmf and of its mass check.
 
 One property holds ``exact_pmf`` to a reference, byte for byte: its body as
-it stood when both ends were trimmed by full cumulative sums.  The others
+it stood when both ends were trimmed by full cumulative sums.  Another holds
+the log-domain binomial to its per-term formula, byte for byte.  The others
 hold the ``PowerPmf`` mass check to the verdict of ``math.fsum`` next to
 both edges, where a cheaper sum could round to the wrong side.
 """
@@ -19,6 +20,7 @@ from loadcap.tailprob import (
     ClassComposition,
     EstimationMethod,
     PowerPmf,
+    _binomial_pmf,
     _class_kernel,
     _fold_certain,
     _grid_steps,
@@ -120,6 +122,18 @@ def compositions(draw) -> tuple[ClassComposition, float]:
 @hypothesis.example(_case(1.0, [(1, 0.5, 1100)]))
 # both ends underflow once convolved
 @hypothesis.example(_case(1.0, [(2, 0.9, 650), (1, 0.1, 400)]))
+# each of the next five differs in its last bits when the residue and the
+# window are passed to np.correlate in the other order
+# residues of 3 and 2 points beside a 4-point window: the window goes first
+@hypothesis.example(_case(1.0, [(1, 0.5, 4), (2, 0.15, 3)]))
+# residues of 3 points beside a 3-point window: on a tie the residue goes first
+@hypothesis.example(_case(1.0, [(1, 0.5, 5), (2, 0.15, 2)]))
+# residues of 4 points beside a 3-point window: the residue goes first
+@hypothesis.example(_case(1.0, [(1, 0.5, 7), (2, 0.4, 2)]))
+# a 13-step class first, then a 1-step window shorter (21 points) and
+# longer (41 points) than the 66 and 27 points laid out before it
+@hypothesis.example(_case(1.0, [(13, 0.3, 5), (1, 0.4, 20)]))
+@hypothesis.example(_case(1.0, [(13, 0.3, 2), (1, 0.4, 40)]))
 def test_exact_pmf_matches_the_reference_byte_for_byte(case) -> None:
     composition, quantum = case
     offset, probabilities = reference_exact_pmf(composition, quantum)
@@ -134,6 +148,33 @@ def test_exact_pmf_matches_the_reference_byte_for_byte(case) -> None:
             c_max = fraction * top + nudge
             expected = reference_exact_estimate(composition, c_max, quantum)
             assert estimate(EstimationMethod.EXACT, composition, c_max, quantum) == expected
+
+
+def reference_binomial_pmf(n: int, p: float) -> np.ndarray:
+    """``_binomial_pmf``'s log-domain branch as it stood, one term at a time."""
+    log_p = math.log(p)
+    log_q = math.log1p(-p)
+    lg_n = math.lgamma(n + 1)
+    logs = [
+        lg_n - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q
+        for k in range(n + 1)
+    ]
+    pmf = np.exp(np.array(logs))
+    return pmf / math.fsum(pmf.tolist())
+
+
+@hypothesis.settings(max_examples=40, deadline=None, database=None)
+@hypothesis.given(
+    st.integers(min_value=61, max_value=9000),
+    st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+)
+# the first log-domain count, and the largest, at both ends of (0, 1)
+@hypothesis.example(61, 0.5)
+@hypothesis.example(9000, 5e-324)
+@hypothesis.example(9000, 1.0 - 2**-53)
+@hypothesis.example(8000, 0.3)
+def test_log_domain_binomial_matches_the_per_term_formula_byte_for_byte(n, p) -> None:
+    assert np.array_equal(_binomial_pmf(n, p), reference_binomial_pmf(n, p))
 
 
 def _mass_check_raises(v: np.ndarray) -> bool:

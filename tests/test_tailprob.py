@@ -96,6 +96,24 @@ def test_power_pmf_validation() -> None:
         PowerPmf(quantum=1.0, offset=0, probabilities=np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    ("probabilities", "message"),
+    [
+        ([0.5, math.nan, 0.5], "probabilities must be finite and non-negative"),
+        ([-0.1, 1.1], "probabilities must be finite and non-negative"),
+        ([0.5, math.inf], "probabilities must be finite and non-negative"),
+        ([-math.inf, 1.0], "probabilities must be finite and non-negative"),
+        ([1e308, 1e308], "pmf mass is inf, not 1 within 1e-9"),
+        ([1.0, 0.0], "pmf support is not trimmed; ends must carry mass"),
+    ],
+    ids=["nan", "negative", "plus-inf", "minus-inf", "mass-overflows", "end-without-mass"],
+)
+def test_power_pmf_refusal_messages(probabilities, message) -> None:
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as refused:
+        PowerPmf(quantum=1.0, offset=0, probabilities=np.array(probabilities))
+    assert str(refused.value) == message
+
+
 @pytest.mark.parametrize("probabilities", [[1e308, 1e308], [1.0, 1.7e308, 1.7e308, 1.0]])
 def test_power_pmf_whose_mass_overflows_is_a_value_error(probabilities) -> None:
     # finite entries whose sum is not: fsum would raise OverflowError
@@ -328,6 +346,11 @@ def test_moment_bounds_where_the_squared_distance_overflows() -> None:
     overflowed = AggregateStats(2e153, math.inf, math.inf, 1e155)
     for bound in (bound_chebyshev, bound_hoeffding, bound_bennett):
         assert bound(overflowed, 1e155) == 1.0
+    # the same where d * b stays finite, so Bennett's u is 0, not NaN (the
+    # stats of `loadcap bounds 1x1e155@0.001 --c-max 2e152 --quantum-w 1e155`)
+    finite_u = AggregateStats(1e152, math.inf, math.inf, 1e155)
+    for bound in (bound_chebyshev, bound_hoeffding, bound_bennett):
+        assert bound(finite_u, 2e152) == 1.0
 
 
 def test_chernoff_bound_worked_value_and_closed_form() -> None:
