@@ -74,17 +74,21 @@ def _count_estimator(
     # the constructor refuses a name that repeats across base and classes
     ClassComposition(entries=base.entries + tuple((cls, 0) for cls in classes))
     limits = tuple(cls.count for cls in classes)
+    new, set_field = object.__new__, object.__setattr__
+    c_max = policy.c_max
 
     def admits(counts: tuple[int, ...]) -> bool:
+        entries = list(base.entries)
         for cls, n, limit in zip(classes, counts, limits):
             if not 0 <= n <= limit or int(n) != n:
                 raise ValueError(f"enabled count {n!r} for {cls.name!r} outside [0, {limit}]")
+            entries.append((cls, int(n)))
         # every check ClassComposition runs has passed, so its fields are
         # filled in without running them again for each count vector
-        comp = object.__new__(ClassComposition)
-        object.__setattr__(comp, "entries", base.entries + tuple(zip(classes, map(int, counts))))
-        object.__setattr__(comp, "deterministic_load", base.deterministic_load)
-        return policy.admits(estimate(method, comp, policy.c_max, quantum))
+        comp = new(ClassComposition)
+        set_field(comp, "entries", tuple(entries))
+        set_field(comp, "deterministic_load", base.deterministic_load)
+        return policy.admits(estimate(method, comp, c_max, quantum))
 
     return admits
 

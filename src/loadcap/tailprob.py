@@ -84,11 +84,13 @@ class PowerPmf:
             raise ValueError(f"quantum={self.quantum!r} must be positive and finite")
         if int(self.offset) != self.offset or self.offset < 0:
             raise ValueError(f"offset={self.offset!r} must be a non-negative integer")
-        object.__setattr__(self, "offset", int(self.offset))
+        if type(self.offset) is not int:
+            object.__setattr__(self, "offset", int(self.offset))
         probs = np.asarray(self.probabilities, dtype=np.float64)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probabilities must be a non-empty 1-D vector")
-        if not probs.min() >= 0.0:  # a negative entry, -inf or NaN
+        least = np.minimum.reduce(probs)
+        if not least >= 0.0:  # a negative entry, -inf or NaN
             raise ValueError("probabilities must be finite and non-negative")
         # Summed in any order, n non-negative terms err by at most
         # gamma_(n-1) * sum, gamma_k = k*u / (1 - k*u), u = 2**-53 (Higham,
@@ -96,7 +98,7 @@ class PowerPmf:
         # fsum's own rounding adds u * sum.  n * 2.3e-16 * sum covers both, so
         # outside that margin of the edge both sums give the same verdict; a
         # failing mass is reported as fsum gives it.
-        total = float(probs.sum())
+        total = float(np.add.reduce(probs))
         if not math.isfinite(total):  # fsum would raise OverflowError
             if not np.isfinite(probs).all():  # else finite entries overflow it
                 raise ValueError("probabilities must be finite and non-negative")
@@ -106,7 +108,8 @@ class PowerPmf:
             total = math.fsum(probs.tolist())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"pmf mass is {total!r}, not 1 within 1e-9")
-        if probs[0] <= 0.0 or probs[-1] <= 0.0:
+        # an end without mass is a zero entry, so least is 0 too
+        if least == 0.0 and (probs[0] == 0.0 or probs[-1] == 0.0):
             raise ValueError("pmf support is not trimmed; ends must carry mass")
         probs = probs.copy()
         probs.setflags(write=False)
@@ -117,14 +120,19 @@ class PowerPmf:
         return (self.offset + np.arange(self.probabilities.size)) * self.quantum
 
     def tail_at_or_above(self, threshold_w: float) -> float:
-        """Mass at grid points >= threshold; off-grid thresholds round up."""
+        """Mass at grid points >= threshold; off-grid thresholds round up.
+
+        The tail is the correctly rounded sum of its points: ``math.fsum``
+        is exact, and reads the points from the array's buffer as Python
+        floats without building a list.
+        """
         x = threshold_w / self.quantum
         start = math.ceil(x - _GRID_RTOL * max(1.0, abs(x))) - self.offset
         if start <= 0:
             return 1.0
         if start >= self.probabilities.size:
             return 0.0
-        return float(math.fsum(self.probabilities[start:].tolist()))
+        return math.fsum(self.probabilities[start:].data)
 
 
 @dataclass(frozen=True)
@@ -205,7 +213,10 @@ def _fold_certain(composition: ClassComposition) -> ClassComposition:
     the moment bounds.  This is the one place always-on load becomes base
     load.
     """
-    if all(0.0 < cls.p_on < 1.0 for cls, _ in composition.entries):
+    for cls, _ in composition.entries:
+        if not 0.0 < cls.p_on < 1.0:
+            break
+    else:
         return composition
     certain = 0.0
     entries = []
@@ -261,19 +272,25 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _class_kernel(n: int, p_on: float) -> tuple[int, np.ndarray]:
-    """Non-zero window of the Binomial(n, p_on) pmf as ``(lo, kernel)``.
+def _class_kernel(
+    n: int, p_on: float, on_power: float, quantum: float
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """n appliances of one class on the grid as ``(lo, steps, kernel, flipped)``.
 
-    ``kernel`` runs from the first to the last non-zero term (read-only) and
-    ``lo`` is the count of its first term; the log-domain binomial underflows
-    to exact zeros far from the mean, and those terms never reach the grid.
+    ``steps`` is the ON wattage in grid steps (``_grid_steps``, checked once
+    per cached class and count).  ``kernel`` is the non-zero window of the
+    Binomial(n, p_on) pmf, from the first to the last non-zero term
+    (read-only), ``flipped`` the same window reversed, and ``lo`` the count
+    of its first term; the log-domain binomial underflows to exact zeros far
+    from the mean, and those terms never reach the grid.
     """
+    steps = _grid_steps(on_power, quantum)
     pmf = _binomial_pmf(n, p_on)
     nonzero = np.flatnonzero(pmf)
     lo = int(nonzero[0])
     kernel = pmf[lo : int(nonzero[-1]) + 1].copy()
     kernel.setflags(write=False)
-    return lo, kernel
+    return lo, steps, kernel, kernel[::-1]
 
 
 def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
@@ -288,11 +305,16 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     makes, without its Python wrapper: ``np.correlate(longer, shorter[::-1],
     "full")``, with the residue taken as the longer one unless the window is
     strictly longer, so the sums run in the same order to the same bytes.
-    A one-point accumulator (the first class) gives one-product sums, so it
-    scales the window instead.  Every class's ON wattage must sit on the
-    grid, else ValueError("quantization mismatch").  The constant base load
-    is not folded in; callers offset thresholds.  ``PowerPmf`` checks the
-    trimmed pmf's mass and raises ValueError when it drifted from 1.
+    A one-point accumulator is always exactly ``[1.0]``: the empty load, or
+    a one-term window, which ``_binomial_pmf`` divides by its own ``fsum``
+    (x / x is 1.0).  Each of its one-product sums ``kernel[i] * 1.0`` is
+    then ``kernel[i]`` bit for bit, so the first class's window becomes the
+    accumulator as it is: the cached, read-only window itself at one step,
+    laid out at stride ``s`` otherwise, with no multiply.  Every class's ON
+    wattage must sit on the grid, else ValueError("quantization mismatch").
+    The constant base load is not folded in; callers offset thresholds.
+    ``PowerPmf`` checks the trimmed pmf's mass and raises ValueError when it
+    drifted from 1.
 
     Trimming drops the longest run of points at each end whose cumulative
     mass stays below ``_TRIM_MASS``, found by a cumulative sum from that end.
@@ -305,20 +327,21 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     for cls, enabled in composition.entries:
         if enabled == 0:
             continue
-        steps = _grid_steps(cls.on_power, quantum)
-        lo, kernel = _class_kernel(enabled, cls.p_on)
+        lo, steps, kernel, flipped = _class_kernel(enabled, cls.p_on, cls.on_power, quantum)
         offset += lo * steps
-        out = np.zeros(acc.size + (kernel.size - 1) * steps)
-        if acc.size == 1:  # a sum of one product per point: the scaled window
-            out[::steps] = kernel * acc[0]
-        else:
-            flipped = kernel[::-1]
+        if acc.size > 1:
+            out = np.zeros(acc.size + (kernel.size - 1) * steps)
             for r in range(min(steps, acc.size)):
                 residue = acc[r::steps]
                 if kernel.size > residue.size:
                     out[r::steps] = np.correlate(kernel, residue[::-1], "full")
                 else:
                     out[r::steps] = np.correlate(residue, flipped, "full")
+        elif steps == 1:  # the accumulator is [1.0]: the window itself
+            out = kernel
+        else:
+            out = np.zeros(1 + (kernel.size - 1) * steps)
+            out[::steps] = kernel
         acc = out
     start = 0
     if acc[0] < _TRIM_MASS:
@@ -446,10 +469,17 @@ def bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
         except OverflowError:  # an exponent past the float range puts the bound above 1
             return 1.0
 
-    s_lo = 1e-12
+    s_lo, s_hi = 1e-12, 1.0
+    h_max = max(h for _, h, _ in terms)
+    if 1e-12 * h_max > 1.0:
+        # the exponent scales with s * h: past 1e12 W per appliance s_lo =
+        # 1e-12 already lies beyond the optimum, and 200 halvings from s_hi =
+        # 1 stop far above it, so the search starts on the 1 / h_max scale;
+        # below that the unit scale stays, and with it every ordinary bound
+        s_lo /= h_max
+        s_hi /= h_max
     if slope(s_lo) >= 0.0:
         return bound_at(s_lo)
-    s_hi = 1.0
     doublings = 0
     while slope(s_hi) <= 0.0 and doublings < 1024:
         s_hi *= 2.0

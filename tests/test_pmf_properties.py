@@ -2,14 +2,17 @@
 
 One property holds ``exact_pmf`` to a reference, byte for byte: its body as
 it stood when both ends were trimmed by full cumulative sums.  Another holds
-the log-domain binomial to its per-term formula, byte for byte.  The others
-hold the ``PowerPmf`` mass check to the verdict of ``math.fsum`` next to
-both edges, where a cheaper sum could round to the wrong side.
+each tail of a pmf to the correctly rounded exact sum of its points, and
+another the log-domain binomial to its per-term formula, byte for byte.
+The others hold the ``PowerPmf`` mass check to the verdict of
+``math.fsum`` next to both edges, where a cheaper sum could round to the
+wrong side.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,7 +47,7 @@ def reference_exact_pmf(composition: ClassComposition, quantum: float) -> tuple[
         if enabled == 0:
             continue
         steps = _grid_steps(cls.on_power, quantum)
-        lo, kernel = _class_kernel(enabled, cls.p_on)
+        lo, _, kernel, _ = _class_kernel(enabled, cls.p_on, cls.on_power, quantum)
         offset += lo * steps
         out = np.zeros(acc.size + (kernel.size - 1) * steps)
         for r in range(min(steps, acc.size)):
@@ -134,6 +137,11 @@ def compositions(draw) -> tuple[ClassComposition, float]:
 # longer (41 points) than the 66 and 27 points laid out before it
 @hypothesis.example(_case(1.0, [(13, 0.3, 5), (1, 0.4, 20)]))
 @hypothesis.example(_case(1.0, [(13, 0.3, 2), (1, 0.4, 40)]))
+# the first window becomes the accumulator: at one step, at a stride, and
+# after a one-point window (p_on 1) that leaves the accumulator at [1.0]
+@hypothesis.example(_case(1.0, [(1, 0.35, 40)]))
+@hypothesis.example(_case(1.0, [(13, 0.3, 20)]))
+@hypothesis.example(_case(1.0, [(2, 1.0, 4), (1, 0.35, 30), (3, 0.15, 20)]))
 def test_exact_pmf_matches_the_reference_byte_for_byte(case) -> None:
     composition, quantum = case
     offset, probabilities = reference_exact_pmf(composition, quantum)
@@ -148,6 +156,47 @@ def test_exact_pmf_matches_the_reference_byte_for_byte(case) -> None:
             c_max = fraction * top + nudge
             expected = reference_exact_estimate(composition, c_max, quantum)
             assert estimate(EstimationMethod.EXACT, composition, c_max, quantum) == expected
+
+
+@st.composite
+def short_compositions(draw) -> tuple[ClassComposition, float]:
+    """Up to two classes of up to 200 appliances: at most 5,200 grid points."""
+    quantum = draw(st.sampled_from([1.0, 0.5]))
+    counts = st.one_of(
+        st.integers(min_value=0, max_value=60), st.integers(min_value=61, max_value=200)
+    )
+    specs = draw(st.lists(st.tuples(st.sampled_from([1, 2, 3, 13]), p_ons, counts), max_size=2))
+    return _case(quantum, specs)
+
+
+@hypothesis.settings(max_examples=30, deadline=None, database=None)
+@hypothesis.given(short_compositions())
+# a long tail: 8000 appliances, 2,988 grid points
+@hypothesis.example(_case(1.0, [(1, 0.3, 8000)]))
+def test_tail_is_the_correctly_rounded_sum_of_its_points(case) -> None:
+    composition, quantum = case
+    pmf = exact_pmf(composition, quantum)
+    probs = pmf.probabilities.tolist()
+    size = len(probs)
+    # Every double is a whole number of units of 2**-1074, so each tail is
+    # summed exactly in those units, from the top down; int / int rounds
+    # correctly, as float(Fraction) does.
+    unit = 1 << 1074
+    exact = [0] * (size + 1)
+    for i in range(size - 1, -1, -1):
+        exact[i] = exact[i + 1] + int(Fraction(probs[i]) * unit)
+    assert exact[size // 2] / unit == float(sum(map(Fraction, probs[size // 2 :])))
+    # starts at or below the first point read 1, at or past the end 0
+    for start in (-2, 0, size, size + 3.5):
+        expected = 1.0 if start <= 0 else 0.0
+        assert pmf.tail_at_or_above((pmf.offset + start) * quantum) == expected
+    for start in range(1, size):
+        # the grid point, and for every fifth one the threshold half a step
+        # below it, which rounds up to it
+        expected = exact[start] / unit
+        assert pmf.tail_at_or_above((pmf.offset + start) * quantum) == expected
+        if start % 5 == 1:
+            assert pmf.tail_at_or_above((pmf.offset + start - 0.5) * quantum) == expected
 
 
 def reference_binomial_pmf(n: int, p: float) -> np.ndarray:

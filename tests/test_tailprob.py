@@ -195,8 +195,9 @@ def test_exact_pmf_rejects_off_grid_power() -> None:
 def test_exact_pmf_rejects_a_pmf_that_lost_mass(monkeypatch) -> None:
     # a kernel carrying half the mass must not pass as a pmf, whether it is
     # laid out alone or convolved at one step or at a stride
-    def half_mass(n: int, p_on: float) -> tuple[int, np.ndarray]:
-        return 0, np.array([0.25, 0.25])
+    def half_mass(n: int, p_on: float, on_power: float, quantum: float):
+        kernel = np.array([0.25, 0.25])
+        return 0, tailprob._grid_steps(on_power, quantum), kernel, kernel[::-1]
 
     monkeypatch.setattr(tailprob, "_class_kernel", half_mass)
     for composition in (comp((1.0, 0.5, 3)), comp((1.0, 0.5, 3), (2.0, 0.5, 3))):
@@ -371,6 +372,29 @@ def test_chernoff_bound_boundary_cases() -> None:
     assert bound_chernoff(single, 1.0) == pytest.approx(0.5, rel=1e-9)
     assert bound_chernoff(comp((2.0, 0.25, 3)), 6.0) == pytest.approx(0.25**3, rel=1e-9)
     assert bound_chernoff(comp((1.0, 0.0, 5)), 2.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    ("composition", "c_max", "quantum"),
+    [
+        # `loadcap bounds 2x1e155@0.01 --c-max 1e155 --quantum-w 1e155`
+        (comp((1e155, 0.01, 2)), 1e155, 1e155),
+        # `loadcap bounds 1x1e13@0.01 2x1e13@0.5 --c-max 2e13 --quantum-w 1e13`
+        (comp((1e13, 0.01, 1), (1e13, 0.5, 2)), 2e13, 1e13),
+    ],
+    ids=["1e155", "1e13"],
+)
+def test_chernoff_search_scales_with_the_largest_on_power(composition, c_max, quantum) -> None:
+    # s enters the exponent as s * h; searched on the unit scale, the bound
+    # stopped at 1.0 for appliances past 1e12 W
+    exact = estimate(EstimationMethod.EXACT, composition, c_max, quantum)
+    chernoff = estimate(EstimationMethod.CHERNOFF, composition, c_max, quantum)
+    assert exact <= chernoff < 1.0
+
+
+def test_chernoff_search_keeps_the_readme_value() -> None:
+    # `loadcap bounds 100x1@0.5 --c-max 60`, as the README prints it
+    assert estimate(EstimationMethod.CHERNOFF, WORKED, 60.0) == 0.13351367725131655
 
 
 def test_clt_estimate_values() -> None:
