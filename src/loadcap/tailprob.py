@@ -12,6 +12,8 @@ Natural logarithms are used throughout.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -43,6 +45,18 @@ _TRIM_MASS = 1e-300
 # the pmf of an empty load, where every exact pmf starts (read-only: shared)
 _EMPTY_LOAD = np.ones(1)
 _EMPTY_LOAD.setflags(write=False)
+# log(k!) = lgamma(k + 1) for k = 0, 1, ...; replaced by a longer copy when a
+# larger count arrives, and read-only, so a prefix is shared by every count
+_LOG_FACTORIALS = np.zeros(0)
+# terms below the largest times this cannot move a binomial's normaliser
+_SIGNIFICANT = 2.0**-90
+# multiply-adds (residue points times window points) that each residue's
+# correlation must exceed before a stride's residues are split across
+# threads.  On a 2-vCPU x86_64 host a thread's start and join take ~140 us,
+# and on random windows (3-6 multiply-adds per ns) one helper broke even at
+# 1.5-2 million per residue at strides 2 and 3 (0.7-1 million at 7).  A
+# pmf's subnormal tails slow np.correlate to 1-2 per ns, so it gains sooner.
+_SPLIT_WORK = 2_000_000
 
 
 class EstimationMethod(Enum):
@@ -241,13 +255,73 @@ def _grid_steps(watts: float, quantum: float) -> int:
     return int(steps)
 
 
+def _log_factorials(n: int) -> np.ndarray:
+    """``lgamma(k + 1)`` for k = 0..n, a read-only slice of one shared table.
+
+    A larger n extends the table to n + 1 entries or to twice its size,
+    whichever is more, so counts that grow one at a time rebuild it only
+    a logarithmic number of times; each entry is the same ``math.lgamma``
+    double whichever count built it.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.size <= n:
+        size = max(n + 1, 2 * table.size)
+        more = np.fromiter(
+            map(math.lgamma, range(table.size + 1, size + 1)),
+            dtype=np.float64,
+            count=size - table.size,
+        )
+        table = np.concatenate((table, more))
+        table.setflags(write=False)
+        _LOG_FACTORIALS = table
+    return table[: n + 1]
+
+
+def _normaliser(terms: np.ndarray) -> float:
+    """``math.fsum(terms)`` for finite, non-negative terms whose largest is
+    at least 2**-900 (a pmf's largest term is at least 1 / its size).
+
+    fsum's exact partials grow with the binades its terms span, and a long
+    binomial spans about a thousand.  Only the terms within 90 binades of
+    the largest are summed when that provably gives the same double:
+
+    - Let m be the largest term and t = m * 2**-90 (exact, and normal).
+      B holds the terms >= t, and the other k terms sum to s, 0 <= s < k*t.
+    - b = fsum(B) is B's exact sum S rounded to nearest, and b >= m > 0.
+      r = fsum(B + [-b]) is S - b rounded to nearest.  S - b is a whole
+      number of 2**-1074, so it is r exactly when subnormal, and otherwise
+      |S - b| <= |r| / (1 - u), u = 2**-53.
+    - The exact sum of all terms is T = S + s, so
+      |T - b| < |r| / (1 - u) + k*t <= (|r| + k*t) * (1 + 2u).
+    - The tested bound is (|r| + k*t) * (1 + 2**-49) in floats.  Its
+      roundings are relative (k*t >= t is normal when k > 0), so it is at
+      least (|r| + k*t) * (1 - u)**3 * (1 + 16u) > (|r| + k*t) * (1 + 12u),
+      unless k = 0 and r is subnormal, where it is |r| = |T - b| itself.
+    - For b > 0 the gap below b is the smaller gap around it.  When the
+      bound is below half that gap, T lies strictly inside b's rounding
+      interval, so T rounds to b, which is what fsum over all terms
+      returns.  Otherwise (a NaN fails the test too) fsum runs over all.
+    """
+    floor = float(terms.max()) * _SIGNIFICANT
+    significant = terms[terms >= floor].tolist()
+    b = math.fsum(significant)
+    small = terms.size - len(significant)
+    significant.append(-b)
+    r = math.fsum(significant)
+    if (abs(r) + small * floor) * (1.0 + 2.0**-49) < (b - math.nextafter(b, 0.0)) / 2:
+        return b
+    return math.fsum(terms.tolist())
+
+
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """Binomial(n, p) pmf.
 
     Small n uses exact integer coefficients; large n moves to the log
     domain, where lgamma keeps the extreme terms from underflowing.  There
-    ``lgamma(k + 1)`` and ``lgamma(n - k + 1)`` read one table from either
-    end, and numpy sums each term's five parts in the per-term order.
+    ``lgamma(k + 1)`` and ``lgamma(n - k + 1)`` read one shared table from
+    either end, and numpy sums each term's five parts in the per-term order.
+    Either pmf is divided by its ``math.fsum``, which ``_normaliser`` gives.
     """
     if n == 0:
         return np.ones(1)
@@ -265,10 +339,10 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     else:
         log_p = math.log(p)
         log_q = math.log1p(-p)
-        lg = np.fromiter(map(math.lgamma, range(1, n + 2)), dtype=np.float64, count=n + 1)
+        lg = _log_factorials(n)
         ks = np.arange(n + 1)
         pmf = np.exp(lg[n] - lg - lg[::-1] + ks * log_p + (n - ks) * log_q)
-    return pmf / math.fsum(pmf.tolist())
+    return pmf / _normaliser(pmf)
 
 
 @lru_cache(maxsize=4096)
@@ -293,6 +367,67 @@ def _class_kernel(
     return lo, steps, kernel, kernel[::-1]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on now."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _correlate_residues(
+    acc: np.ndarray,
+    kernel: np.ndarray,
+    flipped: np.ndarray,
+    steps: int,
+    out: np.ndarray,
+    residues: range,
+) -> None:
+    """Convolve each residue of ``acc`` mod ``steps`` with the window into
+    its own slice of ``out``; numpy only, so it may run on a helper thread."""
+    for r in residues:
+        residue = acc[r::steps]
+        if kernel.size > residue.size:
+            out[r::steps] = np.correlate(kernel, residue[::-1], "full")
+        else:
+            out[r::steps] = np.correlate(residue, flipped, "full")
+
+
+def _correlate_split(
+    acc: np.ndarray,
+    kernel: np.ndarray,
+    flipped: np.ndarray,
+    steps: int,
+    out: np.ndarray,
+    workers: int,
+) -> None:
+    """``_correlate_residues`` over every residue, dealt round-robin to the
+    calling thread and ``workers - 1`` helper threads.
+
+    The slices are disjoint and each is written by the one call that the
+    serial loop makes, so ``out`` holds the same bytes.  An exception raised
+    in a helper is raised here once every helper has finished.
+    """
+    count = min(steps, acc.size)
+    errors: list[Exception] = []
+
+    def share(first: int) -> None:
+        try:
+            _correlate_residues(acc, kernel, flipped, steps, out, range(first, count, workers))
+        except Exception as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=share, args=(first,)) for first in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        _correlate_residues(acc, kernel, flipped, steps, out, range(0, count, workers))
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     """Exact pmf of the stochastic aggregate on the watt grid.
 
@@ -312,6 +447,11 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     accumulator as it is: the cached, read-only window itself at one step,
     laid out at stride ``s`` otherwise, with no multiply.  Every class's ON
     wattage must sit on the grid, else ValueError("quantization mismatch").
+    The residues of a stride are independent, and numpy releases the GIL
+    inside ``np.correlate``: where each residue's correlation exceeds
+    ``_SPLIT_WORK`` multiply-adds and two or more CPUs are usable, they are
+    dealt to that many threads (at most one per residue), each call
+    unchanged, so the bytes do not depend on the CPU count.
     The constant base load is not folded in; callers offset thresholds.
     ``PowerPmf`` checks the trimmed pmf's mass and raises ValueError when it
     drifted from 1.
@@ -331,12 +471,13 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         offset += lo * steps
         if acc.size > 1:
             out = np.zeros(acc.size + (kernel.size - 1) * steps)
-            for r in range(min(steps, acc.size)):
-                residue = acc[r::steps]
-                if kernel.size > residue.size:
-                    out[r::steps] = np.correlate(kernel, residue[::-1], "full")
-                else:
-                    out[r::steps] = np.correlate(residue, flipped, "full")
+            workers = 1
+            if (acc.size // steps) * kernel.size > _SPLIT_WORK:
+                workers = min(_usable_cpus(), steps)
+            if workers > 1:
+                _correlate_split(acc, kernel, flipped, steps, out, workers)
+            else:
+                _correlate_residues(acc, kernel, flipped, steps, out, range(min(steps, acc.size)))
         elif steps == 1:  # the accumulator is [1.0]: the window itself
             out = kernel
         else:

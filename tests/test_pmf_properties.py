@@ -1,22 +1,26 @@
 """Property checks of the exact pmf and of its mass check.
 
 One property holds ``exact_pmf`` to a reference, byte for byte: its body as
-it stood when both ends were trimmed by full cumulative sums.  Another holds
-each tail of a pmf to the correctly rounded exact sum of its points, and
-another the log-domain binomial to its per-term formula, byte for byte.
-The others hold the ``PowerPmf`` mass check to the verdict of
-``math.fsum`` next to both edges, where a cheaper sum could round to the
-wrong side.
+it stood when both ends were trimmed by full cumulative sums, also where a
+stride's residues are split across threads, for any usable-CPU count.
+Another holds each tail of a pmf to the correctly rounded exact sum of its
+points, and another the log-domain binomial to its per-term formula, byte
+for byte, whichever counts built the log-factorial table; the binomial's
+normaliser is held to ``math.fsum``.  The others hold the ``PowerPmf`` mass
+check to the verdict of ``math.fsum`` next to both edges, where a cheaper
+sum could round to the wrong side.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from loadcap import tailprob
 from loadcap.models import ApplianceClass, Bernoulli
 from loadcap.tailprob import (
     _TRIM_MASS,
@@ -142,6 +146,11 @@ def compositions(draw) -> tuple[ClassComposition, float]:
 @hypothesis.example(_case(1.0, [(1, 0.35, 40)]))
 @hypothesis.example(_case(1.0, [(13, 0.3, 20)]))
 @hypothesis.example(_case(1.0, [(2, 1.0, 4), (1, 0.35, 30), (3, 0.15, 20)]))
+# each residue's correlation above _SPLIT_WORK, so split across threads
+# where two CPUs are usable: three residues shorter than their window, and
+# two longer than theirs
+@hypothesis.example(_case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000)]))
+@hypothesis.example(_case(1.0, [(1, 0.5, 9000), (2, 0.5, 2000)]))
 def test_exact_pmf_matches_the_reference_byte_for_byte(case) -> None:
     composition, quantum = case
     offset, probabilities = reference_exact_pmf(composition, quantum)
@@ -156,6 +165,48 @@ def test_exact_pmf_matches_the_reference_byte_for_byte(case) -> None:
             c_max = fraction * top + nudge
             expected = reference_exact_estimate(composition, c_max, quantum)
             assert estimate(EstimationMethod.EXACT, composition, c_max, quantum) == expected
+
+
+# four 8000-appliance classes: strides of 3, 7 and 13 residues, each above
+# _SPLIT_WORK
+_LARGE = _case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000), (7, 0.1, 8000), (13, 0.05, 8000)])
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_pmf_bytes_do_not_depend_on_the_usable_cpu_count(monkeypatch, cpus) -> None:
+    composition, quantum = _LARGE
+    offset, probabilities = reference_exact_pmf(composition, quantum)
+    workers = []
+    split = tailprob._correlate_split
+
+    def counted(*args) -> None:
+        workers.append(args[-1])
+        split(*args)
+
+    monkeypatch.setattr(tailprob, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(tailprob, "_correlate_split", counted)
+    pmf = exact_pmf(composition, quantum)
+    assert pmf.offset == offset
+    assert np.array_equal(pmf.probabilities, probabilities)
+    # one thread per usable CPU, at most one per residue
+    assert workers == ([] if cpus == 1 else [min(cpus, 3), min(cpus, 7), min(cpus, 13)])
+
+
+def test_an_exception_in_a_helper_thread_reaches_the_caller(monkeypatch) -> None:
+    correlate = tailprob._correlate_residues
+
+    def fail_off_the_main_thread(*args) -> None:
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("helper failed")
+        correlate(*args)
+
+    monkeypatch.setattr(tailprob, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tailprob, "_correlate_residues", fail_off_the_main_thread)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="helper failed"):
+        exact_pmf(*_case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000)]))
+    # every helper was joined
+    assert threading.active_count() == before
 
 
 @st.composite
@@ -199,8 +250,8 @@ def test_tail_is_the_correctly_rounded_sum_of_its_points(case) -> None:
             assert pmf.tail_at_or_above((pmf.offset + start - 0.5) * quantum) == expected
 
 
-def reference_binomial_pmf(n: int, p: float) -> np.ndarray:
-    """``_binomial_pmf``'s log-domain branch as it stood, one term at a time."""
+def log_domain_terms(n: int, p: float) -> np.ndarray:
+    """The log-domain binomial terms before normalising, one at a time."""
     log_p = math.log(p)
     log_q = math.log1p(-p)
     lg_n = math.lgamma(n + 1)
@@ -208,7 +259,12 @@ def reference_binomial_pmf(n: int, p: float) -> np.ndarray:
         lg_n - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * log_p + (n - k) * log_q
         for k in range(n + 1)
     ]
-    pmf = np.exp(np.array(logs))
+    return np.exp(np.array(logs))
+
+
+def reference_binomial_pmf(n: int, p: float) -> np.ndarray:
+    """``_binomial_pmf``'s log-domain branch as it stood, one term at a time."""
+    pmf = log_domain_terms(n, p)
     return pmf / math.fsum(pmf.tolist())
 
 
@@ -224,6 +280,61 @@ def reference_binomial_pmf(n: int, p: float) -> np.ndarray:
 @hypothesis.example(8000, 0.3)
 def test_log_domain_binomial_matches_the_per_term_formula_byte_for_byte(n, p) -> None:
     assert np.array_equal(_binomial_pmf(n, p), reference_binomial_pmf(n, p))
+
+
+# a larger count first, a smaller one first, and counts one apart, which
+# double the table past the next count
+@pytest.mark.parametrize(
+    "counts", [(61, 9000), (9000, 61), (500, 8000, 200, 8001), (61, 62, 200, 100)]
+)
+def test_binomial_bytes_do_not_depend_on_the_order_the_table_grew(monkeypatch, counts) -> None:
+    monkeypatch.setattr(tailprob, "_LOG_FACTORIALS", np.zeros(0))
+    for n in counts:
+        assert np.array_equal(_binomial_pmf(n, 0.3), reference_binomial_pmf(n, 0.3))
+    assert tailprob._LOG_FACTORIALS.size > max(counts)
+    assert not tailprob._LOG_FACTORIALS.flags.writeable
+
+
+@st.composite
+def log_domain_binomials(draw) -> np.ndarray:
+    n = draw(st.integers(min_value=61, max_value=9000))
+    p = draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    return log_domain_terms(n, p)
+
+
+@st.composite
+def padded_terms(draw) -> np.ndarray:
+    """Terms over ~200 binades between runs of zeros and of subnormals."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    size = draw(st.integers(min_value=1, max_value=300))
+    core = rng.random(size) * 2.0 ** -rng.integers(0, 200, size=size).astype(float)
+    zeros = np.zeros(draw(st.integers(min_value=0, max_value=40)))
+    subnormal = rng.integers(1, 2**52, size=draw(st.integers(min_value=0, max_value=40))) * 5e-324
+    return np.concatenate([zeros, subnormal, core, subnormal[::-1], zeros])
+
+
+# a midpoint: the terms within 90 binades of the largest sum to 1.0 after a
+# tie to even, and the 100 terms below them carry the sum past the midpoint,
+# so fsum over all of them gives 1.0000000000000002
+_MIDPOINT = np.array([1.0, 2**-53] + [2**-1000] * 100)
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(
+    st.one_of(
+        log_domain_binomials(),
+        padded_terms(),
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=60)
+        .filter(lambda terms: max(terms) >= 2**-900)
+        .map(np.array),
+    )
+)
+@hypothesis.example(log_domain_terms(9000, 5e-324))
+@hypothesis.example(log_domain_terms(9000, 1.0 - 2**-53))
+@hypothesis.example(log_domain_terms(61, 0.5))
+@hypothesis.example(_MIDPOINT)
+def test_binomial_normaliser_is_fsum(terms) -> None:
+    assert tailprob._normaliser(terms) == math.fsum(terms.tolist())
 
 
 def _mass_check_raises(v: np.ndarray) -> bool:
