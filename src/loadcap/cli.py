@@ -16,23 +16,12 @@ import re
 import sys
 from typing import Sequence
 
+# Each command imports the file layer and the simulator inside its own
+# function, so `bounds` starts without either and `region` and `fit` without
+# the simulator.  A span recorder that rebinds a module's function is still
+# seen there: the import reads the module attribute at call time.
 from .admission import QosPolicy, _admits_estimate, decision_region
-from .fileio import (
-    _SWEEP_HEADER,
-    _sweep_lines,
-    parse_experiment,
-    read_trace,
-    write_model,
-    write_outcomes,
-    write_pmf,
-    write_region,
-    write_result,
-    write_series,
-    write_sweep,
-    write_sweep_result,
-)
 from .models import MODEL_FAMILIES, ApplianceClass, Bernoulli, fit_model, stationary_stats
-from .simulation import run, sweep_qos
 from .tailprob import ClassComposition, EstimationMethod, estimate, exact_pmf
 
 __all__ = ["main"]
@@ -82,23 +71,31 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
     return os.path.join(args.out_dir, filename)
 
 
+def _check_quantum(quantum_w: float) -> None:
+    # refused up front: only the exact method reads the grid
+    if not (quantum_w > 0.0 and math.isfinite(quantum_w)):
+        raise ValueError(f"--quantum-w must be positive and finite, got {quantum_w!r}")
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
     for flag, value in (("--c-max", args.c_max), ("--require", args.require)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be a finite number, got {value!r}")
+    _check_quantum(args.quantum_w)
     composition = ClassComposition(
         entries=_parse_composition_spec(args.composition).entries,
         deterministic_load=args.det,
     )
     methods = _parse_methods(args.methods)
-    print("method,estimate")
-    values = []
-    for method in methods:
-        value = estimate(method, composition, args.c_max, args.quantum_w)
-        values.append(value)
-        print(f"{method.value},{value!r}")
+    values = [estimate(method, composition, args.c_max, args.quantum_w) for method in methods]
     if args.dump_pmf is not None:
+        from .fileio import write_pmf
+
         write_pmf(_out_path(args, args.dump_pmf), exact_pmf(composition, args.quantum_w))
+    # the table appears only once every estimate and the dump have succeeded
+    print("method,estimate")
+    for method, value in zip(methods, values):
+        print(f"{method.value},{value!r}")
     if args.require is not None and not any(
         _admits_estimate(value, args.require) for value in values
     ):
@@ -112,6 +109,18 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .fileio import (
+        _SWEEP_HEADER,
+        _sweep_lines,
+        parse_experiment,
+        write_outcomes,
+        write_result,
+        write_series,
+        write_sweep,
+        write_sweep_result,
+    )
+    from .simulation import run, sweep_qos
+
     spec = parse_experiment(args.experiment)
     config = spec.config
     if args.seed is not None:
@@ -153,6 +162,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_region(args: argparse.Namespace) -> int:
+    from .fileio import write_region
+
+    _check_quantum(args.quantum_w)
     comp = _parse_composition_spec([args.class1, args.class2])
     (class1, _), (class2, _) = comp.entries
     policy = QosPolicy(c_max=args.c_max, p=args.p)
@@ -166,6 +178,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .fileio import read_trace, write_model
+
     trace = read_trace(args.trace)
     fitted = fit_model(trace, args.family, args.on_threshold)
     out = _out_path(args, args.out)

@@ -17,7 +17,7 @@ import warnings
 from array import array
 from dataclasses import asdict, dataclass
 from enum import EnumMeta
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,9 +33,10 @@ from .models import (
     TwoStateMarkov,
     fit_model,
 )
-from .scheduling import SchedulingStrategy
-from .simulation import SimConfig, SimMode, SimResult, SweepCell, _sweep_axes
 from .tailprob import EstimationMethod, PowerPmf
+
+if TYPE_CHECKING:  # the simulator loads only when an experiment file is parsed
+    from .simulation import SimConfig, SimResult, SweepCell
 
 __all__ = [
     "TRACE_HEADER",
@@ -537,6 +538,9 @@ def parse_experiment(path: str) -> ExperimentSpec:
     files are read during parsing, so a missing file fails here, not midway
     through a run.
     """
+    from .scheduling import SchedulingStrategy
+    from .simulation import SimConfig, SimMode, _sweep_axes
+
     doc = _read_object(path, "experiment file")
     _require_keys(doc, _TOP_KEYS, "experiment")
 

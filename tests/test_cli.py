@@ -95,6 +95,29 @@ def test_bounds_dump_pmf(tmp_path, capsys) -> None:
     assert content == "watts,probability\n0.0,0.25\n1.0,0.5\n2.0,0.25\n"
 
 
+@pytest.mark.parametrize(
+    ("argv", "c_max", "det", "lowest_w"),
+    [
+        (["2x1@0.5", "1x3@1.0", "--c-max", "5", "--det", "1"], 5.0, 1.0, 3.0),
+        (["30x1@0.3", "4x2@0.6", "2x3@1.0", "--c-max", "25", "--det", "2.5",
+          "--quantum-w", "0.5"], 25.0, 2.5, 6.0),
+    ],
+    ids=["small", "half-watt-grid"],
+)  # fmt: skip
+def test_bounds_dump_pmf_leaves_out_the_base_load(
+    argv, c_max, det, lowest_w, tmp_path, capsys
+) -> None:
+    # the dump is the load of the listed classes, always-on ones included
+    # (lowest_w), without --det; the exact row is its tail at c_max - det
+    argv = ["bounds", *argv, "--methods", "exact", "--dump-pmf", "pmf.csv"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    exact = bounds_table(capsys)["exact"]
+    rows = (tmp_path / "pmf.csv").read_text().splitlines()[1:]
+    pmf = [tuple(map(float, row.split(","))) for row in rows]
+    assert pmf[0][0] == lowest_w
+    assert math.fsum(p for watts, p in pmf if watts >= c_max - det) == exact
+
+
 def test_bounds_require_gate(capsys) -> None:
     assert main(["bounds", "100x1@0.5", "--c-max", "60", "--require", "0.05"]) == 0
     capsys.readouterr()
@@ -120,6 +143,24 @@ def test_bounds_require_accepts_equality_and_refuses_just_below(capsys) -> None:
 def test_bounds_quantization_mismatch_exits_2(capsys) -> None:
     assert main(["bounds", "4x1.5@0.5", "--c-max", "3"]) == 2
     assert "quantization mismatch" in capsys.readouterr().err
+
+
+def test_bounds_prints_no_table_when_an_estimate_fails(capsys) -> None:
+    # markov succeeds, then exact meets the off-grid power
+    assert main(["bounds", "2x1.5@0.5", "--c-max", "2", "--methods", "markov,exact"]) == 2
+    captured = capsys.readouterr()
+    assert "quantization mismatch" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("quantum_w", ["-1", "0", "nan", "inf"])
+def test_bounds_refuses_a_quantum_that_is_not_positive_and_finite(quantum_w, capsys) -> None:
+    # markov never reads the grid, so the flag is checked up front
+    argv = ["bounds", "2x1@0.5", "--c-max", "1", "--methods", "markov", "--quantum-w", quantum_w]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--quantum-w must be positive and finite, got {float(quantum_w)!r}" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
@@ -781,6 +822,21 @@ def test_region_method_flag(tmp_path, capsys) -> None:
     assert (tmp_path / "m.csv").exists()
 
 
+@pytest.mark.parametrize("quantum_w", ["0", "-0.5", "nan"])
+def test_region_refuses_a_quantum_that_is_not_positive_and_finite(
+    quantum_w, tmp_path, capsys
+) -> None:
+    # chernoff never reads the grid, so the flag is checked up front
+    argv = ["region", "--class1", "2x1@0.5", "--class2", "2x1@0.2", "--c-max", "2",
+            "--p", "0.1", "--method", "chernoff", "--quantum-w", quantum_w,
+            "--out-dir", str(tmp_path / "out")]  # fmt: skip
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"--quantum-w must be positive and finite, got {float(quantum_w)!r}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------
@@ -1034,6 +1090,58 @@ def test_importing_the_cli_loads_no_process_pool() -> None:
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    ("command", "loaded", "absent"),
+    [
+        ("bounds", {"loadcap.tailprob"},
+         {"loadcap.simulation", "loadcap.scheduling", "loadcap.fileio", "csv", "json"}),
+        ("region", {"loadcap.admission", "loadcap.fileio"},
+         {"loadcap.simulation", "loadcap.scheduling"}),
+        ("fit", {"loadcap.fileio"}, {"loadcap.simulation", "loadcap.scheduling"}),
+        ("simulate", {"loadcap.simulation", "loadcap.scheduling"}, set()),
+    ],
+    ids=["bounds", "region", "fit", "simulate"],
+)  # fmt: skip
+def test_each_command_loads_only_the_layers_it_runs(command, loaded, absent, tmp_path) -> None:
+    # a fresh interpreter runs one command, then lists what it imported
+    trace_path = tmp_path / "trace.csv"
+    write_trace(str(trace_path), TraceSeries(watts=np.array([0.0, 5.0, 5.0, 0.0]),
+                                             sample_period_s=1.0))  # fmt: skip
+    experiment = tmp_path / "run.json"
+    experiment.write_text(json.dumps({
+        "name": "run", "classes": [{"name": "heater", "count": 4,
+                                    "model": {"family": "bernoulli", "on_power": 1.0,
+                                              "p_on": 0.3}}],
+        "policy": {"c_max": 3.0, "p": 0.1}, "method": "chernoff", "slots": 20,
+    }))  # fmt: skip
+    out = ["--out-dir", str(tmp_path / "out")]
+    argv = {
+        "bounds": ["bounds", "100x1@0.5", "--c-max", "60"],
+        "region": ["region", "--class1", "2x1@0.5", "--class2", "2x1@0.2", "--c-max", "2",
+                   "--p", "0.1", *out],
+        "fit": ["fit", str(trace_path), "--family", "bernoulli", "--on-threshold", "1", *out],
+        "simulate": ["simulate", str(experiment), *out],
+    }[command]  # fmt: skip
+    watched = sorted(loaded | absent)
+    probe = (
+        "import contextlib, io, sys\n"
+        "from loadcap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        f"print(code, sorted(m for m in {watched!r} if m in sys.modules))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"0 {sorted(loaded)!r}\n"
 
 
 def test_unknown_subcommand_exits_2() -> None:
