@@ -12,8 +12,6 @@ Natural logarithms are used throughout.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -40,7 +38,7 @@ __all__ = [
 
 # relative slack when snapping watt values to the quantum grid
 _GRID_RTOL = 1e-9
-# support mass trimmed from pmf ends after the normalization check
+# end mass trimmed from each binomial window and each partial sum
 _TRIM_MASS = 1e-300
 # the pmf of an empty load, where every exact pmf starts (read-only: shared)
 _EMPTY_LOAD = np.ones(1)
@@ -50,14 +48,6 @@ _EMPTY_LOAD.setflags(write=False)
 _LOG_FACTORIALS = np.zeros(0)
 # terms below the largest times this cannot move a binomial's normaliser
 _SIGNIFICANT = 2.0**-90
-# multiply-adds (residue points times window points) that each residue's
-# correlation must exceed before a stride's residues are split across
-# threads.  On a 2-vCPU x86_64 host a thread's start and join take ~140 us,
-# and on random windows (3-6 multiply-adds per ns) one helper broke even at
-# 1.5-2 million per residue at strides 2 and 3 (0.7-1 million at 7).  A
-# pmf's subnormal tails slow np.correlate to 1-2 per ns, so it gains sooner.
-_SPLIT_WORK = 2_000_000
-
 
 class EstimationMethod(Enum):
     """How to turn a composition into a tail probability."""
@@ -138,10 +128,19 @@ class PowerPmf:
 
         The tail is the correctly rounded sum of its points: ``math.fsum``
         is exact, and reads the points from the array's buffer as Python
-        floats without building a list.
+        floats without building a list.  A threshold whose ratio to the
+        quantum overflows to +-inf lies past either end; a NaN threshold
+        raises ValueError.
         """
         x = threshold_w / self.quantum
-        start = math.ceil(x - _GRID_RTOL * max(1.0, abs(x))) - self.offset
+        try:
+            start = math.ceil(x - _GRID_RTOL * max(1.0, abs(x))) - self.offset
+        except (ValueError, OverflowError):  # inf - inf is NaN; ceil(-inf) overflows
+            if x == math.inf:
+                return 0.0
+            if x == -math.inf:
+                return 1.0
+            raise ValueError(f"threshold_w={threshold_w!r} is not a number") from None
         if start <= 0:
             return 1.0
         if start >= self.probabilities.size:
@@ -345,6 +344,22 @@ def _binomial_pmf(n: int, p: float) -> np.ndarray:
     return pmf / _normaliser(pmf)
 
 
+def _trimmed(pmf: np.ndarray) -> tuple[int, np.ndarray]:
+    """``(start, pmf[start:stop])``: ``pmf`` without the longest run of
+    points at each end whose cumulative mass stays below ``_TRIM_MASS``.
+
+    Each run is found by a cumulative sum from its end; an end point that
+    carries ``_TRIM_MASS`` or more is kept without one.
+    """
+    start = 0
+    if pmf[0] < _TRIM_MASS:
+        start = int(pmf.cumsum().searchsorted(_TRIM_MASS, side="left"))
+    stop = pmf.size
+    if pmf[-1] < _TRIM_MASS:
+        stop -= int(pmf[::-1].cumsum().searchsorted(_TRIM_MASS, side="left"))
+    return start, pmf[start:stop]
+
+
 @lru_cache(maxsize=4096)
 def _class_kernel(
     n: int, p_on: float, on_power: float, quantum: float
@@ -352,94 +367,34 @@ def _class_kernel(
     """n appliances of one class on the grid as ``(lo, steps, kernel, flipped)``.
 
     ``steps`` is the ON wattage in grid steps (``_grid_steps``, checked once
-    per cached class and count).  ``kernel`` is the non-zero window of the
-    Binomial(n, p_on) pmf, from the first to the last non-zero term
-    (read-only), ``flipped`` the same window reversed, and ``lo`` the count
-    of its first term; the log-domain binomial underflows to exact zeros far
-    from the mean, and those terms never reach the grid.
+    per cached class and count).  ``kernel`` is the Binomial(n, p_on) pmf
+    trimmed by ``_trimmed`` (read-only), ``flipped`` the same window
+    reversed, and ``lo`` the count of its first term.  Far from the mean the
+    log-domain binomial falls to subnormals and exact zeros, which slow
+    ``np.correlate`` and together carry less than ``_TRIM_MASS`` at each end.
     """
     steps = _grid_steps(on_power, quantum)
-    pmf = _binomial_pmf(n, p_on)
-    nonzero = np.flatnonzero(pmf)
-    lo = int(nonzero[0])
-    kernel = pmf[lo : int(nonzero[-1]) + 1].copy()
+    lo, window = _trimmed(_binomial_pmf(n, p_on))
+    kernel = window.copy()
     kernel.setflags(write=False)
     return lo, steps, kernel, kernel[::-1]
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on now."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _correlate_residues(
-    acc: np.ndarray,
-    kernel: np.ndarray,
-    flipped: np.ndarray,
-    steps: int,
-    out: np.ndarray,
-    residues: range,
-) -> None:
-    """Convolve each residue of ``acc`` mod ``steps`` with the window into
-    its own slice of ``out``; numpy only, so it may run on a helper thread."""
-    for r in residues:
-        residue = acc[r::steps]
-        if kernel.size > residue.size:
-            out[r::steps] = np.correlate(kernel, residue[::-1], "full")
-        else:
-            out[r::steps] = np.correlate(residue, flipped, "full")
-
-
-def _correlate_split(
-    acc: np.ndarray,
-    kernel: np.ndarray,
-    flipped: np.ndarray,
-    steps: int,
-    out: np.ndarray,
-    workers: int,
-) -> None:
-    """``_correlate_residues`` over every residue, dealt round-robin to the
-    calling thread and ``workers - 1`` helper threads.
-
-    The slices are disjoint and each is written by the one call that the
-    serial loop makes, so ``out`` holds the same bytes.  An exception raised
-    in a helper is raised here once every helper has finished.
-    """
-    count = min(steps, acc.size)
-    errors: list[Exception] = []
-
-    def share(first: int) -> None:
-        try:
-            _correlate_residues(acc, kernel, flipped, steps, out, range(first, count, workers))
-        except Exception as exc:  # raised again in the calling thread
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=share, args=(first,)) for first in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    try:
-        _correlate_residues(acc, kernel, flipped, steps, out, range(0, count, workers))
-    finally:
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[0]
 
 
 def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     """Exact pmf of the stochastic aggregate on the watt grid.
 
     Within a class the n-fold self-convolution collapses to a binomial.  Each
-    class contributes only the window of binomial terms that are non-zero,
-    shifting a running grid offset by the window's start.  A class drawing
-    ``s`` grid steps is convolved at stride ``s`` without padding: the
-    accumulator is split by residue mod ``s`` and each residue is convolved
-    with the window on its own.  That convolution is the call ``np.convolve``
-    makes, without its Python wrapper: ``np.correlate(longer, shorter[::-1],
-    "full")``, with the residue taken as the longer one unless the window is
-    strictly longer, so the sums run in the same order to the same bytes.
+    class contributes its binomial window, trimmed by ``_trimmed``, shifting
+    a running grid offset by the window's start.  A class drawing ``s`` grid
+    steps is convolved at stride ``s`` without padding: the accumulator is
+    split by residue mod ``s`` and each residue is convolved with the window
+    on its own.  That convolution is the call ``np.convolve`` makes, without
+    its Python wrapper: ``np.correlate(longer, shorter[::-1], "full")``, with
+    the residue taken as the longer one unless the window is strictly
+    longer, so the sums run in the same order to the same bytes.  Each
+    convolved partial sum is trimmed by ``_trimmed`` before the next class,
+    so mass below ``_TRIM_MASS`` is dropped where it appears; the tails
+    agree with the untrimmed convolution to ~1e-15 relative.
     A one-point accumulator is always exactly ``[1.0]``: the empty load, or
     a one-term window, which ``_binomial_pmf`` divides by its own ``fsum``
     (x / x is 1.0).  Each of its one-product sums ``kernel[i] * 1.0`` is
@@ -447,18 +402,9 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     accumulator as it is: the cached, read-only window itself at one step,
     laid out at stride ``s`` otherwise, with no multiply.  Every class's ON
     wattage must sit on the grid, else ValueError("quantization mismatch").
-    The residues of a stride are independent, and numpy releases the GIL
-    inside ``np.correlate``: where each residue's correlation exceeds
-    ``_SPLIT_WORK`` multiply-adds and two or more CPUs are usable, they are
-    dealt to that many threads (at most one per residue), each call
-    unchanged, so the bytes do not depend on the CPU count.
     The constant base load is not folded in; callers offset thresholds.
-    ``PowerPmf`` checks the trimmed pmf's mass and raises ValueError when it
+    ``PowerPmf`` checks the pmf's mass and raises ValueError when it
     drifted from 1.
-
-    Trimming drops the longest run of points at each end whose cumulative
-    mass stays below ``_TRIM_MASS``, found by a cumulative sum from that end.
-    An end point that carries ``_TRIM_MASS`` or more is kept without one.
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
@@ -471,26 +417,21 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         offset += lo * steps
         if acc.size > 1:
             out = np.zeros(acc.size + (kernel.size - 1) * steps)
-            workers = 1
-            if (acc.size // steps) * kernel.size > _SPLIT_WORK:
-                workers = min(_usable_cpus(), steps)
-            if workers > 1:
-                _correlate_split(acc, kernel, flipped, steps, out, workers)
-            else:
-                _correlate_residues(acc, kernel, flipped, steps, out, range(min(steps, acc.size)))
+            for r in range(min(steps, acc.size)):
+                residue = acc[r::steps]
+                if kernel.size > residue.size:
+                    out[r::steps] = np.correlate(kernel, residue[::-1], "full")
+                else:
+                    out[r::steps] = np.correlate(residue, flipped, "full")
+            start, out = _trimmed(out)
+            offset += start
         elif steps == 1:  # the accumulator is [1.0]: the window itself
             out = kernel
         else:
             out = np.zeros(1 + (kernel.size - 1) * steps)
             out[::steps] = kernel
         acc = out
-    start = 0
-    if acc[0] < _TRIM_MASS:
-        start = int(acc.cumsum().searchsorted(_TRIM_MASS, side="left"))
-    stop = acc.size
-    if acc[-1] < _TRIM_MASS:
-        stop -= int(acc[::-1].cumsum().searchsorted(_TRIM_MASS, side="left"))
-    return PowerPmf(quantum=quantum, offset=offset + start, probabilities=acc[start:stop])
+    return PowerPmf(quantum=quantum, offset=offset, probabilities=acc)
 
 
 def bound_markov(stats: AggregateStats, threshold_w: float) -> float:

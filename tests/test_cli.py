@@ -228,6 +228,20 @@ def test_bounds_at_a_huge_on_power_stay_bounds(argv, capsys) -> None:
         assert table["exact"] <= value <= 1.0, method
 
 
+@pytest.mark.parametrize("c_max", ["1e308", "1.7e308"])
+def test_exact_tail_where_the_ceiling_over_the_quantum_overflows(c_max, tmp_path, capsys) -> None:
+    # c_max / 0.5 is inf: the threshold lies past the top of every pmf
+    assert main(["bounds", "2x0.5@0.5", "--c-max", c_max, "--quantum-w", "0.5"]) == 0
+    table = bounds_table(capsys)
+    assert table["exact"] == 0.0
+    for method, value in table.items():
+        assert table["exact"] <= value <= 1.0, method
+    argv = ["region", "--class1", "2x0.5@0.5", "--class2", "1x0.5@0.5", "--c-max", c_max]
+    argv += ["--p", "0.1", "--quantum-w", "0.5", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert "6 of 6 cells accepted" in capsys.readouterr().out
+
+
 def test_bounds_off_grid_power_with_matching_quantum(capsys) -> None:
     assert main(["bounds", "4x1.5@0.5", "--c-max", "3", "--quantum-w", "0.5"]) == 0
     table = bounds_table(capsys)

@@ -1,20 +1,20 @@
 """Property checks of the exact pmf and of its mass check.
 
-One property holds ``exact_pmf`` to a reference, byte for byte: its body as
-it stood when both ends were trimmed by full cumulative sums, also where a
-stride's residues are split across threads, for any usable-CPU count.
-Another holds each tail of a pmf to the correctly rounded exact sum of its
-points, and another the log-domain binomial to its per-term formula, byte
-for byte, whichever counts built the log-factorial table; the binomial's
-normaliser is held to ``math.fsum``.  The others hold the ``PowerPmf`` mass
-check to the verdict of ``math.fsum`` next to both edges, where a cheaper
-sum could round to the wrong side.
+One property holds ``exact_pmf`` to a reference, byte for byte: a plain
+``np.convolve`` per residue, each partial sum trimmed at both ends by full
+cumulative sums.  A second reference convolves the binomial windows
+untrimmed and trims only the final pmf; every tail of ``exact_pmf`` stays
+within 1e-15 relative of it.  Another holds each tail of a pmf to the
+correctly rounded exact sum of its points, and another the log-domain
+binomial to its per-term formula, byte for byte, whichever counts built the
+log-factorial table; the binomial's normaliser is held to ``math.fsum``.
+The others hold the ``PowerPmf`` mass check to the verdict of ``math.fsum``
+next to both edges, where a cheaper sum could round to the wrong side.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -39,11 +39,22 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 
-def reference_exact_pmf(composition: ClassComposition, quantum: float) -> tuple[int, np.ndarray]:
-    """``exact_pmf`` as it stood before, returning ``(offset, probabilities)``.
+def _trim_ends(acc: np.ndarray) -> tuple[int, np.ndarray]:
+    """Drop the ends whose cumulative mass stays below the floor."""
+    forward = np.cumsum(acc)
+    start = int(np.searchsorted(forward, _TRIM_MASS, side="left"))
+    backward = np.cumsum(acc[::-1])
+    stop = acc.size - int(np.searchsorted(backward, _TRIM_MASS, side="left"))
+    return start, acc[start:stop]
 
-    Both ends are trimmed by a full cumulative sum, and the mass is not
-    checked.
+
+def reference_exact_pmf(composition: ClassComposition, quantum: float) -> tuple[int, np.ndarray]:
+    """``exact_pmf`` by ``np.convolve``, returning ``(offset, probabilities)``.
+
+    The trimmed windows come from ``_class_kernel``.  Each convolution of a
+    partial sum is trimmed at both ends by a full cumulative sum; the first
+    window, convolved with the one-point empty load, is kept as it is.  The
+    mass is not checked.
     """
     acc = np.ones(1)  # the pmf of an empty load
     offset = 0
@@ -56,13 +67,37 @@ def reference_exact_pmf(composition: ClassComposition, quantum: float) -> tuple[
         out = np.zeros(acc.size + (kernel.size - 1) * steps)
         for r in range(min(steps, acc.size)):
             out[r::steps] = np.convolve(acc[r::steps], kernel)
+        if acc.size > 1:
+            start, out = _trim_ends(out)
+            offset += start
         acc = out
-    # trim ends whose cumulative mass stays below the floor
-    forward = np.cumsum(acc)
-    start = int(np.searchsorted(forward, _TRIM_MASS, side="left"))
-    backward = np.cumsum(acc[::-1])
-    stop = acc.size - int(np.searchsorted(backward, _TRIM_MASS, side="left"))
-    return offset + start, acc[start:stop]
+    return offset, acc
+
+
+def untrimmed_reference_pmf(
+    composition: ClassComposition, quantum: float
+) -> tuple[int, np.ndarray]:
+    """``exact_pmf`` as it stood before the windows and partial sums were
+    trimmed: each binomial window runs from its first to its last non-zero
+    term, and only the final pmf is trimmed, returning ``(offset,
+    probabilities)``.
+    """
+    acc = np.ones(1)  # the pmf of an empty load
+    offset = 0
+    for cls, enabled in composition.entries:
+        if enabled == 0:
+            continue
+        steps = _grid_steps(cls.on_power, quantum)
+        pmf = _binomial_pmf(enabled, cls.p_on)
+        nonzero = np.flatnonzero(pmf)
+        kernel = pmf[nonzero[0] : nonzero[-1] + 1]
+        offset += int(nonzero[0]) * steps
+        out = np.zeros(acc.size + (kernel.size - 1) * steps)
+        for r in range(min(steps, acc.size)):
+            out[r::steps] = np.convolve(acc[r::steps], kernel)
+        acc = out
+    start, acc = _trim_ends(acc)
+    return offset + start, acc
 
 
 def reference_exact_estimate(composition: ClassComposition, c_max: float, quantum: float) -> float:
@@ -115,6 +150,11 @@ def compositions(draw) -> tuple[ClassComposition, float]:
     return _case(quantum, specs, det)
 
 
+# four 8000-appliance classes, strides of 1, 3, 7 and 13 steps: the
+# composition of the bounds-large benchmark workload
+_LARGE = _case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000), (7, 0.1, 8000), (13, 0.05, 8000)])
+
+
 @hypothesis.settings(max_examples=150, deadline=None, database=None)
 @hypothesis.given(compositions())
 # no class: the empty load's single point
@@ -146,11 +186,11 @@ def compositions(draw) -> tuple[ClassComposition, float]:
 @hypothesis.example(_case(1.0, [(1, 0.35, 40)]))
 @hypothesis.example(_case(1.0, [(13, 0.3, 20)]))
 @hypothesis.example(_case(1.0, [(2, 1.0, 4), (1, 0.35, 30), (3, 0.15, 20)]))
-# each residue's correlation above _SPLIT_WORK, so split across threads
-# where two CPUs are usable: three residues shorter than their window, and
-# two longer than theirs
+# long windows trimmed of subnormal ends, and partial sums trimmed: three
+# residues shorter than their window, two longer than theirs, and _LARGE
 @hypothesis.example(_case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000)]))
 @hypothesis.example(_case(1.0, [(1, 0.5, 9000), (2, 0.5, 2000)]))
+@hypothesis.example(_LARGE)
 def test_exact_pmf_matches_the_reference_byte_for_byte(case) -> None:
     composition, quantum = case
     offset, probabilities = reference_exact_pmf(composition, quantum)
@@ -167,46 +207,38 @@ def test_exact_pmf_matches_the_reference_byte_for_byte(case) -> None:
             assert estimate(EstimationMethod.EXACT, composition, c_max, quantum) == expected
 
 
-# four 8000-appliance classes: strides of 3, 7 and 13 residues, each above
-# _SPLIT_WORK
-_LARGE = _case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000), (7, 0.1, 8000), (13, 0.05, 8000)])
+def _exact_tails(probabilities: np.ndarray) -> list[float]:
+    """The correctly rounded tail from every support point.
+
+    Every double is a whole number of units of 2**-1074, so each tail is
+    summed exactly in those units from the top down; int / int rounds
+    correctly.
+    """
+    unit = 1 << 1074
+    total = 0
+    tails = []
+    for p in reversed(probabilities.tolist()):
+        numerator, denominator = p.as_integer_ratio()
+        total += numerator * (unit // denominator)
+        tails.append(total / unit)
+    return tails[::-1]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 5])
-def test_pmf_bytes_do_not_depend_on_the_usable_cpu_count(monkeypatch, cpus) -> None:
-    composition, quantum = _LARGE
-    offset, probabilities = reference_exact_pmf(composition, quantum)
-    workers = []
-    split = tailprob._correlate_split
-
-    def counted(*args) -> None:
-        workers.append(args[-1])
-        split(*args)
-
-    monkeypatch.setattr(tailprob, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(tailprob, "_correlate_split", counted)
+@pytest.mark.parametrize(
+    "case",
+    [_LARGE, _case(1.0, [(1, 0.5, 9000), (2, 0.5, 2000)])],
+    ids=["bounds-large", "two-classes"],
+)
+def test_trimmed_tails_match_the_untrimmed_convolution(case) -> None:
+    composition, quantum = case
+    offset, reference = untrimmed_reference_pmf(composition, quantum)
     pmf = exact_pmf(composition, quantum)
     assert pmf.offset == offset
-    assert np.array_equal(pmf.probabilities, probabilities)
-    # one thread per usable CPU, at most one per residue
-    assert workers == ([] if cpus == 1 else [min(cpus, 3), min(cpus, 7), min(cpus, 13)])
-
-
-def test_an_exception_in_a_helper_thread_reaches_the_caller(monkeypatch) -> None:
-    correlate = tailprob._correlate_residues
-
-    def fail_off_the_main_thread(*args) -> None:
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("helper failed")
-        correlate(*args)
-
-    monkeypatch.setattr(tailprob, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(tailprob, "_correlate_residues", fail_off_the_main_thread)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="helper failed"):
-        exact_pmf(*_case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000)]))
-    # every helper was joined
-    assert threading.active_count() == before
+    assert pmf.probabilities.size == reference.size
+    tails = np.array(_exact_tails(pmf.probabilities))
+    expected = np.array(_exact_tails(reference))
+    assert expected[-1] < 1e-299  # the tails reach down to the trim floor
+    assert np.max(np.abs(tails - expected) / expected) <= 1e-15
 
 
 @st.composite

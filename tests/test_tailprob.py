@@ -142,6 +142,17 @@ def test_tail_and_mass_partition_the_distribution() -> None:
         assert pmf.tail_at_or_above(threshold) + below == pytest.approx(1.0, abs=1e-15)
 
 
+def test_tail_where_the_threshold_over_the_quantum_overflows() -> None:
+    pmf = PowerPmf(quantum=0.5, offset=1, probabilities=np.array([0.25, 0.75]))
+    # each ratio to the quantum is +-inf, past one end of the grid
+    assert pmf.tail_at_or_above(1.7e308) == 0.0
+    assert pmf.tail_at_or_above(math.inf) == 0.0
+    assert pmf.tail_at_or_above(-1.7e308) == 1.0
+    assert pmf.tail_at_or_above(-math.inf) == 1.0
+    with pytest.raises(ValueError, match="not a number"):
+        pmf.tail_at_or_above(math.nan)
+
+
 # ---------------------------------------------------------------------------
 # exact convolution
 # ---------------------------------------------------------------------------
@@ -219,7 +230,9 @@ def test_exact_pmf_quantum_scaling_preserves_probability() -> None:
 
 
 def dense_reference_pmf(composition: ClassComposition, quantum: float) -> tuple[int, np.ndarray]:
-    """Convolve zero-padded per-class grids densely, then trim like exact_pmf."""
+    """Convolve zero-padded per-class grids densely, then trim both ends of
+    the result once by full cumulative sums; exact_pmf trims each window and
+    each partial sum instead, which moves only the last bits."""
     acc = np.ones(1)
     for cls, enabled in composition.entries:
         if enabled == 0:
