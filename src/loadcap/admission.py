@@ -96,10 +96,11 @@ def _count_estimator(
 def _admits_down_set(policy: QosPolicy, method: EstimationMethod) -> bool:
     """Whether every count vector below an admitted one is admitted too.
 
-    Holds over any fixed base.  One more appliance raises the mean m and the
-    variance v and lowers d = t - m (an always-on one only lowers the
-    threshold t).  Every bound and the exact tail then rise: Chebyshev
-    v/d**2 rises, and is 1 once d <= 0; Bennett's exponent (v/b**2)*h(u),
+    Holds over any fixed base.  The threshold t an estimate reads never
+    depends on the counts, and falls as the base load rises (``estimate``).
+    One more appliance raises the mean m and the variance v and lowers
+    d = t - m (an always-on one only lowers t).  Every bound and the exact
+    tail then rise: Chebyshev v/d**2 rises, and is 1 once d <= 0; Bennett's exponent (v/b**2)*h(u),
     u = d*b/v, falls as v rises (its v-derivative is (ln(1+u) - u)/b**2 < 0),
     as d falls, and as b rises (h(x)/x**2 decreases).  The normal estimate
     Q((t-m)/sqrt(v)) rises while t > m, and any vector estimated at

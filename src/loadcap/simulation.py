@@ -35,7 +35,7 @@ from .admission import (
 )
 from .models import ApplianceClass, derive_seed, sample_series
 from .scheduling import SchedulingStrategy, load_factor
-from .tailprob import _GRID_RTOL, ClassComposition, EstimationMethod, _grid_steps
+from .tailprob import ClassComposition, EstimationMethod, _grid_steps, _reach_floor
 
 __all__ = [
     "SimMode",
@@ -119,9 +119,10 @@ class SimResult:
     """Outcome of one run.
 
     ``p_hat`` is the fraction of slots whose served load reached the
-    ceiling; ``k`` is that fraction over the policy's tolerated probability.
-    ``low_confidence`` flags runs whose expected violation count is too
-    small for ``k`` to mean much.  Load factors are NaN when the series is
+    ceiling, as the estimators count reaching (``tailprob._reach_floor``
+    over the base load); ``k`` is that fraction over the policy's tolerated
+    probability.  ``low_confidence`` flags runs whose expected violation
+    count is too small for ``k`` to mean much.  Load factors are NaN when the series is
     all zero.  The ledger and per-slot outcomes are populated in
     SlotDynamic mode only.  ``outcomes`` is a structured array with one
     row per slot and the fields ``dropped_w``, ``backlog_depth`` (queued
@@ -174,10 +175,9 @@ def _result(
     ledger: EnergyLedger | None = None,
     outcomes: np.ndarray | None = None,
 ) -> SimResult:
-    policy, slots = config.policy, config.slots
-    # same grid-snap tolerance as the tail computation's threshold rounding
-    threshold = policy.c_max - _GRID_RTOL * max(1.0, abs(policy.c_max))
-    overload = int(np.count_nonzero(managed >= threshold))
+    policy, slots, det = config.policy, config.slots, config.deterministic_load
+    reach = det + _reach_floor(policy.c_max - det, config.quantum)
+    overload = int(np.count_nonzero(managed >= reach))
     p_hat = overload / slots
     return SimResult(
         p_hat=p_hat,

@@ -124,23 +124,20 @@ class PowerPmf:
         return (self.offset + np.arange(self.probabilities.size)) * self.quantum
 
     def tail_at_or_above(self, threshold_w: float) -> float:
-        """Mass at grid points >= threshold; off-grid thresholds round up.
+        """Mass at grid points at or above ``_reach_floor``; off-grid thresholds round up.
 
         The tail is the correctly rounded sum of its points: ``math.fsum``
         is exact, and reads the points from the array's buffer as Python
-        floats without building a list.  A threshold whose ratio to the
-        quantum overflows to +-inf lies past either end; a NaN threshold
-        raises ValueError.
+        floats without building a list.  An infinite threshold, or one whose
+        ratio to the quantum overflows, lies past the end its sign points
+        to; a NaN threshold raises ValueError.
         """
-        x = threshold_w / self.quantum
         try:
-            start = math.ceil(x - _GRID_RTOL * max(1.0, abs(x))) - self.offset
+            start = math.ceil(_reach_floor(threshold_w, self.quantum) / self.quantum) - self.offset
         except (ValueError, OverflowError):  # inf - inf is NaN; ceil(-inf) overflows
-            if x == math.inf:
-                return 0.0
-            if x == -math.inf:
-                return 1.0
-            raise ValueError(f"threshold_w={threshold_w!r} is not a number") from None
+            if math.isnan(threshold_w):
+                raise ValueError(f"threshold_w={threshold_w!r} is not a number") from None
+            return 0.0 if threshold_w > 0.0 else 1.0
         if start <= 0:
             return 1.0
         if start >= self.probabilities.size:
@@ -242,6 +239,11 @@ def _fold_certain(composition: ClassComposition) -> ClassComposition:
         entries=tuple(entries),
         deterministic_load=composition.deterministic_load + certain,
     )
+
+
+def _reach_floor(threshold_w: float, quantum: float) -> float:
+    """The least load in watts that reaches ``threshold_w``: the one reach rule."""
+    return threshold_w - _GRID_RTOL * max(quantum, abs(threshold_w))
 
 
 def _grid_steps(watts: float, quantum: float) -> int:
@@ -438,8 +440,6 @@ def bound_markov(stats: AggregateStats, threshold_w: float) -> float:
     """First-moment bound: mean over threshold, clamped to 1."""
     if threshold_w <= 0.0:
         raise ValueError("invalid threshold")
-    if stats.mean == 0.0:
-        return 0.0
     return min(1.0, stats.mean / threshold_w)
 
 
@@ -447,12 +447,10 @@ def bound_chebyshev(stats: AggregateStats, threshold_w: float) -> float:
     """Second-moment bound: variance over squared distance from the mean."""
     if threshold_w <= stats.mean:
         return 1.0
-    if stats.variance == 0.0:
-        return 0.0
     d = threshold_w - stats.mean
     try:
         return min(1.0, stats.variance / d**2)
-    except OverflowError:  # d**2 past the float range; v/d/d does not overflow
+    except (OverflowError, ZeroDivisionError):  # d**2 overflows or underflows; v/d/d does not
         return min(1.0, stats.variance / d / d)
 
 
@@ -600,11 +598,20 @@ def estimate(
 
     The constant base load is folded into the threshold first, so a
     composition with base load d at limit c behaves exactly like the same
-    composition with no base load at limit c - d.  A threshold at or below
-    the base load returns 1.  All results are clamped to [0, 1].
+    composition with no base load at limit c - d.  Loads from
+    ``_reach_floor`` up reach the threshold: exact sums the grid points
+    there, and the other methods read the threshold at the first of them
+    when it lies below, so no bound undercuts exact.  A threshold read at
+    or below the base load returns 1.  All results are clamped to [0, 1].
     """
     composition = _fold_certain(composition)
     threshold = c_max - composition.deterministic_load
+    if method is not EstimationMethod.EXACT:
+        try:  # read from the grid point exact starts at, where that lies below
+            step = math.ceil(_reach_floor(threshold, quantum) / quantum)
+            threshold = min(threshold, step * quantum)
+        except (ValueError, OverflowError):  # an infinite or NaN threshold stays
+            pass
     if threshold <= 0.0:
         return 1.0
     if method is EstimationMethod.EXACT:

@@ -248,6 +248,30 @@ def test_bounds_off_grid_power_with_matching_quantum(capsys) -> None:
     assert 0.0 <= table["exact"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    ("specs", "c_max", "on_grid"),
+    [
+        (["3x1@0.5"], "3.000000001", "3"),
+        (["2x1@1.0", "1x1@0.5"], "3.0000000001", "3"),
+        (["2x1@1.0"], "2.0000000001", "2"),
+    ],
+    ids=["all-on", "all-on-over-a-base", "base-alone"],
+)
+def test_bounds_read_a_ceiling_in_the_reach_band_at_its_grid_point(
+    specs, c_max, on_grid, capsys
+) -> None:
+    # a load within 1e-9 relative below the ceiling reaches it, for every
+    # method: each reads the ceiling as the grid point just below it
+    assert main(["bounds", *specs, "--c-max", c_max]) == 0
+    table = bounds_table(capsys)
+    for method in ("markov", "chebyshev", "hoeffding", "bennett", "chernoff"):
+        assert table["exact"] <= table[method] <= 1.0, method
+    assert main(["bounds", *specs, "--c-max", on_grid]) == 0
+    assert table == bounds_table(capsys)
+    if c_max == "2.0000000001":  # the base load alone reaches the ceiling
+        assert set(table.values()) == {1.0}
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -834,6 +858,22 @@ def test_region_method_flag(tmp_path, capsys) -> None:
     assert code == 0
     capsys.readouterr()
     assert (tmp_path / "m.csv").exists()
+
+
+def test_region_of_a_bound_lies_inside_the_exact_region(tmp_path, capsys) -> None:
+    # the all-ON load of 3 of the first class sits 1e-9 W below the ceiling
+    accepted = {}
+    for method in ("exact", "markov", "chebyshev", "hoeffding", "bennett", "chernoff"):
+        argv = ["region", "--class1", "3x1@0.5", "--class2", "1x1@0.5",
+                "--c-max", "3.000000001", "--p", "0.1", "--method", method,
+                "--out", f"{method}.csv", "--out-dir", str(tmp_path)]  # fmt: skip
+        assert main(argv) == 0
+        rows = (tmp_path / f"{method}.csv").read_text().splitlines()[1:]
+        accepted[method] = {row.rsplit(",", 1)[0] for row in rows if row.endswith(",true")}
+    capsys.readouterr()
+    assert len(accepted["exact"]) == 5
+    for method, cells in accepted.items():
+        assert cells <= accepted["exact"], method
 
 
 @pytest.mark.parametrize("quantum_w", ["0", "-0.5", "nan"])

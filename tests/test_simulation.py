@@ -31,7 +31,7 @@ from loadcap.simulation import (
     run_slot_dynamic,
     sweep_qos,
 )
-from loadcap.tailprob import ClassComposition, EstimationMethod
+from loadcap.tailprob import ClassComposition, EstimationMethod, estimate
 
 
 def bern(name: str, on_power: float, p_on: float, count: int, shiftable: bool = True):
@@ -234,6 +234,27 @@ def test_tail_statistics_definitions() -> None:
         math.sqrt(result.p_hat * (1.0 - result.p_hat) / 500) / 0.9
     )
     assert not result.low_confidence  # 0.9 * 500 expected events
+
+
+def test_overload_counts_the_loads_the_estimate_counts() -> None:
+    # 1e6 W base plus 0.9995 W stays a whole grid step of 1e-4 W below the
+    # 1e6 + 1 W ceiling: exact estimates 0 and enables the appliance, and
+    # no slot may then count as reaching the ceiling
+    appliance = ApplianceClass("a", 0.9995, Bernoulli(0.5), 1)
+    cfg = config_of(
+        classes=(appliance,),
+        policy=QosPolicy(c_max=1e6 + 1, p=0.01),
+        slots=1000,
+        seed=1,
+        quantum=1e-4,
+        deterministic_load=1e6,
+    )
+    composition = ClassComposition(((appliance, 1),), deterministic_load=1e6)
+    assert estimate(EstimationMethod.EXACT, composition, 1e6 + 1, 1e-4) == 0.0
+    result = run(cfg)
+    assert result.enabled_counts == (1,)
+    assert 0 < np.count_nonzero(result.series_managed > 1e6) < 1000
+    assert (result.p_hat, result.k) == (0.0, 0.0)
 
 
 def test_low_confidence_flag_trips_on_rare_budgets() -> None:

@@ -59,6 +59,43 @@ def test_bounds_dominate_the_exact_tail(case) -> None:
         assert estimate(method, composition, c_max) >= floor, method
 
 
+@st.composite
+def limits_in_the_reach_band(draw) -> tuple[ClassComposition, float, float]:
+    """A composition on a 1, 0.5 or 0.1 W grid, with or without a base load,
+    and a limit at one of its support points (half the time the all-ON
+    load) times 1 + delta, for delta across the band in which a load
+    within 1e-9 relative below the limit counts as reaching it."""
+    quantum = draw(st.sampled_from([1.0, 0.5, 0.1]))
+    all_on = draw(st.booleans())
+    entries = []
+    point = 0.0
+    for j in range(draw(st.integers(min_value=1, max_value=3))):
+        cls = ApplianceClass(
+            name=f"c{j}",
+            on_power=draw(st.sampled_from([1, 2, 3, 7, 13])) * quantum,
+            model=Bernoulli(p_on=draw(st.floats(min_value=0.02, max_value=0.98))),
+            count=30,
+        )
+        enabled = draw(st.integers(min_value=0, max_value=cls.count))
+        entries.append((cls, enabled))
+        point += (enabled if all_on else draw(st.integers(0, enabled))) * cls.on_power
+    base = draw(st.sampled_from([0, 40])) * quantum
+    deltas = [0.0, 1e-12, 1e-11, 3e-10, 9e-10, 1e-9, -1e-10]
+    delta = draw(st.sampled_from(deltas) | st.floats(min_value=-1e-10, max_value=1e-9))
+    composition = ClassComposition(entries=tuple(entries), deterministic_load=base)
+    return composition, base + point * (1.0 + delta), quantum
+
+
+@SETTINGS
+@hypothesis.given(limits_in_the_reach_band())
+def test_bounds_dominate_the_exact_tail_in_the_reach_band(case) -> None:
+    # exact counts a load just below the limit as reaching it; so must a bound
+    composition, c_max, quantum = case
+    floor = estimate(EstimationMethod.EXACT, composition, c_max, quantum) - 1e-12
+    for method in BOUND_METHODS:
+        assert estimate(method, composition, c_max, quantum) >= floor, method
+
+
 @SETTINGS
 @hypothesis.given(compositions_and_limits(), st.integers(min_value=0, max_value=2))
 def test_monotone_methods_do_not_fall_when_an_appliance_joins(case, pick) -> None:

@@ -323,6 +323,9 @@ def test_chebyshev_bound_values() -> None:
     assert bound_chebyshev(WORKED_STATS, 50.0) == 1.0
     assert bound_chebyshev(WORKED_STATS, 51.0) == 1.0  # clamped, 25/1 > 1
     assert bound_chebyshev(AggregateStats(5.0, 0.0, 25.0, 5.0), 6.0) == 0.0
+    # (t - m)**2 underflows to 0 here; v / d / d does not divide by it
+    assert bound_chebyshev(AggregateStats(0.0, 0.0, 0.0, 0.0), 1e-200) == 0.0
+    assert bound_chebyshev(AggregateStats(0.0, 1e-320, 0.0, 0.0), 1e-170) == 1.0
 
 
 def test_hoeffding_bound_values() -> None:
