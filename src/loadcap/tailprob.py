@@ -3,8 +3,12 @@
 Given a composition of two-state appliance classes, the probability that the
 aggregate load reaches a threshold can be computed exactly (convolution of
 per-class binomial pmfs on a watt grid) or estimated analytically from
-aggregate moments.  All analytic bounds here are guaranteed upper bounds on
-the exact tail; the normal approximation is an estimate, not a bound.
+aggregate moments.  ``estimate`` is the one door to every method, and
+``exact_pmf`` gives the exact pmf itself.  Through ``estimate`` every
+analytic bound is an upper bound on the exact tail; the normal
+approximation is an estimate, not a bound.  The per-method helpers are
+private: each assumes the folded composition and positive threshold that
+``estimate`` hands it.
 
 Natural logarithms are used throughout.
 """
@@ -24,15 +28,7 @@ __all__ = [
     "EstimationMethod",
     "PowerPmf",
     "ClassComposition",
-    "AggregateStats",
     "exact_pmf",
-    "aggregate_stats",
-    "bound_markov",
-    "bound_chebyshev",
-    "bound_hoeffding",
-    "bound_bennett",
-    "bound_chernoff",
-    "clt_estimate",
     "estimate",
 ]
 
@@ -150,7 +146,7 @@ class ClassComposition:
     """Enabled appliance counts per class, plus a constant base load.
 
     ``deterministic_load`` is in watts.  Entries of always-on classes
-    (``p_on`` 1) are allowed; every estimator folds them into the base load
+    (``p_on`` 1) are allowed; ``estimate`` folds them into the base load
     first (``_fold_certain``).
     """
 
@@ -181,8 +177,8 @@ class ClassComposition:
 
 
 @dataclass(frozen=True)
-class AggregateStats:
-    """Moments of the stochastic part of an aggregate load.
+class _AggregateStats:
+    """Moments of the stochastic part of a folded aggregate load.
 
     ``sum_sq_ranges`` is the sum of squared per-appliance ranges (each ON
     wattage squared, once per enabled appliance); ``max_abs`` is the largest
@@ -195,33 +191,32 @@ class AggregateStats:
     max_abs: float
 
 
-def aggregate_stats(composition: ClassComposition) -> AggregateStats:
-    """Aggregate moments; the constant base load is not included."""
+def _aggregate_stats(composition: ClassComposition) -> _AggregateStats:
+    """Moments of a folded composition; the constant base load is not included."""
     mean = 0.0
     variance = 0.0
     ssr = 0.0
     max_abs = 0.0
     for cls, enabled in composition.entries:
-        p = cls.p_on
-        if enabled == 0 or p == 0.0:
+        if enabled == 0:
             continue
+        p = cls.p_on
         h = cls.on_power
         mean += enabled * h * p
         variance += enabled * h * h * p * (1.0 - p)
-        if p < 1.0:
-            # an always-on appliance never varies: its range is zero
-            ssr += enabled * h * h
+        ssr += enabled * h * h
         max_abs = max(max_abs, h)
-    return AggregateStats(mean=mean, variance=variance, sum_sq_ranges=ssr, max_abs=max_abs)
+    return _AggregateStats(mean=mean, variance=variance, sum_sq_ranges=ssr, max_abs=max_abs)
 
 
 def _fold_certain(composition: ClassComposition) -> ClassComposition:
     """Move always-on classes into the constant base load, drop never-on ones.
 
-    A class with p_on 1 contributes a known constant, so every estimator can
-    treat it as base load; keeping it stochastic would needlessly slacken
-    the moment bounds.  This is the one place always-on load becomes base
-    load.
+    A class with p_on 1 contributes a known constant, so it is base load;
+    keeping it stochastic would needlessly slacken the moment bounds.
+    ``estimate`` folds every composition before any method reads it, so each
+    class a method sees has 0 < p_on < 1.  This is the one place always-on
+    load becomes base load.
     """
     for cls, _ in composition.entries:
         if not 0.0 < cls.p_on < 1.0:
@@ -248,7 +243,7 @@ def _reach_floor(threshold_w: float, quantum: float) -> float:
 
 def _grid_steps(watts: float, quantum: float) -> int:
     steps = round(watts / quantum)
-    if abs(steps * quantum - watts) > _GRID_RTOL * max(1.0, abs(watts)) or steps < 1:
+    if abs(steps * quantum - watts) > _GRID_RTOL * max(quantum, abs(watts)) or steps < 1:
         raise ValueError(
             f"quantization mismatch: {watts!r} W is not a positive multiple "
             f"of the {quantum!r} W grid"
@@ -436,14 +431,12 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     return PowerPmf(quantum=quantum, offset=offset, probabilities=acc)
 
 
-def bound_markov(stats: AggregateStats, threshold_w: float) -> float:
+def _bound_markov(stats: _AggregateStats, threshold_w: float) -> float:
     """First-moment bound: mean over threshold, clamped to 1."""
-    if threshold_w <= 0.0:
-        raise ValueError("invalid threshold")
     return min(1.0, stats.mean / threshold_w)
 
 
-def bound_chebyshev(stats: AggregateStats, threshold_w: float) -> float:
+def _bound_chebyshev(stats: _AggregateStats, threshold_w: float) -> float:
     """Second-moment bound: variance over squared distance from the mean."""
     if threshold_w <= stats.mean:
         return 1.0
@@ -454,7 +447,7 @@ def bound_chebyshev(stats: AggregateStats, threshold_w: float) -> float:
         return min(1.0, stats.variance / d / d)
 
 
-def bound_hoeffding(stats: AggregateStats, threshold_w: float) -> float:
+def _bound_hoeffding(stats: _AggregateStats, threshold_w: float) -> float:
     """Bounded-range exponential bound."""
     if threshold_w <= stats.mean:
         return 1.0
@@ -471,12 +464,12 @@ def _bennett_h(u: float) -> float:
     return (1.0 + u) * math.log1p(u) - u
 
 
-def bound_bennett(stats: AggregateStats, threshold_w: float) -> float:
+def _bound_bennett(stats: _AggregateStats, threshold_w: float) -> float:
     """Variance-aware exponential bound, tighter than Hoeffding's for
     small-variance aggregates."""
     if threshold_w <= stats.mean:
         return 1.0
-    if stats.variance == 0.0 or stats.max_abs == 0.0:
+    if stats.variance == 0.0:
         return 0.0
     if math.isinf(stats.variance):
         # u would be 0 (or NaN) and the exponent (v/b**2)*h(u) NaN: only the
@@ -499,9 +492,7 @@ def bound_bennett(stats: AggregateStats, threshold_w: float) -> float:
 
 
 def _log_mgf_term(s: float, h: float, p: float) -> float:
-    """ln E[exp(s X)] for one two-state appliance drawing h with prob p > 0."""
-    if p >= 1.0:
-        return s * h
+    """ln E[exp(s X)] for one two-state appliance drawing h with prob 0 < p < 1."""
     x = s * h
     if x > 700.0:  # exp(x) would overflow; factor the dominant term out
         return x + math.log(p + (1.0 - p) * math.exp(-x))
@@ -509,12 +500,10 @@ def _log_mgf_term(s: float, h: float, p: float) -> float:
 
 
 def _log_mgf_term_deriv(s: float, h: float, p: float) -> float:
-    if p >= 1.0:
-        return h
     return h * p / (p + (1.0 - p) * math.exp(-min(s * h, 745.0)))
 
 
-def bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
+def _bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
     """Optimized exponential-moment bound.
 
     Minimizes exp(sum of per-appliance log moment generating functions minus
@@ -524,13 +513,13 @@ def bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
     terms = [
         (enabled, cls.on_power, cls.p_on)
         for cls, enabled in composition.entries
-        if enabled > 0 and cls.p_on > 0.0
+        if enabled > 0
     ]
     mean = sum(n * h * p for n, h, p in terms)
     if threshold_w <= mean:
         return 1.0
     support_max = sum(n * h for n, h, _ in terms)
-    if math.isclose(threshold_w, support_max, rel_tol=1e-12, abs_tol=1e-15):
+    if math.isclose(threshold_w, support_max, rel_tol=1e-12):
         # infimum is the limit s -> inf: probability that everything is ON
         log_all_on = sum(n * math.log(p) for n, _, p in terms)
         return min(1.0, math.exp(log_all_on))
@@ -580,7 +569,7 @@ def bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
     return bound_at(s_star)
 
 
-def clt_estimate(stats: AggregateStats, threshold_w: float) -> float:
+def _clt_estimate(stats: _AggregateStats, threshold_w: float) -> float:
     """Normal approximation of the upper tail (an estimate, not a bound)."""
     if stats.variance == 0.0:
         return 1.0 if threshold_w <= stats.mean else 0.0
@@ -603,31 +592,38 @@ def estimate(
     there, and the other methods read the threshold at the first of them
     when it lies below, so no bound undercuts exact.  A threshold read at
     or below the base load returns 1.  All results are clamped to [0, 1].
+    A quantum that is not positive and finite, or a NaN ``c_max``, raises
+    ValueError for every method; on the exact path ``exact_pmf`` and
+    ``tail_at_or_above`` refuse them, so a threshold at or below 0 returns
+    1 there before the quantum is read.
     """
     composition = _fold_certain(composition)
     threshold = c_max - composition.deterministic_load
     if method is not EstimationMethod.EXACT:
+        if not (quantum > 0.0 and math.isfinite(quantum)):
+            raise ValueError(f"quantum={quantum!r} must be positive and finite")
         try:  # read from the grid point exact starts at, where that lies below
             step = math.ceil(_reach_floor(threshold, quantum) / quantum)
             threshold = min(threshold, step * quantum)
-        except (ValueError, OverflowError):  # an infinite or NaN threshold stays
-            pass
+        except (ValueError, OverflowError):  # an infinite threshold stays
+            if math.isnan(threshold):
+                raise ValueError(f"c_max={c_max!r} is not a number") from None
     if threshold <= 0.0:
         return 1.0
     if method is EstimationMethod.EXACT:
         return exact_pmf(composition, quantum).tail_at_or_above(threshold)
     if method is EstimationMethod.CHERNOFF:
-        return bound_chernoff(composition, threshold)
-    stats = aggregate_stats(composition)
+        return _bound_chernoff(composition, threshold)
+    stats = _aggregate_stats(composition)
     if method is EstimationMethod.MARKOV:
-        return bound_markov(stats, threshold)
+        return _bound_markov(stats, threshold)
     if method is EstimationMethod.CHEBYSHEV:
-        return bound_chebyshev(stats, threshold)
+        return _bound_chebyshev(stats, threshold)
     if method is EstimationMethod.HOEFFDING:
-        return bound_hoeffding(stats, threshold)
+        return _bound_hoeffding(stats, threshold)
     if method is EstimationMethod.BENNETT:
-        return bound_bennett(stats, threshold)
+        return _bound_bennett(stats, threshold)
     if method is EstimationMethod.CLT:
-        return clt_estimate(stats, threshold)
+        return _clt_estimate(stats, threshold)
     raise ValueError(f"unknown estimation method {method!r}")
 

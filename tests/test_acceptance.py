@@ -34,12 +34,12 @@ from loadcap.simulation import (
 from loadcap.tailprob import (
     ClassComposition,
     EstimationMethod,
-    aggregate_stats,
-    bound_bennett,
-    bound_chebyshev,
-    bound_chernoff,
-    bound_hoeffding,
-    bound_markov,
+    _aggregate_stats,
+    _bound_bennett,
+    _bound_chebyshev,
+    _bound_chernoff,
+    _bound_hoeffding,
+    _bound_markov,
     estimate,
     exact_pmf,
 )
@@ -100,7 +100,7 @@ def test_c02_bound_dominance_suite() -> None:
     for _ in range(200):
         composition = random_composition(rng)
         pmf = exact_pmf(composition)
-        stats = aggregate_stats(composition)
+        stats = _aggregate_stats(composition)
         top = float(pmf.support_watts[-1])
         thresholds = np.concatenate(
             [rng.uniform(0.25, max(top, 1.0), size=6), [top, top + 1.0]]
@@ -109,12 +109,12 @@ def test_c02_bound_dominance_suite() -> None:
             thr = float(thr)
             true_tail = pmf.tail_at_or_above(thr)
             floor = true_tail - 1e-12
-            assert bound_chebyshev(stats, thr) >= floor
-            assert bound_hoeffding(stats, thr) >= floor
-            assert bound_bennett(stats, thr) >= floor
-            assert bound_chernoff(composition, thr) >= floor
+            assert _bound_chebyshev(stats, thr) >= floor
+            assert _bound_hoeffding(stats, thr) >= floor
+            assert _bound_bennett(stats, thr) >= floor
+            assert _bound_chernoff(composition, thr) >= floor
             if thr > 0.0:
-                assert bound_markov(stats, thr) >= floor
+                assert _bound_markov(stats, thr) >= floor
             checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

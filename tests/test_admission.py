@@ -16,7 +16,7 @@ from loadcap.admission import (
     max_admissible,
 )
 from loadcap.models import ApplianceClass, Bernoulli
-from loadcap.tailprob import ClassComposition, EstimationMethod, aggregate_stats, estimate
+from loadcap.tailprob import ClassComposition, EstimationMethod, _aggregate_stats, estimate
 
 SEARCH_METHODS = tuple(EstimationMethod)
 
@@ -196,7 +196,7 @@ def test_max_admissible_binary_search_agrees_with_linear_scan() -> None:
         base = ClassComposition(
             entries=((other, int(rng.integers(0, 31))),), deterministic_load=det
         )
-        base_mean = aggregate_stats(base).mean
+        base_mean = _aggregate_stats(base).mean
         c_max = det + max(0.5, base_mean * float(rng.uniform(0.5, 1.5)))
         if c_max - det <= base_mean:
             at_or_below_mean += 1

@@ -145,6 +145,13 @@ def test_bounds_quantization_mismatch_exits_2(capsys) -> None:
     assert "quantization mismatch" in capsys.readouterr().err
 
 
+def test_bounds_refuses_an_off_grid_picowatt_power(capsys) -> None:
+    # the grid tolerance scales with the quantum: 1.5 pW is not on a 1 pW grid
+    argv = ["bounds", "1x1.5e-12@0.5", "--c-max", "2e-12", "--quantum-w", "1e-12"]
+    assert main(argv) == 2
+    assert "quantization mismatch" in capsys.readouterr().err
+
+
 def test_bounds_prints_no_table_when_an_estimate_fails(capsys) -> None:
     # markov succeeds, then exact meets the off-grid power
     assert main(["bounds", "2x1.5@0.5", "--c-max", "2", "--methods", "markov,exact"]) == 2

@@ -31,7 +31,7 @@ from loadcap.models import (
     sample_series,
     stationary_stats,
 )
-from loadcap.tailprob import ClassComposition, aggregate_stats
+from loadcap.tailprob import ClassComposition, _aggregate_stats
 
 # Shared six-sample trace used by all fit oracles below; ON threshold 1.0
 # splits it into OFF,ON,ON,OFF,ON,ON.
@@ -80,7 +80,7 @@ def test_degenerate_markov_has_no_stationary_distribution() -> None:
 def test_class_power_moments_follow_occupancy() -> None:
     cls = ApplianceClass(name="pump", on_power=2.0, model=Bernoulli(p_on=0.25), count=7)
     assert cls.p_on == 0.25
-    stats = aggregate_stats(ClassComposition(entries=((cls, 1),)))
+    stats = _aggregate_stats(ClassComposition(entries=((cls, 1),)))
     assert stats.mean == pytest.approx(0.5)
     assert stats.variance == pytest.approx(4.0 * 0.25 * 0.75)
 
@@ -88,7 +88,7 @@ def test_class_power_moments_follow_occupancy() -> None:
 def test_deterministic_class_is_always_on() -> None:
     cls = ApplianceClass(name="base", on_power=3.0, model=Bernoulli(p_on=1.0), count=2)
     assert cls.p_on == 1.0
-    stats = aggregate_stats(ClassComposition(entries=((cls, 1),)))
+    stats = _aggregate_stats(ClassComposition(entries=((cls, 1),)))
     assert stats.mean == 3.0
     assert stats.variance == 0.0
 
@@ -453,6 +453,6 @@ def test_stationary_p_on_times_power_is_mean_power() -> None:
     model = TwoStateMarkov(p_off_to_on=0.1, p_on_to_off=0.3)
     cls = ApplianceClass(name="x", on_power=8.0, model=model, count=1)
     assert cls.p_on == stationary_stats(model).p_on
-    stats = aggregate_stats(ClassComposition(entries=((cls, 1),)))
+    stats = _aggregate_stats(ClassComposition(entries=((cls, 1),)))
     assert stats.mean == pytest.approx(stationary_stats(model).p_on * 8.0)
     assert math.isclose(stats.variance, 64.0 * 0.25 * 0.75)

@@ -10,7 +10,7 @@ import pytest
 
 from loadcap.admission import QosPolicy, max_admissible
 from loadcap.models import ApplianceClass, Bernoulli
-from loadcap.tailprob import ClassComposition, EstimationMethod, aggregate_stats, estimate
+from loadcap.tailprob import ClassComposition, EstimationMethod, _aggregate_stats, estimate
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -105,7 +105,7 @@ def test_monotone_methods_do_not_fall_when_an_appliance_joins(case, pick) -> Non
     cls, enabled = entries[pick]
     entries[pick] = (cls, enabled + 1)  # every count sits below the cap
     grown = ClassComposition(entries=tuple(entries))
-    above_mean = c_max > aggregate_stats(composition).mean
+    above_mean = c_max > _aggregate_stats(composition).mean
     for method in EstimationMethod:
         if method is EstimationMethod.CLT and not above_mean:
             continue  # the normal estimate rises with the count only above the mean

@@ -16,22 +16,19 @@ import pytest
 
 from loadcap import tailprob
 from loadcap.models import ApplianceClass, Bernoulli
+from loadcap.tailprob import ClassComposition, EstimationMethod, PowerPmf, estimate, exact_pmf
 from loadcap.tailprob import (
-    AggregateStats,
-    ClassComposition,
-    EstimationMethod,
-    PowerPmf,
-    aggregate_stats,
-    bound_bennett,
-    bound_chebyshev,
-    bound_chernoff,
-    bound_hoeffding,
-    bound_markov,
-    clt_estimate,
-    estimate,
-    exact_pmf,
+    _TRIM_MASS,
+    _AggregateStats,
+    _aggregate_stats,
+    _binomial_pmf,
+    _bound_bennett,
+    _bound_chebyshev,
+    _bound_chernoff,
+    _bound_hoeffding,
+    _bound_markov,
+    _clt_estimate,
 )
-from loadcap.tailprob import _TRIM_MASS, _binomial_pmf
 
 ALL_METHODS = tuple(EstimationMethod)
 BOUND_METHODS = (
@@ -57,7 +54,7 @@ def comp(*specs: tuple[float, float, int], det: float = 0.0) -> ClassComposition
 # The worked reference composition: 100 unit-power appliances, each ON half
 # the time, judged against a limit of 60 W.
 WORKED = comp((1.0, 0.5, 100))
-WORKED_STATS = aggregate_stats(WORKED)
+WORKED_STATS = _aggregate_stats(WORKED)
 
 
 def brute_force_pmf(composition: ClassComposition, quantum: float) -> dict[int, float]:
@@ -268,7 +265,7 @@ def test_exact_pmf_matches_dense_zero_padded_convolution(specs, quantum) -> None
     assert pmf.probabilities.size == reference.size
     assert np.max(np.abs(pmf.probabilities - reference)) <= 1e-15
     dense = PowerPmf(quantum=quantum, offset=offset, probabilities=reference)
-    mean = aggregate_stats(composition).mean
+    mean = _aggregate_stats(composition).mean
     top = float(pmf.support_watts[-1])
     # from the mean out to the last support point, where tails reach ~1e-300
     for fraction in (0.0, 0.1, 0.3, 0.6, 1.0):
@@ -291,7 +288,7 @@ def test_aggregate_stats_worked_composition() -> None:
 
 
 def test_aggregate_stats_two_class_mixture() -> None:
-    stats = aggregate_stats(comp((1.0, 0.2, 100), (5.0, 0.001, 100)))
+    stats = _aggregate_stats(comp((1.0, 0.2, 100), (5.0, 0.001, 100)))
     assert stats.mean == pytest.approx(20.5)
     assert stats.variance == pytest.approx(100 * 0.2 * 0.8 + 100 * 25 * 0.001 * 0.999)
     assert stats.variance == pytest.approx(18.4975)
@@ -301,8 +298,8 @@ def test_aggregate_stats_two_class_mixture() -> None:
 
 def test_aggregate_stats_skips_disabled_entries() -> None:
     cls = bern("x", 2.0, 0.5, 10)
-    stats = aggregate_stats(ClassComposition(entries=((cls, 0),)))
-    assert stats == AggregateStats(mean=0.0, variance=0.0, sum_sq_ranges=0.0, max_abs=0.0)
+    stats = _aggregate_stats(ClassComposition(entries=((cls, 0),)))
+    assert stats == _AggregateStats(mean=0.0, variance=0.0, sum_sq_ranges=0.0, max_abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -311,67 +308,67 @@ def test_aggregate_stats_skips_disabled_entries() -> None:
 
 
 def test_markov_bound_values() -> None:
-    assert bound_markov(WORKED_STATS, 60.0) == pytest.approx(50.0 / 60.0)
-    assert bound_markov(WORKED_STATS, 40.0) == 1.0
-    assert bound_markov(AggregateStats(0.0, 0.0, 0.0, 0.0), 5.0) == 0.0
-    with pytest.raises(ValueError, match="invalid threshold"):
-        bound_markov(WORKED_STATS, 0.0)
+    assert _bound_markov(WORKED_STATS, 60.0) == pytest.approx(50.0 / 60.0)
+    assert _bound_markov(WORKED_STATS, 40.0) == 1.0
+    assert _bound_markov(_AggregateStats(0.0, 0.0, 0.0, 0.0), 5.0) == 0.0
+    # a ceiling at or below the base load is always reached
+    assert estimate(EstimationMethod.MARKOV, WORKED, 0.0) == 1.0
 
 
 def test_chebyshev_bound_values() -> None:
-    assert bound_chebyshev(WORKED_STATS, 60.0) == 0.25
-    assert bound_chebyshev(WORKED_STATS, 50.0) == 1.0
-    assert bound_chebyshev(WORKED_STATS, 51.0) == 1.0  # clamped, 25/1 > 1
-    assert bound_chebyshev(AggregateStats(5.0, 0.0, 25.0, 5.0), 6.0) == 0.0
+    assert _bound_chebyshev(WORKED_STATS, 60.0) == 0.25
+    assert _bound_chebyshev(WORKED_STATS, 50.0) == 1.0
+    assert _bound_chebyshev(WORKED_STATS, 51.0) == 1.0  # clamped, 25/1 > 1
+    assert _bound_chebyshev(_AggregateStats(5.0, 0.0, 25.0, 5.0), 6.0) == 0.0
     # (t - m)**2 underflows to 0 here; v / d / d does not divide by it
-    assert bound_chebyshev(AggregateStats(0.0, 0.0, 0.0, 0.0), 1e-200) == 0.0
-    assert bound_chebyshev(AggregateStats(0.0, 1e-320, 0.0, 0.0), 1e-170) == 1.0
+    assert _bound_chebyshev(_AggregateStats(0.0, 0.0, 0.0, 0.0), 1e-200) == 0.0
+    assert _bound_chebyshev(_AggregateStats(0.0, 1e-320, 0.0, 0.0), 1e-170) == 1.0
 
 
 def test_hoeffding_bound_values() -> None:
-    assert bound_hoeffding(WORKED_STATS, 60.0) == pytest.approx(math.exp(-2.0), abs=1e-12)
-    assert bound_hoeffding(WORKED_STATS, 50.0) == 1.0
+    assert _bound_hoeffding(WORKED_STATS, 60.0) == pytest.approx(math.exp(-2.0), abs=1e-12)
+    assert _bound_hoeffding(WORKED_STATS, 50.0) == 1.0
     # exponent is quadratic in the distance: doubling it fourth-powers the bound
-    assert bound_hoeffding(WORKED_STATS, 70.0) == pytest.approx(math.exp(-2.0) ** 4, rel=1e-12)
-    assert bound_hoeffding(AggregateStats(5.0, 0.0, 0.0, 0.0), 6.0) == 0.0
+    assert _bound_hoeffding(WORKED_STATS, 70.0) == pytest.approx(math.exp(-2.0) ** 4, rel=1e-12)
+    assert _bound_hoeffding(_AggregateStats(5.0, 0.0, 0.0, 0.0), 6.0) == 0.0
 
 
 def test_bennett_bound_values() -> None:
-    value = bound_bennett(WORKED_STATS, 60.0)
+    value = _bound_bennett(WORKED_STATS, 60.0)
     assert value == pytest.approx(0.16922462886375436, rel=1e-12)
     assert value == pytest.approx(0.1692, abs=1e-3)
-    assert bound_bennett(WORKED_STATS, 50.0) == 1.0
-    assert bound_bennett(AggregateStats(5.0, 0.0, 25.0, 5.0), 6.0) == 0.0
+    assert _bound_bennett(WORKED_STATS, 50.0) == 1.0
+    assert _bound_bennett(_AggregateStats(5.0, 0.0, 25.0, 5.0), 6.0) == 0.0
 
 
 def test_moment_bounds_where_the_squared_distance_overflows() -> None:
     # (t - m)**2 leaves the float range past 1.34e154; the bounds are then
     # computed in an order that stays finite, not read as 0
-    huge = AggregateStats(0.0, 1e308, 1e308, 1.0)
-    assert bound_chebyshev(huge, 2e154) == 0.25  # 1e308 / 4e308
-    assert bound_hoeffding(huge, 2e154) == pytest.approx(math.exp(-8.0), rel=1e-12)
-    three = aggregate_stats(comp((1.0, 0.5, 3)))
-    for bound in (bound_chebyshev, bound_hoeffding, bound_bennett):
+    huge = _AggregateStats(0.0, 1e308, 1e308, 1.0)
+    assert _bound_chebyshev(huge, 2e154) == 0.25  # 1e308 / 4e308
+    assert _bound_hoeffding(huge, 2e154) == pytest.approx(math.exp(-8.0), rel=1e-12)
+    three = _aggregate_stats(comp((1.0, 0.5, 3)))
+    for bound in (_bound_chebyshev, _bound_hoeffding, _bound_bennett):
         for threshold in (1e300, 1.7e308):
             assert bound(three, threshold) == 0.0
     # (1 + u) * ln(1 + u) overflows at u = 2e306; with v/b**2 negligible the
     # exponent is (d/b) * (ln(1 + u) - 1), and the bound is not 0
-    value = bound_bennett(AggregateStats(0.0, 1e-306, 0.0, 2.0), 1.0)
+    value = _bound_bennett(_AggregateStats(0.0, 1e-306, 0.0, 2.0), 1.0)
     assert value == pytest.approx(math.exp(-0.5 * (math.log1p(2e306) - 1.0)), rel=1e-9)
     assert value > 0.0
     # a variance past the float range leaves only the trivial bound
-    overflowed = AggregateStats(2e153, math.inf, math.inf, 1e155)
-    for bound in (bound_chebyshev, bound_hoeffding, bound_bennett):
+    overflowed = _AggregateStats(2e153, math.inf, math.inf, 1e155)
+    for bound in (_bound_chebyshev, _bound_hoeffding, _bound_bennett):
         assert bound(overflowed, 1e155) == 1.0
     # the same where d * b stays finite, so Bennett's u is 0, not NaN (the
     # stats of `loadcap bounds 1x1e155@0.001 --c-max 2e152 --quantum-w 1e155`)
-    finite_u = AggregateStats(1e152, math.inf, math.inf, 1e155)
-    for bound in (bound_chebyshev, bound_hoeffding, bound_bennett):
+    finite_u = _AggregateStats(1e152, math.inf, math.inf, 1e155)
+    for bound in (_bound_chebyshev, _bound_hoeffding, _bound_bennett):
         assert bound(finite_u, 2e152) == 1.0
 
 
 def test_chernoff_bound_worked_value_and_closed_form() -> None:
-    value = bound_chernoff(WORKED, 60.0)
+    value = _bound_chernoff(WORKED, 60.0)
     assert value == pytest.approx(0.1336, abs=1e-3)
     # for one homogeneous class the optimized bound has a closed form driven
     # by the relative-entropy rate between hit fraction a and the ON rate p
@@ -381,13 +378,14 @@ def test_chernoff_bound_worked_value_and_closed_form() -> None:
 
 
 def test_chernoff_bound_boundary_cases() -> None:
-    assert bound_chernoff(WORKED, 50.0) == 1.0
-    assert bound_chernoff(WORKED, 101.0) == 0.0
+    assert _bound_chernoff(WORKED, 50.0) == 1.0
+    assert _bound_chernoff(WORKED, 101.0) == 0.0
     # threshold exactly at the top of the support: the all-ON probability
     single = comp((1.0, 0.5, 1))
-    assert bound_chernoff(single, 1.0) == pytest.approx(0.5, rel=1e-9)
-    assert bound_chernoff(comp((2.0, 0.25, 3)), 6.0) == pytest.approx(0.25**3, rel=1e-9)
-    assert bound_chernoff(comp((1.0, 0.0, 5)), 2.0) == 0.0
+    assert _bound_chernoff(single, 1.0) == pytest.approx(0.5, rel=1e-9)
+    assert _bound_chernoff(comp((2.0, 0.25, 3)), 6.0) == pytest.approx(0.25**3, rel=1e-9)
+    # a never-on class is folded away before the bound reads it
+    assert estimate(EstimationMethod.CHERNOFF, comp((1.0, 0.0, 5)), 2.0) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -414,19 +412,19 @@ def test_chernoff_search_keeps_the_readme_value() -> None:
 
 
 def test_clt_estimate_values() -> None:
-    value = clt_estimate(WORKED_STATS, 60.0)
+    value = _clt_estimate(WORKED_STATS, 60.0)
     assert value == pytest.approx(0.022750131948179195, rel=1e-9)
-    assert clt_estimate(WORKED_STATS, 50.0) == 0.5
-    degenerate = AggregateStats(5.0, 0.0, 25.0, 5.0)
-    assert clt_estimate(degenerate, 4.0) == 1.0
-    assert clt_estimate(degenerate, 6.0) == 0.0
+    assert _clt_estimate(WORKED_STATS, 50.0) == 0.5
+    degenerate = _AggregateStats(5.0, 0.0, 25.0, 5.0)
+    assert _clt_estimate(degenerate, 4.0) == 1.0
+    assert _clt_estimate(degenerate, 6.0) == 0.0
 
 
 def test_clt_matches_scipy_normal_tail() -> None:
     scipy_stats = pytest.importorskip("scipy.stats")
     for thr in (52.0, 55.0, 60.0, 65.0):
         z = (thr - 50.0) / 5.0
-        assert clt_estimate(WORKED_STATS, thr) == pytest.approx(
+        assert _clt_estimate(WORKED_STATS, thr) == pytest.approx(
             float(scipy_stats.norm.sf(z)), rel=1e-12
         )
 
@@ -461,6 +459,26 @@ def test_estimate_saturates_when_base_load_fills_the_limit() -> None:
     for method in ALL_METHODS:
         assert estimate(method, loaded, 30.0) == 1.0
         assert estimate(method, loaded, 25.0) == 1.0
+
+
+@pytest.mark.parametrize("method", [m for m in ALL_METHODS if m is not EstimationMethod.EXACT])
+@pytest.mark.parametrize(
+    ("c_max", "quantum", "message"),
+    [
+        (3.0, 0.0, "quantum=0.0 must be positive and finite"),
+        (3.0, -1.0, "quantum=-1.0 must be positive and finite"),
+        (3.0, math.nan, "quantum=nan must be positive and finite"),
+        (3.0, math.inf, "quantum=inf must be positive and finite"),
+        (math.nan, 1.0, "c_max=nan is not a number"),
+    ],
+    ids=["quantum-0", "quantum-negative", "quantum-nan", "quantum-inf", "c_max-nan"],
+)
+def test_estimate_refuses_a_bad_quantum_or_ceiling(method, c_max, quantum, message) -> None:
+    # the exact path refuses these in exact_pmf and tail_at_or_above
+    with pytest.raises(ValueError, match=message):
+        estimate(method, comp((1.0, 0.5, 3)), c_max, quantum)
+    with pytest.raises(ValueError):
+        estimate(EstimationMethod.EXACT, comp((1.0, 0.5, 3)), c_max, quantum)
 
 
 def test_estimate_empty_composition() -> None:
@@ -503,17 +521,33 @@ def test_bounds_dominate_exact_tail() -> None:
     for _ in range(60):
         composition = random_composition(rng)
         pmf = exact_pmf(composition)
-        stats = aggregate_stats(composition)
+        stats = _aggregate_stats(composition)
         top = float(pmf.support_watts[-1])
         for thr in rng.uniform(0.5, top + 2.0, size=4):
             thr = float(thr)
             true_tail = pmf.tail_at_or_above(thr)
-            assert bound_chebyshev(stats, thr) >= true_tail - 1e-12
-            assert bound_hoeffding(stats, thr) >= true_tail - 1e-12
-            assert bound_bennett(stats, thr) >= true_tail - 1e-12
-            assert bound_chernoff(composition, thr) >= true_tail - 1e-12
+            assert _bound_chebyshev(stats, thr) >= true_tail - 1e-12
+            assert _bound_hoeffding(stats, thr) >= true_tail - 1e-12
+            assert _bound_bennett(stats, thr) >= true_tail - 1e-12
+            assert _bound_chernoff(composition, thr) >= true_tail - 1e-12
             if thr > 0.0:
-                assert bound_markov(stats, thr) >= true_tail - 1e-12
+                assert _bound_markov(stats, thr) >= true_tail - 1e-12
+
+
+@pytest.mark.parametrize("quantum", [1e-16, 1e-14, 1e-12])
+def test_bounds_dominate_exact_tail_on_tiny_grids(quantum) -> None:
+    # one class of one-step appliances, read at every support point and one
+    # step past the top: however few watts separate a threshold from the
+    # all-ON load, it does not reach that load, for chernoff as for exact
+    for n in range(1, 12):
+        for p_on in (0.1, 0.5, 0.9):
+            composition = comp((quantum, p_on, n))
+            for k in range(n + 2):
+                c_max = k * quantum
+                floor = estimate(EstimationMethod.EXACT, composition, c_max, quantum) - 1e-12
+                for method in BOUND_METHODS:
+                    value = estimate(method, composition, c_max, quantum)
+                    assert value >= floor, (method, n, p_on, k)
 
 
 def test_estimates_non_increasing_in_threshold() -> None:
@@ -534,7 +568,7 @@ def test_monotone_methods_grow_with_extra_appliance() -> None:
         extra = bern("extra", float(rng.integers(1, 6)), float(rng.uniform(0.05, 0.95)), 1)
         larger = ClassComposition(entries=composition.entries + ((extra, 1),))
         thr = float(rng.uniform(1.0, 30.0))
-        above_mean = thr > aggregate_stats(composition).mean
+        above_mean = thr > _aggregate_stats(composition).mean
         for method in EstimationMethod:
             if method is EstimationMethod.CLT and not above_mean:
                 continue  # the normal estimate rises with the count only above the mean
