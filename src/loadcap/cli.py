@@ -72,7 +72,8 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
 
 
 def _check_quantum(quantum_w: float) -> None:
-    # refused up front: only the exact method reads the grid
+    # estimate refuses it too, but this message names the flag, and bounds
+    # refuses it before it runs any estimate or writes the dump
     if not (quantum_w > 0.0 and math.isfinite(quantum_w)):
         raise ValueError(f"--quantum-w must be positive and finite, got {quantum_w!r}")
 

@@ -15,7 +15,7 @@ import math
 import os
 import warnings
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import EnumMeta
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
@@ -36,7 +36,7 @@ from .models import (
 from .tailprob import EstimationMethod, PowerPmf
 
 if TYPE_CHECKING:  # the simulator loads only when an experiment file is parsed
-    from .simulation import SimConfig, SimResult, SweepCell
+    from .simulation import SimConfig, SimResult
 
 __all__ = [
     "TRACE_HEADER",
@@ -364,12 +364,20 @@ def write_outcomes(path: str, result: SimResult) -> None:
 _SWEEP_HEADER = ("p", "method", "enabled", "p_hat", "k", "stderr")
 
 
-def _sweep_lines(cells: Sequence[SweepCell]) -> Iterator[str]:
-    for c in cells:
-        yield f"{c.p!r},{c.method.value},{c.enabled},{c.p_hat!r},{c.k!r},{c.stderr!r}\n"
+def _sweep_cell(c: SimResult) -> dict[str, Any]:
+    """A sweep cell's fields: ``_SWEEP_HEADER``'s, then ``low_confidence``."""
+    config = c.config
+    values = (config.policy.p, config.method.value, sum(c.enabled_counts), c.p_hat, c.k, c.stderr)
+    return {**dict(zip(_SWEEP_HEADER, values)), "low_confidence": c.low_confidence}
 
 
-def write_sweep(path: str, cells: Sequence[SweepCell]) -> None:
+def _sweep_lines(cells: Sequence[SimResult]) -> Iterator[str]:
+    for cell in map(_sweep_cell, cells):
+        p, method, enabled, p_hat, k, stderr, _ = cell.values()
+        yield f"{p!r},{method},{enabled},{p_hat!r},{k!r},{stderr!r}\n"
+
+
+def write_sweep(path: str, cells: Sequence[SimResult]) -> None:
     _write_csv(path, _SWEEP_HEADER, _sweep_lines(cells))
 
 
@@ -416,12 +424,8 @@ def write_result(path: str, name: str, result: SimResult) -> None:
     _write_json(path, result_document(name, result))
 
 
-def write_sweep_result(path: str, name: str, cells: Sequence[SweepCell]) -> None:
-    doc = {
-        "name": name,
-        "cells": [{**asdict(cell), "method": cell.method.value} for cell in cells],
-    }
-    _write_json(path, doc)
+def write_sweep_result(path: str, name: str, cells: Sequence[SimResult]) -> None:
+    _write_json(path, {"name": name, "cells": [_sweep_cell(c) for c in cells]})
 
 
 # the files each kind of run writes: output key -> default name suffix

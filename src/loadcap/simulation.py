@@ -42,9 +42,7 @@ __all__ = [
     "SimConfig",
     "EnergyLedger",
     "SimResult",
-    "SweepCell",
     "run",
-    "run_composition",
     "run_slot_dynamic",
     "sweep_qos",
 ]
@@ -128,8 +126,11 @@ class SimResult:
     row per slot and the fields ``dropped_w``, ``backlog_depth`` (queued
     entries at the end of the slot) and ``disabled_count`` (distinct
     appliances turned away); the slot's served load is ``series_managed``.
+    ``config`` is the config the run used; a sweep cell's holds its p and
+    method.
     """
 
+    config: SimConfig
     p_hat: float
     k: float
     stderr: float
@@ -143,19 +144,6 @@ class SimResult:
     series_managed: np.ndarray
     ledger: EnergyLedger | None = None
     outcomes: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One (p, method) point of a QoS sweep."""
-
-    p: float
-    method: EstimationMethod
-    enabled: int
-    p_hat: float
-    k: float
-    stderr: float
-    low_confidence: bool
 
 
 def _population(config: SimConfig) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -180,6 +168,7 @@ def _result(
     overload = int(np.count_nonzero(managed >= reach))
     p_hat = overload / slots
     return SimResult(
+        config=config,
         p_hat=p_hat,
         k=p_hat / policy.p,
         stderr=math.sqrt(p_hat * (1.0 - p_hat) / slots) / policy.p,
@@ -197,27 +186,24 @@ def _result(
 
 
 def run(config: SimConfig) -> SimResult:
-    """Dispatch on the configured mode."""
-    if config.mode is SimMode.COMPOSITION:
-        return run_composition(config)
-    return run_slot_dynamic(config)
+    """One run in the configured mode.
 
-
-def run_composition(config: SimConfig) -> SimResult:
-    """Size each class statistically, then free-run the enabled appliances.
-
-    Each class's enabled count is the largest that alone (over the constant
+    Slot-dynamic mode is ``run_slot_dynamic``.  Composition mode sizes each
+    class statistically, then free-runs the enabled appliances: each
+    class's enabled count is the largest that alone (over the constant
     base load) satisfies the policy under the configured method.  Disabled
     appliances never run; no scheduling is involved.  The baseline series
     runs every appliance for comparison.
     """
-    return _compositions(config, (config.policy.p,), (config.method,))[0]
+    if config.mode is SimMode.COMPOSITION:
+        return _compositions(config, (config.policy.p,), (config.method,))[0]
+    return run_slot_dynamic(config)
 
 
 def _compositions(
     config: SimConfig, p_values: Sequence[float], methods: Sequence[EstimationMethod]
 ) -> list[SimResult]:
-    """``run_composition`` at every (p, method), in that order, from one sampled population.
+    """Composition ``run`` at every (p, method), in that order, from one sampled population.
 
     Cells sized to the same counts share one managed row, which gets the
     same additions, in the same order, as a single run of any of them; the
@@ -434,25 +420,13 @@ def sweep_qos(
     config: SimConfig,
     p_values: Sequence[float],
     methods: Sequence[EstimationMethod] | None = None,
-) -> list[SweepCell]:
+) -> list[SimResult]:
     """Composition-mode runs over a grid of QoS probabilities and methods.
 
     Every cell reads one sampled population drawn with the config's seed,
     so all cells see identical appliance series and differ only in how many
-    appliances they enable; each equals ``run_composition`` at its p and
-    method.  Cells come back in (p, method) order.
+    appliances they enable; each equals ``run`` of its ``config``, the
+    sweep's config at the cell's p and method.  Cells come back in
+    (p, method) order.
     """
-    values, chosen = _sweep_axes(config, p_values, methods)
-    axes = [(p, method) for p in values for method in chosen]
-    return [
-        SweepCell(
-            p=p,
-            method=method,
-            enabled=int(sum(result.enabled_counts)),
-            p_hat=result.p_hat,
-            k=result.k,
-            stderr=result.stderr,
-            low_confidence=result.low_confidence,
-        )
-        for (p, method), result in zip(axes, _compositions(config, values, chosen))
-    ]
+    return _compositions(config, *_sweep_axes(config, p_values, methods))

@@ -191,8 +191,14 @@ class _AggregateStats:
     max_abs: float
 
 
-def _aggregate_stats(composition: ClassComposition) -> _AggregateStats:
-    """Moments of a folded composition; the constant base load is not included."""
+def _aggregate_stats(composition: ClassComposition, scale: float = 1.0) -> _AggregateStats:
+    """Moments of a folded composition with every wattage times ``scale``;
+    the constant base load is not included.
+
+    ``estimate`` passes a power of two, which scales exactly: where neither
+    the scaled nor the unscaled values leave the normal float range, each
+    bound reads the same bits as in watts.
+    """
     mean = 0.0
     variance = 0.0
     ssr = 0.0
@@ -201,7 +207,7 @@ def _aggregate_stats(composition: ClassComposition) -> _AggregateStats:
         if enabled == 0:
             continue
         p = cls.p_on
-        h = cls.on_power
+        h = cls.on_power * scale
         mean += enabled * h * p
         variance += enabled * h * h * p * (1.0 - p)
         ssr += enabled * h * h
@@ -431,29 +437,31 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     return PowerPmf(quantum=quantum, offset=offset, probabilities=acc)
 
 
-def _bound_markov(stats: _AggregateStats, threshold_w: float) -> float:
+def _bound_markov(stats: _AggregateStats, threshold: float) -> float:
     """First-moment bound: mean over threshold, clamped to 1."""
-    return min(1.0, stats.mean / threshold_w)
-
-
-def _bound_chebyshev(stats: _AggregateStats, threshold_w: float) -> float:
-    """Second-moment bound: variance over squared distance from the mean."""
-    if threshold_w <= stats.mean:
+    if threshold <= stats.mean:  # also a threshold that underflowed to 0 in scaling
         return 1.0
-    d = threshold_w - stats.mean
+    return stats.mean / threshold
+
+
+def _bound_chebyshev(stats: _AggregateStats, threshold: float) -> float:
+    """Second-moment bound: variance over squared distance from the mean."""
+    if threshold <= stats.mean:
+        return 1.0
+    d = threshold - stats.mean
     try:
         return min(1.0, stats.variance / d**2)
     except (OverflowError, ZeroDivisionError):  # d**2 overflows or underflows; v/d/d does not
         return min(1.0, stats.variance / d / d)
 
 
-def _bound_hoeffding(stats: _AggregateStats, threshold_w: float) -> float:
+def _bound_hoeffding(stats: _AggregateStats, threshold: float) -> float:
     """Bounded-range exponential bound."""
-    if threshold_w <= stats.mean:
+    if threshold <= stats.mean:
         return 1.0
     if stats.sum_sq_ranges == 0.0:
         return 0.0
-    d = threshold_w - stats.mean
+    d = threshold - stats.mean
     try:
         return math.exp(-2.0 * d**2 / stats.sum_sq_ranges)
     except OverflowError:  # d**2 past the float range; the product may reach inf
@@ -464,10 +472,10 @@ def _bennett_h(u: float) -> float:
     return (1.0 + u) * math.log1p(u) - u
 
 
-def _bound_bennett(stats: _AggregateStats, threshold_w: float) -> float:
+def _bound_bennett(stats: _AggregateStats, threshold: float) -> float:
     """Variance-aware exponential bound, tighter than Hoeffding's for
     small-variance aggregates."""
-    if threshold_w <= stats.mean:
+    if threshold <= stats.mean:
         return 1.0
     if stats.variance == 0.0:
         return 0.0
@@ -475,7 +483,7 @@ def _bound_bennett(stats: _AggregateStats, threshold_w: float) -> float:
         # u would be 0 (or NaN) and the exponent (v/b**2)*h(u) NaN: only the
         # trivial bound is left
         return 1.0
-    d = threshold_w - stats.mean
+    d = threshold - stats.mean
     u = d * stats.max_abs / stats.variance
     h = _bennett_h(u)
     if not math.isfinite(h):
@@ -569,11 +577,11 @@ def _bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
     return bound_at(s_star)
 
 
-def _clt_estimate(stats: _AggregateStats, threshold_w: float) -> float:
+def _clt_estimate(stats: _AggregateStats, threshold: float) -> float:
     """Normal approximation of the upper tail (an estimate, not a bound)."""
     if stats.variance == 0.0:
-        return 1.0 if threshold_w <= stats.mean else 0.0
-    z = (threshold_w - stats.mean) / math.sqrt(stats.variance)
+        return 1.0 if threshold <= stats.mean else 0.0
+    z = (threshold - stats.mean) / math.sqrt(stats.variance)
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
@@ -593,28 +601,33 @@ def estimate(
     when it lies below, so no bound undercuts exact.  A threshold read at
     or below the base load returns 1.  All results are clamped to [0, 1].
     A quantum that is not positive and finite, or a NaN ``c_max``, raises
-    ValueError for every method; on the exact path ``exact_pmf`` and
-    ``tail_at_or_above`` refuse them, so a threshold at or below 0 returns
-    1 there before the quantum is read.
+    ValueError for every method, whatever the ceiling.
     """
+    if not (quantum > 0.0 and math.isfinite(quantum)):
+        raise ValueError(f"quantum={quantum!r} must be positive and finite")
+    if math.isnan(c_max):
+        raise ValueError(f"c_max={c_max!r} is not a number")
     composition = _fold_certain(composition)
     threshold = c_max - composition.deterministic_load
     if method is not EstimationMethod.EXACT:
-        if not (quantum > 0.0 and math.isfinite(quantum)):
-            raise ValueError(f"quantum={quantum!r} must be positive and finite")
         try:  # read from the grid point exact starts at, where that lies below
             step = math.ceil(_reach_floor(threshold, quantum) / quantum)
             threshold = min(threshold, step * quantum)
         except (ValueError, OverflowError):  # an infinite threshold stays
-            if math.isnan(threshold):
-                raise ValueError(f"c_max={c_max!r} is not a number") from None
+            pass
     if threshold <= 0.0:
         return 1.0
     if method is EstimationMethod.EXACT:
         return exact_pmf(composition, quantum).tail_at_or_above(threshold)
     if method is EstimationMethod.CHERNOFF:
         return _bound_chernoff(composition, threshold)
-    stats = _aggregate_stats(composition)
+    # moments and threshold in units of a power of two that brings the
+    # largest ON wattage to [1, 2), so squared wattages neither underflow nor
+    # overflow; 2**+-1022 keeps the scale and its inverse normal floats
+    top = max((cls.on_power for cls, n in composition.entries if n), default=1.0)
+    scale = math.ldexp(1.0, min(max(1 - math.frexp(top)[1], -1022), 1022))
+    stats = _aggregate_stats(composition, scale)
+    threshold *= scale
     if method is EstimationMethod.MARKOV:
         return _bound_markov(stats, threshold)
     if method is EstimationMethod.CHEBYSHEV:

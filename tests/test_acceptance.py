@@ -173,7 +173,7 @@ def test_c04_sized_simulation_k_ratios() -> None:
         EstimationMethod.CHEBYSHEV,
     )
     cells = sweep_qos(config, p_values, methods=methods)
-    by_key = {(cell.p, cell.method): cell for cell in cells}
+    by_key = {(cell.config.policy.p, cell.config.method): cell for cell in cells}
 
     for p in p_values:
         exact_cell = by_key[(p, EstimationMethod.EXACT)]
@@ -182,7 +182,7 @@ def test_c04_sized_simulation_k_ratios() -> None:
             cell = by_key[(p, method)]
             assert 0.005 <= cell.k <= 1.0, (p, method, cell.k)
     for method in (EstimationMethod.MARKOV, EstimationMethod.CHEBYSHEV):
-        assert by_key[(1e-3, method)].enabled == 0
+        assert by_key[(1e-3, method)].enabled_counts == (0,)
 
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0

@@ -232,7 +232,12 @@ def test_bounds_at_a_huge_on_power_stay_bounds(argv, capsys) -> None:
     table = bounds_table(capsys)
     assert len(table) == 7
     for method, value in table.items():
-        assert table["exact"] <= value <= 1.0, method
+        if method != "clt":  # an estimate, not a bound
+            assert table["exact"] <= value <= 1.0, method
+    # moments taken in units near the largest wattage do not overflow, so
+    # neither these bounds nor the normal estimate fall back to trivial values
+    assert table["hoeffding"] < 1.0 and table["bennett"] < 1.0
+    assert 0.0 <= table["clt"] < 0.5
 
 
 @pytest.mark.parametrize("c_max", ["1e308", "1.7e308"])

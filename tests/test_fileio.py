@@ -32,7 +32,7 @@ from loadcap.models import (
     TwoStateMarkov,
 )
 from loadcap.scheduling import SchedulingStrategy
-from loadcap.simulation import SimMode, SweepCell, run
+from loadcap.simulation import SimMode, run
 from loadcap.tailprob import EstimationMethod, PowerPmf
 
 from conftest import write_trace
@@ -212,18 +212,27 @@ def test_write_outcomes_layout(tmp_path) -> None:
     )
 
 
-def test_write_sweep_layout(tmp_path) -> None:
-    cells = [
-        SweepCell(
-            p=0.01,
-            method=EstimationMethod.EXACT,
-            enabled=7,
-            p_hat=0.008,
-            k=0.8,
-            stderr=0.1,
-            low_confidence=False,
+def sweep_cells(*rows):
+    """Sweep results, one per (p, method, enabled, p_hat, k, stderr, low_confidence) row."""
+    base = make_result()
+    return [
+        dataclasses.replace(
+            base,
+            config=dataclasses.replace(
+                base.config, policy=dataclasses.replace(base.config.policy, p=p), method=method
+            ),
+            enabled_counts=(enabled,),
+            p_hat=p_hat,
+            k=k,
+            stderr=stderr,
+            low_confidence=low_confidence,
         )
+        for p, method, enabled, p_hat, k, stderr, low_confidence in rows
     ]
+
+
+def test_write_sweep_layout(tmp_path) -> None:
+    cells = sweep_cells((0.01, EstimationMethod.EXACT, 7, 0.008, 0.8, 0.1, False))
     path = tmp_path / "sweep.csv"
     write_sweep(str(path), cells)
     assert path.read_text() == (
@@ -279,17 +288,7 @@ def test_result_json_nan_becomes_null() -> None:
 
 
 def test_write_sweep_result_round_trip(tmp_path) -> None:
-    cells = [
-        SweepCell(
-            p=0.05,
-            method=EstimationMethod.MARKOV,
-            enabled=3,
-            p_hat=0.0,
-            k=0.0,
-            stderr=0.0,
-            low_confidence=True,
-        )
-    ]
+    cells = sweep_cells((0.05, EstimationMethod.MARKOV, 3, 0.0, 0.0, 0.0, True))
     path = tmp_path / "sweep.json"
     write_sweep_result(str(path), "grid", cells)
     doc = json.loads(path.read_text())
@@ -328,11 +327,13 @@ def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
             dtype=[("dropped_w", "f8"), ("backlog_depth", "i8"), ("disabled_count", "i8")],
         ),
     )
-    cells = [
-        SweepCell(p, method, 3, p_hat, p_hat / p, math.nan, True)
-        for p, p_hat in ((1e-3, 0.0), (0.5, 1.0))
-        for method in EstimationMethod
-    ]
+    cells = sweep_cells(
+        *(
+            (p, method, 3, p_hat, p_hat / p, math.nan, True)
+            for p, p_hat in ((1e-3, 0.0), (0.5, 1.0))
+            for method in EstimationMethod
+        )
+    )
     pmf = PowerPmf(quantum=0.1, offset=3, probabilities=np.array([0.25, 0.5, 0.25]))
     region = np.array([[True, True, False], [True, False, False]])
     written = {
@@ -350,8 +351,8 @@ def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
         "outcomes": (("slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"),
                      ((t, repr(s), repr(d), n, k) for t, (s, (d, n, k)) in enumerate(outcomes))),
         "sweep": (("p", "method", "enabled", "p_hat", "k", "stderr"),
-                  ((repr(c.p), c.method.value, c.enabled, repr(c.p_hat), repr(c.k),
-                    repr(c.stderr)) for c in cells)),
+                  ((repr(c.config.policy.p), c.config.method.value, sum(c.enabled_counts),
+                    repr(c.p_hat), repr(c.k), repr(c.stderr)) for c in cells)),
         "pmf": (("watts", "probability"),
                 ((repr(w), repr(p)) for w, p in zip(pmf.support_watts.tolist(),
                                                     pmf.probabilities.tolist()))),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,9 +25,7 @@ from loadcap.simulation import (
     SimConfig,
     SimMode,
     SimResult,
-    SweepCell,
     run,
-    run_composition,
     run_slot_dynamic,
     sweep_qos,
 )
@@ -54,6 +52,19 @@ def config_of(**overrides) -> SimConfig:
     )
     defaults.update(overrides)
     return SimConfig(**defaults)
+
+
+def assert_same_run(got: SimResult, want: SimResult) -> None:
+    """Every field of two results equal; arrays byte for byte, NaN equal to NaN."""
+    for field in fields(SimResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        elif isinstance(b, float) and math.isnan(b):
+            assert math.isnan(a), field.name
+        else:
+            assert a == b, field.name
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +221,7 @@ def test_composition_with_several_classes_is_pinned(
         quantum=0.5,
         deterministic_load=2.5,
     )
-    result = run_composition(cfg)
+    result = run(cfg)
     assert result.enabled_counts == enabled
     series, doc = tmp_path / "series.csv", tmp_path / "result.json"
     write_series(str(series), result)
@@ -663,53 +674,45 @@ def test_sweep_samples_once_and_matches_per_cell_runs(
     # every (p, method) cell reads the same single pass over the population
     assert calls == sum(cls.count for cls in classes)
 
-    expected = []
-    for p in p_values:
-        for method in methods:
-            # the single run at the cell's p and method, with the config's seed
-            result = run_composition(
-                replace(config, policy=replace(config.policy, p=p), method=method)
-            )
-            expected.append(
-                SweepCell(
-                    p=p,
-                    method=method,
-                    enabled=sum(result.enabled_counts),
-                    p_hat=result.p_hat,
-                    k=result.k,
-                    stderr=result.stderr,
-                    low_confidence=result.low_confidence,
-                )
-            )
-    assert cells == expected
+    axes = [(p, method) for p in p_values for method in methods]
+    assert len(cells) == len(axes)
+    for cell, (p, method) in zip(cells, axes):
+        # the cell's config is the sweep's at its p and method, and the cell
+        # is the single run of that config, series included
+        assert cell.config == replace(config, policy=replace(config.policy, p=p), method=method)
+        assert_same_run(cell, run(cell.config))
     # the methods enable different appliances, so their managed rows differ,
     # and so do the p values
-    assert len({cell.enabled for cell in cells[: len(methods)]}) > 1
-    assert cells[0].enabled != cells[len(methods)].enabled
+    enabled = [sum(cell.enabled_counts) for cell in cells]
+    assert len(set(enabled[: len(methods)])) > 1
+    assert enabled[0] != enabled[len(methods)]
 
 
 def test_sweep_grid_layout_and_determinism() -> None:
     cfg = config_of(slots=120)
     methods = (EstimationMethod.EXACT, EstimationMethod.MARKOV)
     cells = sweep_qos(cfg, [0.01, 0.1], methods=methods)
-    assert [(c.p, c.method) for c in cells] == [
+    assert [(c.config.policy.p, c.config.method) for c in cells] == [
         (0.01, EstimationMethod.EXACT),
         (0.01, EstimationMethod.MARKOV),
         (0.1, EstimationMethod.EXACT),
         (0.1, EstimationMethod.MARKOV),
     ]
-    assert cells == sweep_qos(cfg, [0.01, 0.1], methods=methods)
+    again = sweep_qos(cfg, [0.01, 0.1], methods=methods)
+    assert len(again) == len(cells)
+    for cell, repeat in zip(cells, again):
+        assert_same_run(repeat, cell)
 
 
 def test_sweep_defaults_to_every_method() -> None:
     cells = sweep_qos(config_of(slots=60), [0.05])
-    assert [c.method for c in cells] == list(EstimationMethod)
+    assert [c.config.method for c in cells] == list(EstimationMethod)
 
 
 def test_sweep_enabled_counts_non_decreasing_in_p() -> None:
     cfg = config_of(classes=(bern("c0", 1.0, 0.3, 40),), slots=60)
     cells = sweep_qos(cfg, [0.001, 0.01, 0.1], methods=(EstimationMethod.EXACT,))
-    enabled = [c.enabled for c in cells]
+    enabled = [sum(c.enabled_counts) for c in cells]
     assert enabled == sorted(enabled)
 
 
@@ -723,7 +726,9 @@ def test_run_returns_simresult_with_mode_dependent_extras() -> None:
     assert dyn_result.outcomes is not None
 
 
-def test_run_composition_and_run_slot_dynamic_direct_entry_points() -> None:
-    cfg = config_of(slots=40)
-    assert run_composition(cfg).slots == 40
-    assert run_slot_dynamic(config_of(slots=40, mode=SimMode.SLOT_DYNAMIC)).slots == 40
+def test_run_and_run_slot_dynamic_entry_points() -> None:
+    # each result carries the config it ran with
+    for cfg, entry in ((config_of(slots=40), run),
+                       (config_of(slots=40, mode=SimMode.SLOT_DYNAMIC), run_slot_dynamic)):
+        result = entry(cfg)
+        assert (result.slots, result.config) == (40, cfg)

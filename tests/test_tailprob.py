@@ -461,7 +461,7 @@ def test_estimate_saturates_when_base_load_fills_the_limit() -> None:
         assert estimate(method, loaded, 25.0) == 1.0
 
 
-@pytest.mark.parametrize("method", [m for m in ALL_METHODS if m is not EstimationMethod.EXACT])
+@pytest.mark.parametrize("method", ALL_METHODS)
 @pytest.mark.parametrize(
     ("c_max", "quantum", "message"),
     [
@@ -474,11 +474,14 @@ def test_estimate_saturates_when_base_load_fills_the_limit() -> None:
     ids=["quantum-0", "quantum-negative", "quantum-nan", "quantum-inf", "c_max-nan"],
 )
 def test_estimate_refuses_a_bad_quantum_or_ceiling(method, c_max, quantum, message) -> None:
-    # the exact path refuses these in exact_pmf and tail_at_or_above
     with pytest.raises(ValueError, match=message):
         estimate(method, comp((1.0, 0.5, 3)), c_max, quantum)
-    with pytest.raises(ValueError):
-        estimate(EstimationMethod.EXACT, comp((1.0, 0.5, 3)), c_max, quantum)
+    if not math.isnan(c_max):
+        # refused before any method runs: also at a ceiling at or below the
+        # base load, which every method would answer with 1 unread
+        for ceiling in (2.0, 1.0, 0.0):
+            with pytest.raises(ValueError, match=message):
+                estimate(method, comp((1.0, 0.5, 3), det=2.0), ceiling, quantum)
 
 
 def test_estimate_empty_composition() -> None:
@@ -534,7 +537,7 @@ def test_bounds_dominate_exact_tail() -> None:
                 assert _bound_markov(stats, thr) >= true_tail - 1e-12
 
 
-@pytest.mark.parametrize("quantum", [1e-16, 1e-14, 1e-12])
+@pytest.mark.parametrize("quantum", [1e-162, 1e-16, 1e-14, 1e-12])
 def test_bounds_dominate_exact_tail_on_tiny_grids(quantum) -> None:
     # one class of one-step appliances, read at every support point and one
     # step past the top: however few watts separate a threshold from the
