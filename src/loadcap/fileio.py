@@ -339,24 +339,43 @@ def write_region(path: str, region: np.ndarray) -> None:
     _write_csv(path, ("n1", "n2", "accept"), lines)
 
 
+def _reprs(values: np.ndarray) -> list[str]:
+    """``repr`` of each float in ``values``, formatted once per distinct value.
+
+    Values are told apart by their 64-bit patterns, so 0.0 and -0.0 keep
+    their own reprs, and every NaN is 'nan' as ``repr`` writes it.  A
+    slot-dynamic series holds few distinct values over many slots.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    words = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return words[inverse].tolist()
+
+
 def write_series(path: str, result: SimResult) -> None:
-    rows = zip(result.series_baseline.tolist(), result.series_managed.tolist())
+    rows = zip(_reprs(result.series_baseline), _reprs(result.series_managed))
     _write_csv(
         path,
         ("slot", "baseline_w", "managed_w"),
-        (f"{t},{base!r},{managed!r}\n" for t, (base, managed) in enumerate(rows)),
+        (f"{t},{base},{managed}\n" for t, (base, managed) in enumerate(rows)),
     )
 
 
 def write_outcomes(path: str, result: SimResult) -> None:
     """Per-slot outcomes of a slot-dynamic run; served load is the managed series."""
-    rows = zip(result.series_managed.tolist(), result.outcomes.tolist())
+    outcomes = result.outcomes
+    rows = zip(
+        _reprs(result.series_managed),
+        _reprs(outcomes["dropped_w"]),
+        outcomes["backlog_depth"].tolist(),
+        outcomes["disabled_count"].tolist(),
+    )
     _write_csv(
         path,
         ("slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"),
         (
-            f"{t},{served!r},{dropped!r},{depth},{disabled}\n"
-            for t, (served, (dropped, depth, disabled)) in enumerate(rows)
+            f"{t},{served},{dropped},{depth},{disabled}\n"
+            for t, (served, dropped, depth, disabled) in enumerate(rows)
         ),
     )
 

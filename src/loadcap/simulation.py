@@ -241,18 +241,21 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     per slot; further units it holds cascade to later slots.  A slot's
     served load is its whole grid steps times ``quantum``.
 
+    Demand is held as one contiguous bool row per shiftable appliance over
+    the slots, each class a block of rows; slot t's new demand is column t.
     Where ``admission._admits_down_set`` holds, a slot whose distinct
     demand fits skips the per-entry loop.  The distinct demand counts each
-    queued appliance once per class, over the backlog and the new demand.
-    Every count vector the greedy pass would check lies below it, so when
-    it is admitted the pass would serve each appliance's first entry and
-    turn every later entry away: repeats within the backlog, then new
-    demand of an appliance already queued, back into the queue in queue
-    order.  With one or two shiftable classes, checks read a frontier
-    walked once up front, and a slot with no backlog reads whether its new
-    demand fits from a table made before the loop.  Otherwise checks read a
-    cache; where the down-set does not hold (``clt`` at p >= 1/2), every
-    slot runs the per-entry loop.
+    queued appliance once per class, over the backlog and the new demand:
+    the slot's new demand counts, plus each queued appliance whose row
+    holds no demand in this slot.  Every count vector the greedy pass would
+    check lies below it, so when it is admitted the pass would serve each
+    appliance's first entry and turn every later entry away: repeats within
+    the backlog, then new demand of an appliance already queued, back into
+    the queue in queue order.  With one or two shiftable classes, checks
+    read a frontier walked once up front, and a slot with no backlog reads
+    whether its new demand fits from a table made before the loop.
+    Otherwise checks read a cache; where the down-set does not hold
+    (``clt`` at p >= 1/2), every slot runs the per-entry loop.
     """
     slots = config.slots
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
@@ -263,9 +266,9 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     # per shiftable appliance, indexed by its appliance id
     column_of: list[int] = []  # position of the appliance's class in shiftable
     steps_of: list[int] = []  # grid steps of one slot of the appliance's demand
-    # row t holds which appliances want a slot of demand in slot t; each
-    # class owns a contiguous block of columns
-    demand = np.empty((slots, sum(cls.count for cls in shiftable)), dtype=bool)
+    # row i holds the slots in which appliance i wants a slot of demand; each
+    # class owns a contiguous block of rows
+    wants = np.empty((sum(cls.count for cls in shiftable), slots), dtype=bool)
     demanded_steps = 0
     base_served = np.full(slots, config.deterministic_load)
     baseline = np.full(slots, config.deterministic_load)
@@ -273,11 +276,10 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         cls = config.classes[c]
         baseline += series
         if cls.shiftable:
-            wants = series > 0.0
-            demand[:, len(steps_of)] = wants
+            row = np.greater(series, 0.0, out=wants[len(steps_of)])
             column_of.append(shiftable.index(cls))
             steps_of.append(class_steps[column_of[-1]])
-            demanded_steps += steps_of[-1] * int(np.count_nonzero(wants))
+            demanded_steps += steps_of[-1] * int(np.count_nonzero(row))
         else:
             base_served += series
     base = ClassComposition(
@@ -294,15 +296,19 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         # admitted count vectors recur heavily across slots; estimate each once
         admits = functools.cache(_count_estimator(shiftable, policy, method, quantum, base))
         width = len(shiftable)
-    # per-slot new demand count of each class, summed one column block at a time
+    # per-slot new demand count of each class, summed one row block at a time
     counts = np.zeros((slots, width), dtype=np.int64)
     edges = np.cumsum([0] + [cls.count for cls in shiftable])
     for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        counts[:, c] = demand[:, lo:hi].sum(axis=1)
+        counts[:, c] = wants[lo:hi].sum(axis=0)
+    # the loop reads its per-slot tables as lists, which index faster than
+    # arrays; slot t's counts are new_counts[t * width : (t + 1) * width]
     if front is not None:
-        whole = counts[:, 0] <= np.asarray(front)[counts[:, 1]]
-        slot_steps = counts[:, : len(shiftable)] @ class_steps
-        new_count = counts.sum(axis=1)
+        whole = (counts[:, 0] <= np.asarray(front)[counts[:, 1]]).tolist()
+        slot_steps = (counts[:, : len(shiftable)] @ class_steps).tolist()
+        new_count = counts.sum(axis=1).tolist()
+    new_counts = counts.ravel().tolist()
+    wanted = wants.reshape(-1).data  # wanted[i * slots + t]: appliance i wants slot t
     shuffle = np.random.default_rng(derive_seed(config.seed, 1)).shuffle
     scratch = [None] * len(steps_of)  # a whole slot shuffles a slice of it
 
@@ -323,14 +329,19 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
             shuffle(scratch[: new_count[t]])
             served[t] = slot_steps[t]
             continue
-        new_ids = demand[t].nonzero()[0].tolist()
+        new_ids = wants[:, t].nonzero()[0].tolist()
         shuffle(new_ids)  # the same order and draws as a permutation of len(new_ids)
         if down_set:
-            # the slot's distinct demand: each queued appliance once per class
+            # the slot's distinct demand: each queued appliance once per class,
+            # counted here unless it also wants a new slot of demand
             queued = set(backlog)
-            distinct = counts[t].tolist()
-            for appliance_id in queued.difference(new_ids):
-                distinct[column_of[appliance_id]] += 1
+            distinct = new_counts[t * width : (t + 1) * width]
+            queued_new = 0  # queued appliances that also want a new slot here
+            for appliance_id in queued:
+                if wanted[appliance_id * slots + t]:
+                    queued_new += 1
+                else:
+                    distinct[column_of[appliance_id]] += 1
             if front is None:
                 fits = admits(tuple(distinct))
             else:
@@ -345,7 +356,8 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
                     backlog = [i for i in backlog if i in seen or seen.add(i)]
                 else:
                     backlog = []
-                backlog += [i for i in new_ids if i in queued]
+                if queued_new:
+                    backlog += [i for i in new_ids if i in queued]
                 if backlog:
                     backlog_depth[t] = len(backlog)
                     disabled_count[t] = len(set(backlog))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import json
 import math
@@ -367,6 +368,80 @@ def test_simulate_slot_dynamic_writes_outcomes(tmp_path, capsys) -> None:
     doc = json.loads((tmp_path / "demo.json").read_text())
     steps = doc["energy_steps"]
     assert steps["served"] + steps["dropped"] + steps["backlog"] == steps["demanded"]
+
+
+# two shiftable classes over a fixed one, on a half-watt grid above a quarter
+# watt of constant load: the frontier path, with a queue that builds and drains
+TWO_SHIFTABLE = {
+    "name": "two",
+    "classes": [
+        {"name": "heater", "count": 8,
+         "model": {"family": "markov", "on_power": 1.5,
+                   "p_off_to_on": 0.05, "p_on_to_off": 0.1}},
+        {"name": "base", "count": 4, "shiftable": False,
+         "model": {"family": "bernoulli", "on_power": 1.0, "p_on": 0.5}},
+        {"name": "pump", "count": 12,
+         "model": {"family": "bernoulli", "on_power": 1.0, "p_on": 0.3}},
+    ],
+    "policy": {"c_max": 9.0, "p": 0.05},
+    "method": "exact",
+    "mode": "slot_dynamic",
+    "slots": 2000, "seed": 5, "quantum": 0.5, "deterministic_load": 0.25,
+}  # fmt: skip
+
+# three shiftable classes: the cached path
+THREE_SHIFTABLE = {
+    "name": "three",
+    "classes": [
+        {"name": "pump", "count": 10,
+         "model": {"family": "markov", "on_power": 1.0,
+                   "p_off_to_on": 0.3, "p_on_to_off": 0.2}},
+        {"name": "kettle", "count": 6,
+         "model": {"family": "bernoulli", "on_power": 2.0, "p_on": 0.4}},
+        {"name": "heater", "count": 4,
+         "model": {"family": "markov", "on_power": 3.0,
+                   "p_off_to_on": 0.2, "p_on_to_off": 0.3}},
+    ],
+    "policy": {"c_max": 17.0, "p": 0.05},
+    "method": "chernoff",
+    "mode": "slot_dynamic", "strategy": "one_step_shift",
+    "slots": 2000, "seed": 7,
+}  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "doc, series_sha256, outcomes_sha256",
+    [
+        (
+            {**TWO_SHIFTABLE, "strategy": "one_step_shift"},
+            "1add155e27112551bc4a0ac6fd793b153dd5bb8c886ccb3182471f721a13d9e6",
+            "f33a7c83f0a6d8531b1ce6ec3aa8dc0d345f1062647b59fd44df83d3ba600705",
+        ),
+        (
+            {**TWO_SHIFTABLE, "strategy": "drop"},
+            "877261f94cf9a05ac5b8e5dd67ed299bec3663c34807b6b73a9e88040267744e",
+            "912f062605546e78a762aac92a4306bab3a3246495f26c220cb45c69fa934fe6",
+        ),
+        (
+            THREE_SHIFTABLE,
+            "0d33c7937b0d5235771141fa4b884e84abd3408b9c62f6dbf9c07b7c5947f529",
+            "ce48ca5054aa5b4a4830b3301f193008c0b7dd48f253b0eabd42bafc9c1d4e24",
+        ),
+    ],
+    ids=["two-one_step_shift", "two-drop", "three-one_step_shift"],
+)
+def test_simulate_slot_dynamic_files_are_pinned(
+    doc, series_sha256, outcomes_sha256, tmp_path, capsys
+) -> None:
+    # the loop and the CSV writers together, byte for byte
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    series = (tmp_path / f"{doc['name']}.series.csv").read_bytes()
+    outcomes = (tmp_path / f"{doc['name']}.outcomes.csv").read_bytes()
+    assert hashlib.sha256(series).hexdigest() == series_sha256
+    assert hashlib.sha256(outcomes).hexdigest() == outcomes_sha256
 
 
 def test_simulate_sweep_outputs(tmp_path, capsys) -> None:

@@ -316,7 +316,12 @@ def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
             writer.writerows(rows)
 
     odd = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e-05, 0.1, float("nan"), float("inf")]
-    watts = np.array(odd + [-math.inf, 123456789.125])
+    short = odd + [-math.inf, 123456789.125]
+    # then long runs in which signed zeros, NaN and ordinary values each
+    # recur many times, interleaved: the series writers format each distinct
+    # value once, and 0.0 and -0.0 compare equal yet print apart
+    recurring = np.repeat([0.0, -0.0, float("nan"), 2.5, 0.1, 7.25], 80)
+    watts = np.concatenate([short, np.random.default_rng(5).permutation(recurring)])
     result = dataclasses.replace(
         make_result(),
         slots=len(watts),

@@ -9,6 +9,7 @@ scheduler's order drawn by ``Generator.permutation``.
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -309,12 +310,62 @@ def _three_shiftable_classes() -> SimConfig:
     )  # fmt: skip
 
 
+def _one_shiftable_class() -> SimConfig:
+    """One shiftable class beside a fixed one, so the frontier has a single
+    entry and every slot's second class count is 0.  Of the 60 slots, 8 are
+    wholly admitted, 22 skip the per-entry pass with a backlog whose distinct
+    demand fits, and 30 run the pass."""
+    return SimConfig(
+        classes=(
+            ApplianceClass(name="f", on_power=1.0, model=Bernoulli(p_on=0.5), count=2,
+                           shiftable=False),
+            ApplianceClass(name="a", on_power=1.5, model=TwoStateMarkov(0.3, 0.2), count=6),
+        ),
+        policy=QosPolicy(c_max=7.0, p=0.2),
+        method=EstimationMethod.EXACT,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        mode=SimMode.SLOT_DYNAMIC,
+        slots=60,
+        seed=2,
+        quantum=0.5,
+    )  # fmt: skip
+
+
+def _queued_appliances_demand_again() -> SimConfig:
+    """Two shiftable classes over 300 slots.  Of the 82 slots that skip the
+    per-entry pass with a backlog whose distinct demand fits, 59 hold a
+    queued appliance that demands again (its new entry is queued once more)
+    and 23 hold none; 79 slots are wholly admitted and 139 run the pass."""
+    return SimConfig(
+        classes=(
+            ApplianceClass(name="a", on_power=1.0, model=TwoStateMarkov(0.2, 0.3), count=8),
+            ApplianceClass(name="b", on_power=2.0, model=Bernoulli(p_on=0.3), count=4),
+        ),
+        policy=QosPolicy(c_max=5.0, p=0.1),
+        method=EstimationMethod.EXACT,
+        strategy=SchedulingStrategy.ONE_STEP_SHIFT,
+        mode=SimMode.SLOT_DYNAMIC,
+        slots=300,
+        seed=3,
+    )  # fmt: skip
+
+
+def _drop_on_a_half_watt_grid() -> SimConfig:
+    """``_queue_drains`` with blocked demand dropped: 20 of the 60 slots run
+    the per-entry pass and drop 28 entries of 2 or 4 grid steps; the other
+    40 are wholly admitted."""
+    return replace(_queue_drains(), strategy=SchedulingStrategy.DROP)
+
+
 @hypothesis.settings(max_examples=120, deadline=None, database=None)
 @hypothesis.given(reference_configs())
 @hypothesis.example(_queue_drains())
 @hypothesis.example(_clt_admits_above_a_rejected_count())
 @hypothesis.example(_backlogged_appliance_repeats())
 @hypothesis.example(_three_shiftable_classes())
+@hypothesis.example(_one_shiftable_class())
+@hypothesis.example(_queued_appliances_demand_again())
+@hypothesis.example(_drop_on_a_half_watt_grid())
 def test_loop_equals_the_per_entry_reference_byte_for_byte(cfg: SimConfig) -> None:
     got = run_slot_dynamic(cfg)
     want = _reference_slot_dynamic(cfg)
