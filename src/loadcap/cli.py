@@ -288,7 +288,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -255,8 +255,11 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     read a frontier walked once up front, and a slot with no backlog reads
     whether its new demand fits from a table made before the loop.
     Otherwise checks read a cache; where the down-set does not hold
-    (``clt`` at p >= 1/2), every slot runs the per-entry loop.
+    (``clt`` at p >= 1/2), every slot runs the per-entry loop.  A config
+    in any other mode raises ValueError.
     """
+    if config.mode is not SimMode.SLOT_DYNAMIC:
+        raise ValueError(f"run_slot_dynamic needs mode 'slot_dynamic', not {config.mode.value!r}")
     slots = config.slots
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
     # grid steps of one slot of each class's demand; an empty class draws none

@@ -44,6 +44,9 @@ _EMPTY_LOAD.setflags(write=False)
 _LOG_FACTORIALS = np.zeros(0)
 # terms below the largest times this cannot move a binomial's normaliser
 _SIGNIFICANT = 2.0**-90
+# the most points one exact pmf array may hold, checked before it is allocated
+# (128 MiB of float64; the benchmark's largest pmf needs 192,001)
+_MAX_GRID_POINTS = 2**24
 
 class EstimationMethod(Enum):
     """How to turn a composition into a tail probability."""
@@ -248,7 +251,12 @@ def _reach_floor(threshold_w: float, quantum: float) -> float:
 
 
 def _grid_steps(watts: float, quantum: float) -> int:
-    steps = round(watts / quantum)
+    try:
+        steps = round(watts / quantum)
+    except OverflowError:  # the ratio is infinite
+        raise ValueError(
+            f"{watts!r} W is more steps of the {quantum!r} W grid than a float holds"
+        ) from None
     if abs(steps * quantum - watts) > _GRID_RTOL * max(quantum, abs(watts)) or steps < 1:
         raise ValueError(
             f"quantization mismatch: {watts!r} W is not a positive multiple "
@@ -257,18 +265,26 @@ def _grid_steps(watts: float, quantum: float) -> int:
     return int(steps)
 
 
+def _grid_too_large(points: int, quantum: float) -> ValueError:
+    shown = points if points < 10**20 else f"{points:.3e}"  # not hundreds of digits
+    return ValueError(
+        f"the exact pmf needs {shown} points on the {quantum!r} W grid, "
+        f"more than the {_MAX_GRID_POINTS} it may hold"
+    )
+
+
 def _log_factorials(n: int) -> np.ndarray:
     """``lgamma(k + 1)`` for k = 0..n, a read-only slice of one shared table.
 
-    A larger n extends the table to n + 1 entries or to twice its size,
-    whichever is more, so counts that grow one at a time rebuild it only
-    a logarithmic number of times; each entry is the same ``math.lgamma``
-    double whichever count built it.
+    A larger n extends the table to n + 1 entries or to twice its size
+    (at most ``_MAX_GRID_POINTS``), whichever is more, so counts that grow
+    one at a time rebuild it only a logarithmic number of times; each entry
+    is the same ``math.lgamma`` double whichever count built it.
     """
     global _LOG_FACTORIALS
     table = _LOG_FACTORIALS
     if table.size <= n:
-        size = max(n + 1, 2 * table.size)
+        size = max(n + 1, min(2 * table.size, _MAX_GRID_POINTS))
         more = np.fromiter(
             map(math.lgamma, range(table.size + 1, size + 1)),
             dtype=np.float64,
@@ -377,6 +393,8 @@ def _class_kernel(
     ``np.correlate`` and together carry less than ``_TRIM_MASS`` at each end.
     """
     steps = _grid_steps(on_power, quantum)
+    if n + 1 > _MAX_GRID_POINTS:
+        raise _grid_too_large(n + 1, quantum)
     lo, window = _trimmed(_binomial_pmf(n, p_on))
     kernel = window.copy()
     kernel.setflags(write=False)
@@ -405,6 +423,8 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     accumulator as it is: the cached, read-only window itself at one step,
     laid out at stride ``s`` otherwise, with no multiply.  Every class's ON
     wattage must sit on the grid, else ValueError("quantization mismatch").
+    A class count, or an array the layout or a convolution would allocate,
+    past ``_MAX_GRID_POINTS`` points raises ValueError before it is made.
     The constant base load is not folded in; callers offset thresholds.
     ``PowerPmf`` checks the pmf's mass and raises ValueError when it
     drifted from 1.
@@ -419,7 +439,10 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         lo, steps, kernel, flipped = _class_kernel(enabled, cls.p_on, cls.on_power, quantum)
         offset += lo * steps
         if acc.size > 1:
-            out = np.zeros(acc.size + (kernel.size - 1) * steps)
+            size = acc.size + (kernel.size - 1) * steps
+            if size > _MAX_GRID_POINTS:
+                raise _grid_too_large(size, quantum)
+            out = np.zeros(size)
             for r in range(min(steps, acc.size)):
                 residue = acc[r::steps]
                 if kernel.size > residue.size:
@@ -431,7 +454,10 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         elif steps == 1:  # the accumulator is [1.0]: the window itself
             out = kernel
         else:
-            out = np.zeros(1 + (kernel.size - 1) * steps)
+            size = 1 + (kernel.size - 1) * steps
+            if size > _MAX_GRID_POINTS:
+                raise _grid_too_large(size, quantum)
+            out = np.zeros(size)
             out[::steps] = kernel
         acc = out
     return PowerPmf(quantum=quantum, offset=offset, probabilities=acc)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import json
@@ -9,6 +10,7 @@ import math
 import os
 import pkgutil
 import re
+import resource
 import subprocess
 import sys
 import types
@@ -18,11 +20,23 @@ import numpy as np
 import pytest
 
 import loadcap
+import loadcap.__main__ as process_entry
 from loadcap.cli import main
 from loadcap.models import ApplianceClass, Bernoulli, TraceSeries, sample_series
 from loadcap.fileio import _CLASS_KEYS, _POLICY_KEYS, _TOP_KEYS, write_model
 
 from conftest import write_trace
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*argv: str, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter on this checkout's sources, its output captured as text."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs
+    )
 
 
 def bounds_table(capsys) -> dict[str, float]:
@@ -159,6 +173,35 @@ def test_bounds_prints_no_table_when_an_estimate_fails(capsys) -> None:
     captured = capsys.readouterr()
     assert "quantization mismatch" in captured.err
     assert captured.out == ""
+
+
+def cap_address_space() -> None:
+    # an array allocated before the budget check fails at 1 GiB, not past RAM
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+@pytest.mark.parametrize(
+    ("spec", "flags", "points", "quantum"),
+    [
+        ("2x1@0.5", ["--c-max", "1.5", "--quantum-w", "1e-15"], 2 * 10**15 + 1, 1e-15),
+        ("2x1@0.5", ["--c-max", "1.5", "--quantum-w", "1e-300"], "2.000e+300", 1e-300),
+        (f"{10**9}x1@0.5", ["--c-max", "6e8"], 10**9 + 1, 1.0),
+    ],
+    ids=["femtowatt-grid", "1e-300-grid", "billion-appliances"],
+)
+def test_bounds_refuses_an_exact_pmf_past_the_grid_budget(spec, flags, points, quantum) -> None:
+    # 14.2 PiB, far more, and 7.5 GiB of float64 without the budget; a
+    # fresh, capped interpreter keeps a late refusal off the host's memory
+    proc = run_python("-m", "loadcap", "bounds", spec, *flags, preexec_fn=cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"needs {points} points on the {quantum!r} W grid" in proc.stderr
+
+
+def test_bounds_refuses_a_power_of_more_grid_steps_than_a_float_holds(capsys) -> None:
+    argv = ["bounds", "1x1e300@0.5", "--c-max", "1e300", "--quantum-w", "1e-300"]
+    assert main([*argv, "--methods", "exact"]) == 2
+    assert "more steps of the 1e-300 W grid than a float holds" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("quantum_w", ["-1", "0", "nan", "inf"])
@@ -1192,45 +1235,68 @@ def test_package_root_exports_only_what_the_benchmark_probe_imports() -> None:
 
 def test_benchmark_setup_probe_runs(tmp_path) -> None:
     # perfbench/probe.py imports its classes from the package root
-    root = Path(__file__).resolve().parents[1]
-    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "probe.py"), "setup", "--"]
-        + ["bounds", "2x1@0.5", "--c-max", "1", "--out-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
-    )
+    argv = ["bounds", "2x1@0.5", "--c-max", "1", "--out-dir", str(tmp_path)]
+    proc = run_python(str(ROOT / "perfbench" / "probe.py"), "setup", "--", *argv)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_module_entry_point_runs() -> None:
-    proc = subprocess.run(
-        [sys.executable, "-m", "loadcap", "bounds", "2x1@0.5", "--c-max", "1"],
-        capture_output=True,
-        text=True,
+def test_module_entry_point_runs(capsys) -> None:
+    argv = ["bounds", "2x1@0.5", "--c-max", "1"]
+    proc = run_python("-m", "loadcap", *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+def test_process_entry_freezes_the_heap_before_the_command(monkeypatch) -> None:
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(process_entry, "main", lambda: calls.append("main") or 4)
+    assert process_entry.run() == 4
+    assert calls == ["freeze", "main"]
+
+
+def test_importing_the_entry_freezes_nothing() -> None:
+    # only run() freezes: importing the CLI or the entry module leaves gc as it was
+    proc = run_python(
+        "-c", "import gc, loadcap.cli, loadcap.__main__; print(gc.get_freeze_count())"
     )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("method,estimate")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_importing_the_cli_loads_no_process_pool() -> None:
     # nothing in loadcap starts worker processes; a sweep runs in one process
-    root = Path(__file__).resolve().parents[1]
-    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
     probe = (
         "import sys, loadcap.cli; "
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
         "if m in sys.modules))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
-    )
+    proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def command_argv(command: str, tmp_path: Path) -> list[str]:
+    """A small, successful argv for ``command``, its input files written under tmp_path."""
+    trace_path = tmp_path / "trace.csv"
+    write_trace(str(trace_path), TraceSeries(watts=np.array([0.0, 5.0, 5.0, 0.0]),
+                                             sample_period_s=1.0))  # fmt: skip
+    experiment = tmp_path / "run.json"
+    experiment.write_text(json.dumps({
+        "name": "run", "classes": [{"name": "heater", "count": 4,
+                                    "model": {"family": "bernoulli", "on_power": 1.0,
+                                              "p_on": 0.3}}],
+        "policy": {"c_max": 3.0, "p": 0.1}, "method": "chernoff", "slots": 20,
+    }))  # fmt: skip
+    out = ["--out-dir", str(tmp_path / "out")]
+    return {
+        "bounds": ["bounds", "100x1@0.5", "--c-max", "60"],
+        "region": ["region", "--class1", "2x1@0.5", "--class2", "2x1@0.2", "--c-max", "2",
+                   "--p", "0.1", *out],
+        "fit": ["fit", str(trace_path), "--family", "bernoulli", "--on-threshold", "1", *out],
+        "simulate": ["simulate", str(experiment), *out],
+    }[command]  # fmt: skip
 
 
 @pytest.mark.parametrize(
@@ -1247,24 +1313,7 @@ def test_importing_the_cli_loads_no_process_pool() -> None:
 )  # fmt: skip
 def test_each_command_loads_only_the_layers_it_runs(command, loaded, absent, tmp_path) -> None:
     # a fresh interpreter runs one command, then lists what it imported
-    trace_path = tmp_path / "trace.csv"
-    write_trace(str(trace_path), TraceSeries(watts=np.array([0.0, 5.0, 5.0, 0.0]),
-                                             sample_period_s=1.0))  # fmt: skip
-    experiment = tmp_path / "run.json"
-    experiment.write_text(json.dumps({
-        "name": "run", "classes": [{"name": "heater", "count": 4,
-                                    "model": {"family": "bernoulli", "on_power": 1.0,
-                                              "p_on": 0.3}}],
-        "policy": {"c_max": 3.0, "p": 0.1}, "method": "chernoff", "slots": 20,
-    }))  # fmt: skip
-    out = ["--out-dir", str(tmp_path / "out")]
-    argv = {
-        "bounds": ["bounds", "100x1@0.5", "--c-max", "60"],
-        "region": ["region", "--class1", "2x1@0.5", "--class2", "2x1@0.2", "--c-max", "2",
-                   "--p", "0.1", *out],
-        "fit": ["fit", str(trace_path), "--family", "bernoulli", "--on-threshold", "1", *out],
-        "simulate": ["simulate", str(experiment), *out],
-    }[command]  # fmt: skip
+    argv = command_argv(command, tmp_path)
     watched = sorted(loaded | absent)
     probe = (
         "import contextlib, io, sys\n"
@@ -1273,16 +1322,18 @@ def test_each_command_loads_only_the_layers_it_runs(command, loaded, absent, tmp
         "    code = main(sys.argv[1:])\n"
         f"print(code, sorted(m for m in {watched!r} if m in sys.modules))\n"
     )
-    root = Path(__file__).resolve().parents[1]
-    paths = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
-        [sys.executable, "-c", probe, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)},
-    )
+    proc = run_python("-c", probe, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"0 {sorted(loaded)!r}\n"
+
+
+@pytest.mark.parametrize("command", ["bounds", "region", "fit", "simulate"])
+def test_cli_main_in_process_never_freezes_the_heap(command, tmp_path, monkeypatch) -> None:
+    def refuse() -> None:
+        raise AssertionError("cli.main called gc.freeze")
+
+    monkeypatch.setattr(gc, "freeze", refuse)
+    assert main(command_argv(command, tmp_path)) == 0
 
 
 def test_unknown_subcommand_exits_2() -> None:

@@ -327,6 +327,15 @@ def test_binomial_bytes_do_not_depend_on_the_order_the_table_grew(monkeypatch, c
     assert not tailprob._LOG_FACTORIALS.flags.writeable
 
 
+def test_the_table_doubles_no_further_than_the_grid_budget(monkeypatch) -> None:
+    # 5001 entries, then 5002 asked: doubling would build 10,002
+    monkeypatch.setattr(tailprob, "_LOG_FACTORIALS", np.zeros(0))
+    monkeypatch.setattr(tailprob, "_MAX_GRID_POINTS", 9000)
+    for n in (5000, 5001):
+        assert np.array_equal(_binomial_pmf(n, 0.3), reference_binomial_pmf(n, 0.3))
+    assert tailprob._LOG_FACTORIALS.size == 9000
+
+
 @st.composite
 def log_domain_binomials(draw) -> np.ndarray:
     n = draw(st.integers(min_value=61, max_value=9000))

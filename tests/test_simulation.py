@@ -726,6 +726,20 @@ def test_run_returns_simresult_with_mode_dependent_extras() -> None:
     assert dyn_result.outcomes is not None
 
 
+def test_run_slot_dynamic_rejects_a_composition_config() -> None:
+    # run sizes this config to (12,) and keeps no ledger; read as
+    # slot-dynamic it would enable all 20 and carry one
+    cfg = config_of(
+        classes=(bern("c0", 1.0, 0.3, 20),),
+        policy=QosPolicy(c_max=8.0, p=0.01),
+        slots=200,
+        seed=1,
+    )
+    assert run(cfg).enabled_counts == (12,)
+    with pytest.raises(ValueError, match="'composition'"):
+        run_slot_dynamic(cfg)
+
+
 def test_run_and_run_slot_dynamic_entry_points() -> None:
     # each result carries the config it ran with
     for cfg, entry in ((config_of(slots=40), run),

@@ -200,6 +200,28 @@ def test_exact_pmf_rejects_off_grid_power() -> None:
         exact_pmf(comp((1.0, 0.5, 2)), quantum=0.0)
 
 
+@pytest.mark.parametrize(
+    ("refused", "fits", "quantum", "points"),
+    [
+        # the class count, checked before its binomial
+        (((1.0, 0.5, 100),), ((1.0, 0.5, 99),), 1.0, 101),
+        # the first class laid out at a stride of 50 (then 49) grid steps
+        (((1.0, 0.5, 2),), ((0.98, 0.5, 2),), 0.02, 101),
+        # a convolution's output
+        (((1.0, 0.5, 50), (2.0, 0.5, 25)), ((1.0, 0.5, 49), (2.0, 0.5, 25)), 1.0, 101),
+    ],
+    ids=["count", "stride", "convolution"],
+)
+def test_exact_pmf_refuses_a_grid_past_its_budget(
+    monkeypatch, refused, fits, quantum, points
+) -> None:
+    monkeypatch.setattr(tailprob, "_MAX_GRID_POINTS", 100)
+    tailprob._class_kernel.cache_clear()  # the count is checked once per cached class
+    with pytest.raises(ValueError, match=f"needs {points} points on the {quantum!r} W grid"):
+        exact_pmf(comp(*refused), quantum)
+    assert exact_pmf(comp(*fits), quantum).probabilities.size in (99, 100)
+
+
 def test_exact_pmf_rejects_a_pmf_that_lost_mass(monkeypatch) -> None:
     # a kernel carrying half the mass must not pass as a pmf, whether it is
     # laid out alone or convolved at one step or at a stride
