@@ -518,10 +518,7 @@ def _bound_bennett(stats: _AggregateStats, threshold: float) -> float:
         # still a bound; ln(u) is summed from logs.
         log_u = math.log(d) + math.log(stats.max_abs) - math.log(stats.variance)
         return min(1.0, math.exp(-(d / stats.max_abs) * (log_u - 1.0)))
-    try:
-        scale = stats.variance / stats.max_abs**2
-    except OverflowError:  # b**2 past the float range; v/b/b does not overflow
-        scale = stats.variance / stats.max_abs / stats.max_abs
+    scale = stats.variance / stats.max_abs**2
     return min(1.0, math.exp(-scale * h))
 
 

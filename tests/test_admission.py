@@ -310,19 +310,22 @@ def test_decision_region_origin_and_shape() -> None:
 
 
 def test_decision_region_downward_closed_for_monotone_methods() -> None:
+    # the README case; for every method, swapping the classes transposes it
     c1 = bern("a", 1.0, 0.35, 10)
     c2 = bern("b", 3.0, 0.15, 6)
     policy = QosPolicy(c_max=8.0, p=0.03)
-    for method in (
+    monotone = (
         EstimationMethod.EXACT,
         EstimationMethod.MARKOV,
         EstimationMethod.HOEFFDING,
         EstimationMethod.CHERNOFF,
-    ):
+    )
+    for method in EstimationMethod:
         region = decision_region(c1, c2, policy, method)
-        accepted = np.argwhere(region)
-        for n1, n2 in accepted:
-            assert region[: n1 + 1, : n2 + 1].all(), (method, n1, n2)
+        assert np.array_equal(decision_region(c2, c1, policy, method), region.T), method
+        if method in monotone:
+            for n1, n2 in np.argwhere(region):
+                assert region[: n1 + 1, : n2 + 1].all(), (method, n1, n2)
 
 
 def test_decision_region_frontier_matches_max_admissible() -> None:

@@ -31,12 +31,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_python(*argv: str, **kwargs) -> subprocess.CompletedProcess:
-    """A fresh interpreter on this checkout's sources, its output captured as text."""
+    """A fresh interpreter on this checkout's sources, its output captured as
+    text unless ``text=False`` asks for bytes."""
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs
-    )
+    kwargs.setdefault("text", True)
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env, **kwargs)
 
 
 def bounds_table(capsys) -> dict[str, float]:
@@ -116,14 +116,16 @@ def test_bounds_dump_pmf(tmp_path, capsys) -> None:
         (["2x1@0.5", "1x3@1.0", "--c-max", "5", "--det", "1"], 5.0, 1.0, 3.0),
         (["30x1@0.3", "4x2@0.6", "2x3@1.0", "--c-max", "25", "--det", "2.5",
           "--quantum-w", "0.5"], 25.0, 2.5, 6.0),
+        (["8000x1@0.3", "2000x3@0.2", "--c-max", "3500"], 3500.0, 0.0, 1450.0),
     ],
-    ids=["small", "half-watt-grid"],
+    ids=["small", "half-watt-grid", "trimmed-ends"],
 )  # fmt: skip
 def test_bounds_dump_pmf_leaves_out_the_base_load(
     argv, c_max, det, lowest_w, tmp_path, capsys
 ) -> None:
     # the dump is the load of the listed classes, always-on ones included
-    # (lowest_w), without --det; the exact row is its tail at c_max - det
+    # (lowest_w), without --det; the exact row is its tail at c_max - det,
+    # and its mass, both ends trimmed, is 1 within 1e-9
     argv = ["bounds", *argv, "--methods", "exact", "--dump-pmf", "pmf.csv"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     exact = bounds_table(capsys)["exact"]
@@ -131,6 +133,7 @@ def test_bounds_dump_pmf_leaves_out_the_base_load(
     pmf = [tuple(map(float, row.split(","))) for row in rows]
     assert pmf[0][0] == lowest_w
     assert math.fsum(p for watts, p in pmf if watts >= c_max - det) == exact
+    assert abs(math.fsum(p for _, p in pmf) - 1.0) <= 1e-9
 
 
 def test_bounds_require_gate(capsys) -> None:
@@ -196,6 +199,20 @@ def test_bounds_refuses_an_exact_pmf_past_the_grid_budget(spec, flags, points, q
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert f"needs {points} points on the {quantum!r} W grid" in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_exact_bounds_bytes_do_not_depend_on_the_cpu_set() -> None:
+    # the exact pmf runs on one thread: one usable CPU or all of them, the
+    # same bytes, and the value perfbench/expected.json records
+    argv = ["-m", "loadcap", "bounds", "8000x1@0.3", "8000x3@0.2", "8000x7@0.1",
+            "8000x13@0.05", "--c-max", "19350", "--methods", "exact"]  # fmt: skip
+    cpu = min(os.sched_getaffinity(0))
+    pinned = run_python(*argv, text=False, preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    unpinned = run_python(*argv, text=False)
+    assert pinned.returncode == unpinned.returncode == 0, pinned.stderr + unpinned.stderr
+    assert pinned.stdout == unpinned.stdout
+    assert b"exact,3.7841567048079274e-05" in pinned.stdout.splitlines()
 
 
 def test_bounds_refuses_a_power_of_more_grid_steps_than_a_float_holds(capsys) -> None:
@@ -278,9 +295,10 @@ def test_bounds_at_a_huge_on_power_stay_bounds(argv, capsys) -> None:
     for method, value in table.items():
         if method != "clt":  # an estimate, not a bound
             assert table["exact"] <= value <= 1.0, method
-    # moments taken in units near the largest wattage do not overflow, so
-    # neither these bounds nor the normal estimate fall back to trivial values
-    assert table["hoeffding"] < 1.0 and table["bennett"] < 1.0
+    # moments taken in units near the largest wattage, and the Chernoff
+    # search on the 1 / h_max scale, do not overflow, so neither these bounds
+    # nor the normal estimate fall back to trivial values
+    assert max(table["hoeffding"], table["bennett"], table["chernoff"]) < 1.0
     assert 0.0 <= table["clt"] < 0.5
 
 
@@ -305,24 +323,29 @@ def test_bounds_off_grid_power_with_matching_quantum(capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    ("specs", "c_max", "on_grid"),
+    ("argv", "c_max", "on_grid"),
     [
         (["3x1@0.5"], "3.000000001", "3"),
         (["2x1@1.0", "1x1@0.5"], "3.0000000001", "3"),
         (["2x1@1.0"], "2.0000000001", "2"),
+        # no tolerance in watts: 2e-16 W does not reach the 3e-16 W all-ON load
+        (["3x1e-16@0.5", "--quantum-w", "1e-16"], "2e-16", "2e-16"),
+        # a squared 1e-162 W underflows; the moments are taken in units near it
+        (["1x1e-162@0.5", "--quantum-w", "1e-162"], "1e-162", "1e-162"),
     ],
-    ids=["all-on", "all-on-over-a-base", "base-alone"],
+    ids=["all-on", "all-on-over-a-base", "base-alone", "1e-16-grid", "1e-162-appliance"],
 )
 def test_bounds_read_a_ceiling_in_the_reach_band_at_its_grid_point(
-    specs, c_max, on_grid, capsys
+    argv, c_max, on_grid, capsys
 ) -> None:
     # a load within 1e-9 relative below the ceiling reaches it, for every
-    # method: each reads the ceiling as the grid point just below it
-    assert main(["bounds", *specs, "--c-max", c_max]) == 0
+    # method: each reads the ceiling as the grid point just below it (the
+    # two tiny-watt ceilings are grid points already)
+    assert main(["bounds", *argv, "--c-max", c_max]) == 0
     table = bounds_table(capsys)
     for method in ("markov", "chebyshev", "hoeffding", "bennett", "chernoff"):
         assert table["exact"] <= table[method] <= 1.0, method
-    assert main(["bounds", *specs, "--c-max", on_grid]) == 0
+    assert main(["bounds", *argv, "--c-max", on_grid]) == 0
     assert table == bounds_table(capsys)
     if c_max == "2.0000000001":  # the base load alone reaches the ceiling
         assert set(table.values()) == {1.0}
@@ -466,17 +489,23 @@ THREE_SHIFTABLE = {
             "912f062605546e78a762aac92a4306bab3a3246495f26c220cb45c69fa934fe6",
         ),
         (
+            {**TWO_SHIFTABLE, "method": "clt", "strategy": "one_step_shift"},
+            "0ff2f4f87cef05c8636c2cc15f521462c084eca91456ef532a0599b624f5fbcb",
+            "487e7e835e63c797e92757ec8cf38d0e17f1cfa97ee279b12a620353afe45f4a",
+        ),
+        (
             THREE_SHIFTABLE,
             "0d33c7937b0d5235771141fa4b884e84abd3408b9c62f6dbf9c07b7c5947f529",
             "ce48ca5054aa5b4a4830b3301f193008c0b7dd48f253b0eabd42bafc9c1d4e24",
         ),
     ],
-    ids=["two-one_step_shift", "two-drop", "three-one_step_shift"],
+    ids=["two-one_step_shift", "two-drop", "two-clt", "three-one_step_shift"],
 )
 def test_simulate_slot_dynamic_files_are_pinned(
     doc, series_sha256, outcomes_sha256, tmp_path, capsys
 ) -> None:
-    # the loop and the CSV writers together, byte for byte
+    # the loop and the CSV writers together, byte for byte; each slot's
+    # served_w is the series' managed_w
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 0
@@ -485,6 +514,8 @@ def test_simulate_slot_dynamic_files_are_pinned(
     outcomes = (tmp_path / f"{doc['name']}.outcomes.csv").read_bytes()
     assert hashlib.sha256(series).hexdigest() == series_sha256
     assert hashlib.sha256(outcomes).hexdigest() == outcomes_sha256
+    served = [row.split(b",")[1] for row in outcomes.splitlines()[1:]]
+    assert served == [row.split(b",")[2] for row in series.splitlines()[1:]]
 
 
 def test_simulate_sweep_outputs(tmp_path, capsys) -> None:
@@ -788,23 +819,28 @@ FILE_NAME_RULE = "must be a non-empty string with no path separator or '..', got
          "'model_file' in classes[0] must be a JSON string, got 5"),
         ({"classes": [{"name": "c0", "count": 2, "trace": 5, "family": "bernoulli"}]},
          "'trace' in classes[0] must be a JSON string, got 5"),
+        ({"name": "../x"}, "'name' in experiment must be a non-empty string"),
+        ({"policy": {"c_max": None, "p": 0.01}}, "'c_max' in policy must be a JSON number"),
     ],
     ids=["outputs-escape", "outputs-null", "outputs-number", "class-name-null",
-         "class-name-number", "model-file-number", "trace-number"],
+         "class-name-number", "model-file-number", "trace-number", "name-escape",
+         "c-max-null"],
 )  # fmt: skip
 def test_simulate_refuses_a_name_or_path_of_the_wrong_kind(
     overrides, message, tmp_path, monkeypatch, capsys
 ) -> None:
-    # run from the experiment's directory with no --out-dir: any file the run
-    # wrote, there or one level up, would show in a listing
+    # run from the experiment's directory, with and without --out-dir: that
+    # directory, or any file the run wrote, there or one level up, would show
+    # in a listing
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     experiment_file(run_dir, **overrides)
     monkeypatch.chdir(run_dir)
-    assert main(["simulate", "experiment.json"]) == 2
-    assert message in capsys.readouterr().err
-    assert os.listdir(run_dir) == ["experiment.json"]
-    assert os.listdir(tmp_path) == ["run"]
+    for out_dir in ([], ["--out-dir", "out"]):
+        assert main(["simulate", "experiment.json", *out_dir]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(run_dir) == ["experiment.json"]
+        assert os.listdir(tmp_path) == ["run"]
 
 
 def test_simulate_refused_during_the_run_leaves_no_out_dir(tmp_path, capsys) -> None:
@@ -1027,11 +1063,10 @@ def test_region_refuses_a_quantum_that_is_not_positive_and_finite(
 
 
 def test_fit_writes_model_and_stats(tmp_path, capsys) -> None:
+    # CRLF line endings and a blank line read as plain rows do
     trace_path = tmp_path / "trace.csv"
-    write_trace(
-        str(trace_path),
-        TraceSeries(watts=np.array([0.0, 50.0, 50.0, 0.0, 50.0, 50.0]), sample_period_s=1.0),
-    )
+    trace_path.write_bytes(b"timestamp_s,power_w\r\n0,0\r\n1,50\r\n\r\n2,50\r\n3,0\r\n"
+                           b"4,50\r\n5,50\r\n")  # fmt: skip
     code = main(
         [
             "fit",
