@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ApplianceClass
-from .tailprob import ClassComposition, EstimationMethod, estimate
+from .tailprob import _STRIDE_FIRST_WINDOWS, ClassComposition, EstimationMethod, estimate
 
 __all__ = ["QosPolicy", "max_admissible", "decision_region"]
 
@@ -195,14 +195,29 @@ def decision_region(
 
     Cell ``[n1, n2]`` is true when enabling n1 of the first class and n2 of
     the second meets the policy under the method.  Computed by full grid
-    enumeration; shape is (class1.count + 1, class2.count + 1).
+    enumeration, one estimate per cell; shape is (class1.count + 1,
+    class2.count + 1).
+
+    A cell whose windows multiply to (n1 + 1) * (n2 + 1) at most
+    ``_STRIDE_FIRST_WINDOWS`` lists the class of larger ON wattage first,
+    any other cell the smaller; equal wattages keep the given order.  An
+    exact pmf lays its first class out with no convolution and convolves
+    the next once per residue of its stride, so on small windows one
+    correlation at the wider stride costs less than several, and on large
+    ones its extra multiply-adds cost more.  The order moves an exact tail
+    in its last bits only, and no other estimate: two moment terms add the
+    same either way round.
     """
-    admits = _count_estimator(
-        (class1, class2), policy, method, quantum, ClassComposition.empty()
-    )
+    empty = ClassComposition.empty()
+    in_order = _count_estimator((class1, class2), policy, method, quantum, empty)
+    swapped = _count_estimator((class2, class1), policy, method, quantum, empty)
+    swap_small = class2.on_power > class1.on_power
+    swap_large = class2.on_power < class1.on_power
     region = np.zeros((class1.count + 1, class2.count + 1), dtype=bool)
     for n1 in range(class1.count + 1):
+        small = _STRIDE_FIRST_WINDOWS // (n1 + 1)  # n2 < small: a small cell
         for n2 in range(class2.count + 1):
-            region[n1, n2] = admits((n1, n2))
+            swap = swap_small if n2 < small else swap_large
+            region[n1, n2] = swapped((n2, n1)) if swap else in_order((n1, n2))
     return region
 

@@ -36,9 +36,11 @@ __all__ = [
 _GRID_RTOL = 1e-9
 # end mass trimmed from each binomial window and each partial sum
 _TRIM_MASS = 1e-300
-# the pmf of an empty load, where every exact pmf starts (read-only: shared)
+# the pmf of an empty load, where every exact pmf starts; shared, so a view
+# of a read-only array, which numpy lets no holder make writable again
 _EMPTY_LOAD = np.ones(1)
 _EMPTY_LOAD.setflags(write=False)
+_EMPTY_LOAD = _EMPTY_LOAD[:]
 # log(k!) = lgamma(k + 1) for k = 0, 1, ...; replaced by a longer copy when a
 # larger count arrives, and read-only, so a prefix is shared by every count
 _LOG_FACTORIALS = np.zeros(0)
@@ -47,6 +49,13 @@ _SIGNIFICANT = 2.0**-90
 # the most points one exact pmf array may hold, checked before it is allocated
 # (128 MiB of float64; the benchmark's largest pmf needs 192,001)
 _MAX_GRID_POINTS = 2**24
+# Two classes whose windows' lengths multiply to at most this fold faster
+# with the class of more grid steps first: it is laid out with no
+# convolution, and the other class then takes one correlation at ``stride``
+# times the multiply-adds, where the other order takes one per residue.
+# Above it the multiply-adds outweigh the calls saved (the crossover table
+# of per-cell exact_pmf times in CHANGES.md).
+_STRIDE_FIRST_WINDOWS = 2**14
 
 class EstimationMethod(Enum):
     """How to turn a composition into a tail probability."""
@@ -114,8 +123,15 @@ class PowerPmf:
         # an end without mass is a zero entry, so least is 0 too
         if least == 0.0 and (probs[0] == 0.0 or probs[-1] == 0.0):
             raise ValueError("pmf support is not trimmed; ends must carry mass")
-        probs = probs.copy()
-        probs.setflags(write=False)
+        # kept as it is when frozen together with the memory it views, as
+        # exact_pmf hands its pmf over; any other array is copied, so no
+        # caller's array can write to the pmf
+        owner = probs
+        while isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if probs.flags.writeable or owner.flags.writeable or not owner.flags.owndata:
+            probs = probs.copy()
+            probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
 
     @property
@@ -379,6 +395,15 @@ def _trimmed(pmf: np.ndarray) -> tuple[int, np.ndarray]:
     return start, pmf[start:stop]
 
 
+def _convolved(residue: np.ndarray, kernel: np.ndarray, flipped: np.ndarray) -> np.ndarray:
+    """``np.convolve(residue, kernel)``, the call it makes without its Python
+    wrapper: the residue is taken as the longer operand unless the window
+    is strictly longer, so the sums run in the same order to the same bytes."""
+    if kernel.size > residue.size:
+        return np.correlate(kernel, residue[::-1], "full")
+    return np.correlate(residue, flipped, "full")
+
+
 @lru_cache(maxsize=4096)
 def _class_kernel(
     n: int, p_on: float, on_power: float, quantum: float
@@ -387,10 +412,13 @@ def _class_kernel(
 
     ``steps`` is the ON wattage in grid steps (``_grid_steps``, checked once
     per cached class and count).  ``kernel`` is the Binomial(n, p_on) pmf
-    trimmed by ``_trimmed`` (read-only), ``flipped`` the same window
-    reversed, and ``lo`` the count of its first term.  Far from the mean the
-    log-domain binomial falls to subnormals and exact zeros, which slow
-    ``np.correlate`` and together carry less than ``_TRIM_MASS`` at each end.
+    trimmed by ``_trimmed``, ``flipped`` the same window reversed, and
+    ``lo`` the count of its first term.  Both are views of a read-only
+    copy, which numpy lets no holder make writable again: the cache shares
+    the window, and a lone class's window becomes its pmf as it is.  Far
+    from the mean the log-domain binomial falls to subnormals and exact
+    zeros, which slow ``np.correlate`` and together carry less than
+    ``_TRIM_MASS`` at each end.
     """
     steps = _grid_steps(on_power, quantum)
     if n + 1 > _MAX_GRID_POINTS:
@@ -398,7 +426,7 @@ def _class_kernel(
     lo, window = _trimmed(_binomial_pmf(n, p_on))
     kernel = window.copy()
     kernel.setflags(write=False)
-    return lo, steps, kernel, kernel[::-1]
+    return lo, steps, kernel[:], kernel[::-1]
 
 
 def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
@@ -409,10 +437,9 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     a running grid offset by the window's start.  A class drawing ``s`` grid
     steps is convolved at stride ``s`` without padding: the accumulator is
     split by residue mod ``s`` and each residue is convolved with the window
-    on its own.  That convolution is the call ``np.convolve`` makes, without
-    its Python wrapper: ``np.correlate(longer, shorter[::-1], "full")``, with
-    the residue taken as the longer one unless the window is strictly
-    longer, so the sums run in the same order to the same bytes.  Each
+    on its own by ``_convolved``, into a zeroed buffer at stride ``s``.  At
+    one step the whole accumulator is the one residue, and its correlation
+    is the output as it is, with no buffer and no strided copy.  Each
     convolved partial sum is trimmed by ``_trimmed`` before the next class,
     so mass below ``_TRIM_MASS`` is dropped where it appears; the tails
     agree with the untrimmed convolution to ~1e-15 relative.
@@ -426,8 +453,9 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     A class count, or an array the layout or a convolution would allocate,
     past ``_MAX_GRID_POINTS`` points raises ValueError before it is made.
     The constant base load is not folded in; callers offset thresholds.
-    ``PowerPmf`` checks the pmf's mass and raises ValueError when it
-    drifted from 1.
+    The pmf is frozen together with the buffer it views before it is handed
+    to ``PowerPmf``, which keeps it without a copy, checks its mass and
+    raises ValueError when it drifted from 1.
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
@@ -442,13 +470,12 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
             size = acc.size + (kernel.size - 1) * steps
             if size > _MAX_GRID_POINTS:
                 raise _grid_too_large(size, quantum)
-            out = np.zeros(size)
-            for r in range(min(steps, acc.size)):
-                residue = acc[r::steps]
-                if kernel.size > residue.size:
-                    out[r::steps] = np.correlate(kernel, residue[::-1], "full")
-                else:
-                    out[r::steps] = np.correlate(residue, flipped, "full")
+            if steps == 1:  # one residue, whose correlation is the output
+                out = _convolved(acc, kernel, flipped)
+            else:
+                out = np.zeros(size)
+                for r in range(min(steps, acc.size)):
+                    out[r::steps] = _convolved(acc[r::steps], kernel, flipped)
             start, out = _trimmed(out)
             offset += start
         elif steps == 1:  # the accumulator is [1.0]: the window itself
@@ -460,6 +487,9 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
             out = np.zeros(size)
             out[::steps] = kernel
         acc = out
+    owner = acc if acc.base is None else acc.base  # what a trimmed pmf or a window views
+    owner.setflags(write=False)
+    acc.setflags(write=False)
     return PowerPmf(quantum=quantum, offset=offset, probabilities=acc)
 
 

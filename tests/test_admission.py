@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from loadcap import admission
 from loadcap.admission import (
     _admission_frontier,
     _admits_down_set,
@@ -351,6 +352,40 @@ def test_decision_region_frontier_matches_max_admissible() -> None:
                 # when even n1 = 0 violates, the search reports 0 regardless
                 expected = max(top, 0)
                 assert max_admissible(c1, policy, method, base=base) == expected, (method, n2)
+
+
+def _region_in_listed_order(
+    c1: ApplianceClass, c2: ApplianceClass, policy: QosPolicy, method: EstimationMethod
+) -> np.ndarray:
+    """Every cell estimated with class 1 listed first."""
+    region = np.zeros((c1.count + 1, c2.count + 1), dtype=bool)
+    for n1, n2 in np.ndindex(region.shape):
+        comp = ClassComposition(entries=((c1, n1), (c2, n2)))
+        region[n1, n2] = policy.admits(estimate(method, comp, policy.c_max))
+    return region
+
+
+# the README case, and p_on 0.5, whose dyadic exact tail at (1, 1) is p itself
+_FOLD_CASES = {
+    "readme": (bern("a", 1.0, 0.35, 10), bern("b", 3.0, 0.15, 6), QosPolicy(c_max=8.0, p=0.03)),
+    "dyadic": (bern("a", 1.0, 0.5, 4), bern("b", 3.0, 0.5, 3), QosPolicy(c_max=4.0, p=0.25)),
+}
+
+
+@pytest.mark.parametrize("crossover", [0, 10**9], ids=["none-stride-first", "all-stride-first"])
+@pytest.mark.parametrize("case", _FOLD_CASES)
+def test_decision_region_fold_order_cannot_be_seen(monkeypatch, case, crossover) -> None:
+    c1, c2, policy = _FOLD_CASES[case]
+    monkeypatch.setattr(admission, "_STRIDE_FIRST_WINDOWS", crossover)
+    for method in EstimationMethod:
+        region = decision_region(c1, c2, policy, method)
+        assert np.array_equal(region, _region_in_listed_order(c1, c2, policy, method)), method
+        assert np.array_equal(decision_region(c2, c1, policy, method), region.T), method
+    if case == "dyadic":
+        for entries in (((c1, 1), (c2, 1)), ((c2, 1), (c1, 1))):
+            comp = ClassComposition(entries=entries)
+            assert estimate(EstimationMethod.EXACT, comp, policy.c_max) == policy.p
+        assert decision_region(c1, c2, policy, EstimationMethod.EXACT)[1, 1]
 
 
 def test_tight_region_is_contained_in_exact_region() -> None:

@@ -186,6 +186,11 @@ _LARGE = _case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000), (7, 0.1, 8000), (13, 0.05, 
 @hypothesis.example(_case(1.0, [(1, 0.35, 40)]))
 @hypothesis.example(_case(1.0, [(13, 0.3, 20)]))
 @hypothesis.example(_case(1.0, [(2, 1.0, 4), (1, 0.35, 30), (3, 0.15, 20)]))
+# a one-step class convolved as a whole, its correlation the output: after
+# a 2-step base class (the slot-dynamic frontier shape), and after the
+# region-grid corner cell's 3-step class laid out first
+@hypothesis.example(_case(1.0, [(2, 0.3, 10), (1, 0.2, 120), (3, 0.33, 40)]))
+@hypothesis.example(_case(1.0, [(3, 0.15, 120), (1, 0.35, 150)]))
 # long windows trimmed of subnormal ends, and partial sums trimmed: three
 # residues shorter than their window, two longer than theirs, and _LARGE
 @hypothesis.example(_case(1.0, [(1, 0.3, 8000), (3, 0.2, 8000)]))

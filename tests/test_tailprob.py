@@ -125,6 +125,54 @@ def test_power_pmf_moments_match_numpy() -> None:
     assert np.array_equal(pmf.support_watts, watts)
 
 
+def test_power_pmf_copies_any_array_a_caller_can_still_write() -> None:
+    # a read-only view of a writable array is copied: writing to the base
+    # leaves the pmf as it was
+    base = np.array([0.25, 0.5, 0.25])
+    view = base[:]
+    view.setflags(write=False)
+    pmf = PowerPmf(quantum=1.0, offset=0, probabilities=view)
+    base[:] = [0.5, 0.0, 0.5]
+    assert pmf.probabilities.tolist() == [0.25, 0.5, 0.25]
+    assert not pmf.probabilities.flags.writeable
+    # so is a read-only array over a buffer it does not own
+    buffer = bytearray(np.array([0.25, 0.75]).tobytes())
+    shared = np.frombuffer(buffer)
+    shared.setflags(write=False)
+    pmf = PowerPmf(quantum=1.0, offset=0, probabilities=shared)
+    buffer[:8] = np.array([0.5]).tobytes()
+    assert pmf.probabilities.tolist() == [0.25, 0.75]
+    # and a writable array; one frozen with the memory it owns is kept
+    owned = np.array([0.25, 0.75])
+    assert PowerPmf(quantum=1.0, offset=0, probabilities=owned).probabilities is not owned
+    owned.setflags(write=False)
+    assert PowerPmf(quantum=1.0, offset=0, probabilities=owned).probabilities is owned
+
+
+@pytest.mark.parametrize("specs", [[(1.0, 0.5, 3)], [(2.0, 0.5, 3)], [(1.0, 0.5, 3), (2.0, 0.5, 3)],
+                                   [(2.0, 0.5, 3), (1.0, 0.5, 3)]])  # fmt: skip
+def test_exact_pmf_hands_over_a_pmf_that_is_kept_uncopied(monkeypatch, specs) -> None:
+    handed = []
+
+    class Recording(PowerPmf):
+        def __post_init__(self) -> None:
+            handed.append(self.probabilities)
+            super().__post_init__()
+
+    monkeypatch.setattr(tailprob, "PowerPmf", Recording)
+    pmf = exact_pmf(comp(*specs))
+    assert pmf.probabilities is handed[0]
+    assert not pmf.probabilities.flags.writeable
+
+
+@pytest.mark.parametrize("specs", [[], [(1.0, 0.5, 3)]], ids=["empty-load", "cached-window"])
+def test_a_shared_pmf_array_cannot_be_made_writable(specs) -> None:
+    # the empty load and a single class's cached window are handed over as they are
+    probabilities = exact_pmf(comp(*specs)).probabilities
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        probabilities.setflags(write=True)
+
+
 def test_tail_and_mass_partition_the_distribution() -> None:
     pmf = PowerPmf(quantum=1.0, offset=0, probabilities=np.array([0.25, 0.5, 0.25]))
     assert pmf.tail_at_or_above(1.0) == pytest.approx(0.75)
