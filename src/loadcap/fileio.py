@@ -362,20 +362,23 @@ def write_series(path: str, result: SimResult) -> None:
 
 
 def write_outcomes(path: str, result: SimResult) -> None:
-    """Per-slot outcomes of a slot-dynamic run; served load is the managed series."""
+    """A slot-dynamic run's dropped load, backlog depth and turned-away count per slot.
+
+    A slot's served load is not repeated here: it is the series file's
+    ``managed_w``.
+    """
     outcomes = result.outcomes
     rows = zip(
-        _reprs(result.series_managed),
         _reprs(outcomes["dropped_w"]),
         outcomes["backlog_depth"].tolist(),
         outcomes["disabled_count"].tolist(),
     )
     _write_csv(
         path,
-        ("slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"),
+        ("slot", "dropped_w", "backlog_depth", "disabled_count"),
         (
-            f"{t},{served},{dropped},{depth},{disabled}\n"
-            for t, (served, dropped, depth, disabled) in enumerate(rows)
+            f"{t},{dropped},{depth},{disabled}\n"
+            for t, (dropped, depth, disabled) in enumerate(rows)
         ),
     )
 

@@ -429,7 +429,7 @@ def test_simulate_slot_dynamic_writes_outcomes(tmp_path, capsys) -> None:
     assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     outcomes = (tmp_path / "demo.outcomes.csv").read_text().splitlines()
-    assert outcomes[0] == "slot,served_w,dropped_w,backlog_depth,disabled_count"
+    assert outcomes[0] == "slot,dropped_w,backlog_depth,disabled_count"
     assert len(outcomes) == 101
     doc = json.loads((tmp_path / "demo.json").read_text())
     steps = doc["energy_steps"]
@@ -481,22 +481,22 @@ THREE_SHIFTABLE = {
         (
             {**TWO_SHIFTABLE, "strategy": "one_step_shift"},
             "1add155e27112551bc4a0ac6fd793b153dd5bb8c886ccb3182471f721a13d9e6",
-            "f33a7c83f0a6d8531b1ce6ec3aa8dc0d345f1062647b59fd44df83d3ba600705",
+            "0104e35deee9a8e1382e3c72c064b9d84f021c9279d8719c5f503e0f5532ab3b",
         ),
         (
             {**TWO_SHIFTABLE, "strategy": "drop"},
             "877261f94cf9a05ac5b8e5dd67ed299bec3663c34807b6b73a9e88040267744e",
-            "912f062605546e78a762aac92a4306bab3a3246495f26c220cb45c69fa934fe6",
+            "f36440b313a0dc8e4abb854f79017948af01358f51c230e779455f57f7bad83b",
         ),
         (
             {**TWO_SHIFTABLE, "method": "clt", "strategy": "one_step_shift"},
             "0ff2f4f87cef05c8636c2cc15f521462c084eca91456ef532a0599b624f5fbcb",
-            "487e7e835e63c797e92757ec8cf38d0e17f1cfa97ee279b12a620353afe45f4a",
+            "5cc14a9fcf2bcae44ec23342a5bdf52c6f26f92f5f703fef3c62bf6d42e50fc1",
         ),
         (
             THREE_SHIFTABLE,
             "0d33c7937b0d5235771141fa4b884e84abd3408b9c62f6dbf9c07b7c5947f529",
-            "ce48ca5054aa5b4a4830b3301f193008c0b7dd48f253b0eabd42bafc9c1d4e24",
+            "f19cbf303504ca4331a65b449dd5cad5f23ae77594c0b3977e93cd2c1c96fcff",
         ),
     ],
     ids=["two-one_step_shift", "two-drop", "two-clt", "three-one_step_shift"],
@@ -504,8 +504,7 @@ THREE_SHIFTABLE = {
 def test_simulate_slot_dynamic_files_are_pinned(
     doc, series_sha256, outcomes_sha256, tmp_path, capsys
 ) -> None:
-    # the loop and the CSV writers together, byte for byte; each slot's
-    # served_w is the series' managed_w
+    # the loop and the CSV writers together, byte for byte
     path = tmp_path / "experiment.json"
     path.write_text(json.dumps(doc))
     assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 0
@@ -514,8 +513,12 @@ def test_simulate_slot_dynamic_files_are_pinned(
     outcomes = (tmp_path / f"{doc['name']}.outcomes.csv").read_bytes()
     assert hashlib.sha256(series).hexdigest() == series_sha256
     assert hashlib.sha256(outcomes).hexdigest() == outcomes_sha256
-    served = [row.split(b",")[1] for row in outcomes.splitlines()[1:]]
-    assert served == [row.split(b",")[2] for row in series.splitlines()[1:]]
+    # each per-slot value is written once: no outcomes column but slot
+    # repeats a series column value for value
+    def columns(data: bytes) -> list[tuple[bytes, ...]]:
+        return list(zip(*(row.split(b",") for row in data.splitlines()[1:])))
+
+    assert not set(columns(outcomes)[1:]) & set(columns(series))
 
 
 def test_simulate_sweep_outputs(tmp_path, capsys) -> None:

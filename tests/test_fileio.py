@@ -207,8 +207,8 @@ def test_write_outcomes_layout(tmp_path) -> None:
     path = tmp_path / "outcomes.csv"
     write_outcomes(str(path), result)
     assert path.read_text() == (
-        "slot,served_w,dropped_w,backlog_depth,disabled_count\n"
-        "0,3.0,1.0,2,1\n1,0.1,0.5,0,0\n"
+        "slot,dropped_w,backlog_depth,disabled_count\n"
+        "0,1.0,2,1\n1,0.5,0,0\n"
     )
 
 
@@ -349,12 +349,11 @@ def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
         "region": lambda path: write_region(path, region),
     }
     series = zip(result.series_baseline.tolist(), result.series_managed.tolist())
-    outcomes = zip(result.series_managed.tolist(), result.outcomes.tolist())
     expected = {
         "series": (("slot", "baseline_w", "managed_w"),
                    ((t, repr(b), repr(m)) for t, (b, m) in enumerate(series))),
-        "outcomes": (("slot", "served_w", "dropped_w", "backlog_depth", "disabled_count"),
-                     ((t, repr(s), repr(d), n, k) for t, (s, (d, n, k)) in enumerate(outcomes))),
+        "outcomes": (("slot", "dropped_w", "backlog_depth", "disabled_count"),
+                     ((t, repr(d), n, k) for t, (d, n, k) in enumerate(result.outcomes.tolist()))),
         "sweep": (("p", "method", "enabled", "p_hat", "k", "stderr"),
                   ((repr(c.config.policy.p), c.config.method.value, sum(c.enabled_counts),
                     repr(c.p_hat), repr(c.k), repr(c.stderr)) for c in cells)),

@@ -526,28 +526,28 @@ def test_slot_dynamic_without_shiftable_classes_serves_everything(
             SchedulingStrategy.ONE_STEP_SHIFT,
             (13148, 13140, 0, 8),
             "fa7c3da1f2bef90be795f8e025ba013726789f64fdc294865c9bab47974daf5a",
-            "ac9c987c9dfbcfc12ac7fe89d2e8594e1fe6bcf575cbded92447780b3e82d5ce",
+            "556ebee540193212378ffe25ef65b32b1c54813e73459fb940af108511cf7c81",
         ),
         (
             EstimationMethod.CHERNOFF,
             SchedulingStrategy.ONE_STEP_SHIFT,
             (13148, 13098, 0, 50),
             "ed0b64fb2357fbd6661bf4651203ed5c6c2fbc8accaa40b6b2a01ac67a4e30fc",
-            "9ca5cb80cf35586bbf1270a09366dd5ef07add59eed38bd1ff7d555a0dc528cb",
+            "81bf549a7c11a06a98b33e8b481f9c1816cb1d57582c8ab7d01847ed662586f2",
         ),
         (
             EstimationMethod.EXACT,
             SchedulingStrategy.DROP,
             (13148, 13120, 28, 0),
             "26f5ad9960dda1fdf25502c7e6aff99dbdca44aea25a0b14f8a327c98a7ebb85",
-            "3c9d5a6a9115166fbf550031112f43d035b712ddc4dd23accce29515e855b26e",
+            "7348aa0cdc41b5985c570999489a4114688a73963642929faacfb63972e96648",
         ),
         (
             EstimationMethod.CHERNOFF,
             SchedulingStrategy.DROP,
             (13148, 12632, 516, 0),
             "51f288c3763c8f811a63fce8758e4f1e6d33f68c421f3eb214585aa97c764a6c",
-            "c3734949e25d4d1dbd9734cfce682ac5027df6a9fe82e9b8a9c9fa250ed6993b",
+            "4fa153de9f357997fcae6f15a133a52c1df048d995fc374a8ba4fe0e9d193977",
         ),
     ],
     ids=["exact", "chernoff", "exact-drop", "chernoff-drop"],
