@@ -6,9 +6,10 @@ per-class binomial pmfs on a watt grid) or estimated analytically from
 aggregate moments.  ``estimate`` is the one door to every method, and
 ``exact_pmf`` gives the exact pmf itself.  Through ``estimate`` every
 analytic bound is an upper bound on the exact tail; the normal
-approximation is an estimate, not a bound.  The per-method helpers are
-private: each assumes the folded composition and positive threshold that
-``estimate`` hands it.
+approximation is an estimate, not a bound.  The analytic helpers are
+private and share one signature, ``(stats, threshold)``: the summary of the
+folded composition (``_aggregate_stats``) and a positive threshold, both in
+the one unit ``estimate`` picks near the largest ON wattage.
 
 Natural logarithms are used throughout.
 """
@@ -201,37 +202,42 @@ class _AggregateStats:
 
     ``sum_sq_ranges`` is the sum of squared per-appliance ranges (each ON
     wattage squared, once per enabled appliance); ``max_abs`` is the largest
-    per-appliance wattage among enabled classes.
+    per-appliance wattage among enabled classes.  ``terms``, chernoff's
+    input, holds each enabled class as ``(count, watts, p_on)``.
     """
 
     mean: float
     variance: float
     sum_sq_ranges: float
     max_abs: float
+    terms: tuple[tuple[int, float, float], ...] = ()
 
 
 def _aggregate_stats(composition: ClassComposition, scale: float = 1.0) -> _AggregateStats:
-    """Moments of a folded composition with every wattage times ``scale``;
-    the constant base load is not included.
+    """Moments and terms of a folded composition with every wattage times
+    ``scale``; the constant base load is not included.
 
     ``estimate`` passes a power of two, which scales exactly: where neither
     the scaled nor the unscaled values leave the normal float range, each
-    bound reads the same bits as in watts.
+    moment formula reads the same bits as in watts.  Chernoff's search is
+    set in the scaled units, so it is the same search at every such scale.
     """
     mean = 0.0
     variance = 0.0
     ssr = 0.0
     max_abs = 0.0
+    terms = []
     for cls, enabled in composition.entries:
         if enabled == 0:
             continue
         p = cls.p_on
         h = cls.on_power * scale
+        terms.append((enabled, h, p))
         mean += enabled * h * p
         variance += enabled * h * h * p * (1.0 - p)
         ssr += enabled * h * h
         max_abs = max(max_abs, h)
-    return _AggregateStats(mean=mean, variance=variance, sum_sq_ranges=ssr, max_abs=max_abs)
+    return _AggregateStats(mean, variance, ssr, max_abs, tuple(terms))
 
 
 def _fold_certain(composition: ClassComposition) -> ClassComposition:
@@ -564,34 +570,31 @@ def _log_mgf_term_deriv(s: float, h: float, p: float) -> float:
     return h * p / (p + (1.0 - p) * math.exp(-min(s * h, 745.0)))
 
 
-def _bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
+def _bound_chernoff(stats: _AggregateStats, threshold: float) -> float:
     """Optimized exponential-moment bound.
 
     Minimizes exp(sum of per-appliance log moment generating functions minus
     s * threshold) over s > 0 by bisecting the derivative of the convex
-    exponent.  Returns 1 when the threshold does not exceed the mean.
+    exponent.  Returns 1 when the threshold does not exceed the mean.  The
+    bracket [1e-12, 1] and the slope tolerance 1e-10 are in the units of
+    ``stats``, which ``estimate`` sets near the largest ON wattage.
     """
-    terms = [
-        (enabled, cls.on_power, cls.p_on)
-        for cls, enabled in composition.entries
-        if enabled > 0
-    ]
-    mean = sum(n * h * p for n, h, p in terms)
-    if threshold_w <= mean:
+    terms = stats.terms
+    if threshold <= stats.mean:
         return 1.0
     support_max = sum(n * h for n, h, _ in terms)
-    if math.isclose(threshold_w, support_max, rel_tol=1e-12):
+    if math.isclose(threshold, support_max, rel_tol=1e-12):
         # infimum is the limit s -> inf: probability that everything is ON
         log_all_on = sum(n * math.log(p) for n, _, p in terms)
         return min(1.0, math.exp(log_all_on))
-    if threshold_w > support_max:
+    if threshold > support_max:
         return 0.0  # no mass can reach the threshold
 
     def exponent(s: float) -> float:
-        return sum(n * _log_mgf_term(s, h, p) for n, h, p in terms) - s * threshold_w
+        return sum(n * _log_mgf_term(s, h, p) for n, h, p in terms) - s * threshold
 
     def slope(s: float) -> float:
-        return sum(n * _log_mgf_term_deriv(s, h, p) for n, h, p in terms) - threshold_w
+        return sum(n * _log_mgf_term_deriv(s, h, p) for n, h, p in terms) - threshold
 
     def bound_at(s: float) -> float:
         try:
@@ -600,14 +603,6 @@ def _bound_chernoff(composition: ClassComposition, threshold_w: float) -> float:
             return 1.0
 
     s_lo, s_hi = 1e-12, 1.0
-    h_max = max(h for _, h, _ in terms)
-    if 1e-12 * h_max > 1.0:
-        # the exponent scales with s * h: past 1e12 W per appliance s_lo =
-        # 1e-12 already lies beyond the optimum, and 200 halvings from s_hi =
-        # 1 stop far above it, so the search starts on the 1 / h_max scale;
-        # below that the unit scale stays, and with it every ordinary bound
-        s_lo /= h_max
-        s_hi /= h_max
     if slope(s_lo) >= 0.0:
         return bound_at(s_lo)
     doublings = 0
@@ -653,8 +648,10 @@ def estimate(
     there, and the other methods read the threshold at the first of them
     when it lies below, so no bound undercuts exact.  A threshold read at
     or below the base load returns 1.  All results are clamped to [0, 1].
-    A quantum that is not positive and finite, or a NaN ``c_max``, raises
-    ValueError for every method, whatever the ceiling.
+    Every analytic method reads one summary in power-of-two units, so it
+    gives the same double when all watt inputs are scaled by a power of two
+    that keeps them normal.  A quantum that is not positive and finite, or a
+    NaN ``c_max``, raises ValueError for every method, whatever the ceiling.
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
@@ -672,9 +669,7 @@ def estimate(
         return 1.0
     if method is EstimationMethod.EXACT:
         return exact_pmf(composition, quantum).tail_at_or_above(threshold)
-    if method is EstimationMethod.CHERNOFF:
-        return _bound_chernoff(composition, threshold)
-    # moments and threshold in units of a power of two that brings the
+    # moments, terms and threshold in units of a power of two that brings the
     # largest ON wattage to [1, 2), so squared wattages neither underflow nor
     # overflow; 2**+-1022 keeps the scale and its inverse normal floats
     top = max((cls.on_power for cls, n in composition.entries if n), default=1.0)
@@ -689,6 +684,8 @@ def estimate(
         return _bound_hoeffding(stats, threshold)
     if method is EstimationMethod.BENNETT:
         return _bound_bennett(stats, threshold)
+    if method is EstimationMethod.CHERNOFF:
+        return _bound_chernoff(stats, threshold)
     if method is EstimationMethod.CLT:
         return _clt_estimate(stats, threshold)
     raise ValueError(f"unknown estimation method {method!r}")

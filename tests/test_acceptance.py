@@ -112,7 +112,7 @@ def test_c02_bound_dominance_suite() -> None:
             assert _bound_chebyshev(stats, thr) >= floor
             assert _bound_hoeffding(stats, thr) >= floor
             assert _bound_bennett(stats, thr) >= floor
-            assert _bound_chernoff(composition, thr) >= floor
+            assert _bound_chernoff(stats, thr) >= floor
             if thr > 0.0:
                 assert _bound_markov(stats, thr) >= floor
             checked += 1

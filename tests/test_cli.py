@@ -295,9 +295,9 @@ def test_bounds_at_a_huge_on_power_stay_bounds(argv, capsys) -> None:
     for method, value in table.items():
         if method != "clt":  # an estimate, not a bound
             assert table["exact"] <= value <= 1.0, method
-    # moments taken in units near the largest wattage, and the Chernoff
-    # search on the 1 / h_max scale, do not overflow, so neither these bounds
-    # nor the normal estimate fall back to trivial values
+    # the moments and the Chernoff search, taken in units near the largest
+    # wattage, do not overflow, so neither these bounds nor the normal
+    # estimate fall back to trivial values
     assert max(table["hoeffding"], table["bennett"], table["chernoff"]) < 1.0
     assert 0.0 <= table["clt"] < 0.5
 

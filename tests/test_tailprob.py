@@ -438,7 +438,7 @@ def test_moment_bounds_where_the_squared_distance_overflows() -> None:
 
 
 def test_chernoff_bound_worked_value_and_closed_form() -> None:
-    value = _bound_chernoff(WORKED, 60.0)
+    value = _bound_chernoff(WORKED_STATS, 60.0)
     assert value == pytest.approx(0.1336, abs=1e-3)
     # for one homogeneous class the optimized bound has a closed form driven
     # by the relative-entropy rate between hit fraction a and the ON rate p
@@ -448,32 +448,58 @@ def test_chernoff_bound_worked_value_and_closed_form() -> None:
 
 
 def test_chernoff_bound_boundary_cases() -> None:
-    assert _bound_chernoff(WORKED, 50.0) == 1.0
-    assert _bound_chernoff(WORKED, 101.0) == 0.0
+    assert _bound_chernoff(WORKED_STATS, 50.0) == 1.0
+    assert _bound_chernoff(WORKED_STATS, 101.0) == 0.0
     # threshold exactly at the top of the support: the all-ON probability
-    single = comp((1.0, 0.5, 1))
+    single = _aggregate_stats(comp((1.0, 0.5, 1)))
     assert _bound_chernoff(single, 1.0) == pytest.approx(0.5, rel=1e-9)
-    assert _bound_chernoff(comp((2.0, 0.25, 3)), 6.0) == pytest.approx(0.25**3, rel=1e-9)
+    three = _aggregate_stats(comp((2.0, 0.25, 3)))
+    assert _bound_chernoff(three, 6.0) == pytest.approx(0.25**3, rel=1e-9)
     # a never-on class is folded away before the bound reads it
     assert estimate(EstimationMethod.CHERNOFF, comp((1.0, 0.0, 5)), 2.0) == 0.0
 
 
 @pytest.mark.parametrize(
-    ("composition", "c_max", "quantum"),
+    ("specs", "c_max", "watt"),
     [
         # `loadcap bounds 2x1e155@0.01 --c-max 1e155 --quantum-w 1e155`
-        (comp((1e155, 0.01, 2)), 1e155, 1e155),
+        (((1.0, 0.01, 2),), 1.0, 1e155),
         # `loadcap bounds 1x1e13@0.01 2x1e13@0.5 --c-max 2e13 --quantum-w 1e13`
-        (comp((1e13, 0.01, 1), (1e13, 0.5, 2)), 2e13, 1e13),
+        (((1.0, 0.01, 1), (1.0, 0.5, 2)), 2.0, 1e13),
+        # `loadcap bounds 40x1e-16@0.3 10x3e-16@0.2 --c-max 5.6e-15 --quantum-w 1e-16`
+        (((1.0, 0.3, 40), (3.0, 0.2, 10)), 56.0, 1e-16),
+        # the same at 1e-310 W, where every wattage is subnormal
+        (((1.0, 0.3, 40), (3.0, 0.2, 10)), 56.0, 1e-310),
     ],
-    ids=["1e155", "1e13"],
+    ids=["1e155", "1e13", "1e-16", "1e-310"],
 )
-def test_chernoff_search_scales_with_the_largest_on_power(composition, c_max, quantum) -> None:
-    # s enters the exponent as s * h; searched on the unit scale, the bound
-    # stopped at 1.0 for appliances past 1e12 W
-    exact = estimate(EstimationMethod.EXACT, composition, c_max, quantum)
-    chernoff = estimate(EstimationMethod.CHERNOFF, composition, c_max, quantum)
-    assert exact <= chernoff < 1.0
+def test_chernoff_search_scales_with_the_largest_on_power(specs, c_max, watt) -> None:
+    # s enters the exponent as s * h; searched in watts, the bound stopped at
+    # 1.0 past 1e12 W and at 1e-310 W, and was 33 times looser at 1e-16 W.
+    # Searched in units near the largest ON wattage, it is its 1 W value.
+    def values(w: float) -> dict[EstimationMethod, float]:
+        composition = comp(*((h * w, p, n) for h, p, n in specs))
+        return {m: estimate(m, composition, c_max * w, w) for m in EstimationMethod}
+
+    at_watt = values(watt)
+    chernoff = at_watt[EstimationMethod.CHERNOFF]
+    hoeffding = at_watt[EstimationMethod.HOEFFDING]
+    bennett = at_watt[EstimationMethod.BENNETT]
+    assert at_watt[EstimationMethod.EXACT] <= chernoff <= min(hoeffding, bennett)
+    assert chernoff == pytest.approx(values(1.0)[EstimationMethod.CHERNOFF], rel=1e-12)
+
+
+def test_every_method_gives_one_double_under_power_of_two_units() -> None:
+    # every ON wattage, the ceiling, the base load and the quantum times 2**k:
+    # each method reads the same scaled summary, so the same double comes out
+    def values(k: int) -> list[float]:
+        unit = math.ldexp(1.0, k)
+        composition = comp((unit, 0.3, 40), (3.0 * unit, 0.2, 10), det=2.0 * unit)
+        return [estimate(m, composition, 58.0 * unit, unit) for m in EstimationMethod]
+
+    at_watts = values(0)
+    for k in range(-1000, 1001):
+        assert values(k) == at_watts, k
 
 
 def test_chernoff_search_keeps_the_readme_value() -> None:
@@ -602,7 +628,7 @@ def test_bounds_dominate_exact_tail() -> None:
             assert _bound_chebyshev(stats, thr) >= true_tail - 1e-12
             assert _bound_hoeffding(stats, thr) >= true_tail - 1e-12
             assert _bound_bennett(stats, thr) >= true_tail - 1e-12
-            assert _bound_chernoff(composition, thr) >= true_tail - 1e-12
+            assert _bound_chernoff(stats, thr) >= true_tail - 1e-12
             if thr > 0.0:
                 assert _bound_markov(stats, thr) >= true_tail - 1e-12
 
