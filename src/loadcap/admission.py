@@ -144,17 +144,16 @@ def max_admissible(
 
     ``base`` holds load that is present regardless (other classes, constant
     load); the search varies only this class's count, capped at its
-    population.  An exponential-then-binary search runs where
+    population.  It reads the one-class ``_admission_frontier`` where
     ``_admits_down_set`` holds (every method but clt at p >= 1/2), a linear
     scan elsewhere.  Returns 0 if nothing fits.
     """
     if base is None:
         base = ClassComposition.empty()
-    count = appliance_class.count
+    if _admits_down_set(policy, method):
+        return max(_admission_frontier((appliance_class,), policy, method, quantum, base)[0], 0)
     admits = _count_estimator((appliance_class,), policy, method, quantum, base)
-    if not _admits_down_set(policy, method):
-        return max((n for n in range(count + 1) if admits((n,))), default=0)
-    return max(_largest_admitted(lambda n: admits((n,)), count), 0)
+    return max((n for n in range(appliance_class.count + 1) if admits((n,))), default=0)
 
 
 def _admission_frontier(

@@ -71,6 +71,11 @@ class SimConfig:
     deterministic_load: float = 0.0
 
     def __post_init__(self) -> None:
+        # a string equals no member, so it would run as another one (a shift as a drop)
+        kinds = dict(method=EstimationMethod, mode=SimMode, strategy=SchedulingStrategy | None)
+        for name, kind in kinds.items():
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name}={getattr(self, name)!r} is not a member of its enum")
         classes = tuple(self.classes)
         if not classes:
             raise ValueError("classes must be non-empty")
@@ -139,11 +144,14 @@ class SimResult:
     lf_managed: float
     enabled_counts: tuple[int, ...]
     overload_slots: int
-    slots: int
     series_baseline: np.ndarray
     series_managed: np.ndarray
     ledger: EnergyLedger | None = None
     outcomes: np.ndarray | None = None
+
+    @property
+    def slots(self) -> int:
+        return self.config.slots
 
 
 def _population(config: SimConfig) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -177,7 +185,6 @@ def _result(
         lf_managed=load_factor(managed),
         enabled_counts=enabled_counts,
         overload_slots=overload,
-        slots=slots,
         series_baseline=baseline,
         series_managed=managed,
         ledger=ledger,
@@ -239,7 +246,9 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     composition stays within the policy.  Blocked demand is dropped or
     queued per the strategy.  An appliance serves at most one demand unit
     per slot; further units it holds cascade to later slots.  A slot's
-    served load is its whole grid steps times ``quantum``.
+    served load is its whole grid steps times ``quantum``.  Each grid-step
+    tally is class counts times class steps: demanded, served, backlog, and
+    dropped, which is summed entry by entry apart from the served steps.
 
     Demand is held as one contiguous bool row per shiftable appliance over
     the slots, each class a block of rows; slot t's new demand is column t.
@@ -260,36 +269,28 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     """
     if config.mode is not SimMode.SLOT_DYNAMIC:
         raise ValueError(f"run_slot_dynamic needs mode 'slot_dynamic', not {config.mode.value!r}")
-    slots = config.slots
+    slots, policy, method, quantum = config.slots, config.policy, config.method, config.quantum
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
     # grid steps of one slot of each class's demand; an empty class draws none
-    class_steps = [
-        _grid_steps(cls.on_power, config.quantum) if cls.count else 0 for cls in shiftable
-    ]
-    # per shiftable appliance, indexed by its appliance id
-    column_of: list[int] = []  # position of the appliance's class in shiftable
-    steps_of: list[int] = []  # grid steps of one slot of the appliance's demand
-    # row i holds the slots in which appliance i wants a slot of demand; each
-    # class owns a contiguous block of rows
-    wants = np.empty((sum(cls.count for cls in shiftable), slots), dtype=bool)
-    demanded_steps = 0
+    class_steps = [_grid_steps(cls.on_power, quantum) if cls.count else 0 for cls in shiftable]
+    # shiftable appliance ids run class by class: column_of[i] is the position
+    # of appliance i's class in shiftable, and row i of wants holds the slots
+    # in which appliance i wants a slot of demand
+    column_of = [c for c, cls in enumerate(shiftable) for _ in range(cls.count)]
+    wants = np.empty((len(column_of), slots), dtype=bool)
+    rows = iter(wants)
     base_served = np.full(slots, config.deterministic_load)
     baseline = np.full(slots, config.deterministic_load)
     for c, _, series in _population(config):
-        cls = config.classes[c]
         baseline += series
-        if cls.shiftable:
-            row = np.greater(series, 0.0, out=wants[len(steps_of)])
-            column_of.append(shiftable.index(cls))
-            steps_of.append(class_steps[column_of[-1]])
-            demanded_steps += steps_of[-1] * int(np.count_nonzero(row))
+        if config.classes[c].shiftable:
+            np.greater(series, 0.0, out=next(rows))
         else:
             base_served += series
     base = ClassComposition(
         tuple((c, c.count) for c in config.classes if not c.shiftable),
         config.deterministic_load,
     )
-    policy, method, quantum = config.policy, config.method, config.quantum
     down_set = _admits_down_set(policy, method)
     front: list[int] | None = None
     if down_set and 1 <= len(shiftable) <= 2:
@@ -304,6 +305,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     edges = np.cumsum([0] + [cls.count for cls in shiftable])
     for c, (lo, hi) in enumerate(zip(edges, edges[1:])):
         counts[:, c] = wants[lo:hi].sum(axis=0)
+    demanded_steps = sum(map(operator.mul, counts.sum(axis=0).tolist(), class_steps))
     # the loop reads its per-slot tables as lists, which index faster than
     # arrays; slot t's counts are new_counts[t * width : (t + 1) * width]
     if front is not None:
@@ -313,7 +315,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     new_counts = counts.ravel().tolist()
     wanted = wants.reshape(-1).data  # wanted[i * slots + t]: appliance i wants slot t
     shuffle = np.random.default_rng(derive_seed(config.seed, 1)).shuffle
-    scratch = [None] * len(steps_of)  # a whole slot shuffles a slice of it
+    scratch = [None] * len(column_of)  # a whole slot shuffles a slice of it
 
     shift = config.strategy is SchedulingStrategy.ONE_STEP_SHIFT
     backlog: list[int] = []  # appliance ids, one per blocked slot of demand
@@ -371,10 +373,8 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         admitted = [0] * width
         served_ids: set[int] = set()
         disabled_ids: set[int] = set()
-        served_now = 0
         dropped_now = 0
         for appliance_id in queue:
-            steps = steps_of[appliance_id]
             if appliance_id not in served_ids:  # tested first: no estimate is spent
                 column = column_of[appliance_id]
                 admitted[column] += 1
@@ -384,16 +384,15 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
                     fits = admitted[0] <= front[admitted[1]]
                 if fits:
                     served_ids.add(appliance_id)
-                    served_now += steps
                     continue
                 admitted[column] -= 1
             disabled_ids.add(appliance_id)
             if shift:
                 backlog.append(appliance_id)  # cascades, FIFO position kept
             else:
-                dropped_now += steps
+                dropped_now += class_steps[column_of[appliance_id]]
 
-        served[t] = served_now
+        served[t] = sum(map(operator.mul, admitted, class_steps))
         dropped_steps += dropped_now
         dropped_w[t] = dropped_now * quantum
         backlog_depth[t] = len(backlog)
@@ -403,7 +402,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         demanded_steps=demanded_steps,
         served_steps=int(served.sum()),
         dropped_steps=dropped_steps,
-        backlog_steps=sum(steps_of[i] for i in backlog),
+        backlog_steps=sum(class_steps[column_of[i]] for i in backlog),
     )
     managed = base_served + served * quantum
     enabled_counts = tuple(cls.count for cls in config.classes)

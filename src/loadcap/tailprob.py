@@ -472,10 +472,10 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
             continue
         lo, steps, kernel, flipped = _class_kernel(enabled, cls.p_on, cls.on_power, quantum)
         offset += lo * steps
+        size = acc.size + (kernel.size - 1) * steps
+        if size > _MAX_GRID_POINTS:
+            raise _grid_too_large(size, quantum)
         if acc.size > 1:
-            size = acc.size + (kernel.size - 1) * steps
-            if size > _MAX_GRID_POINTS:
-                raise _grid_too_large(size, quantum)
             if steps == 1:  # one residue, whose correlation is the output
                 out = _convolved(acc, kernel, flipped)
             else:
@@ -487,9 +487,6 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
         elif steps == 1:  # the accumulator is [1.0]: the window itself
             out = kernel
         else:
-            size = 1 + (kernel.size - 1) * steps
-            if size > _MAX_GRID_POINTS:
-                raise _grid_too_large(size, quantum)
             out = np.zeros(size)
             out[::steps] = kernel
         acc = out
@@ -650,13 +647,15 @@ def estimate(
     or below the base load returns 1.  All results are clamped to [0, 1].
     Every analytic method reads one summary in power-of-two units, so it
     gives the same double when all watt inputs are scaled by a power of two
-    that keeps them normal.  A quantum that is not positive and finite, or a
-    NaN ``c_max``, raises ValueError for every method, whatever the ceiling.
+    that keeps them normal.  A quantum that is not positive and finite, a
+    NaN ``c_max`` or a non-member ``method`` raises ValueError at any ceiling.
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
         raise ValueError(f"quantum={quantum!r} must be positive and finite")
     if math.isnan(c_max):
         raise ValueError(f"c_max={c_max!r} is not a number")
+    if not isinstance(method, EstimationMethod):
+        raise ValueError(f"unknown estimation method {method!r}")
     composition = _fold_certain(composition)
     threshold = c_max - composition.deterministic_load
     if method is not EstimationMethod.EXACT:
@@ -686,7 +685,5 @@ def estimate(
         return _bound_bennett(stats, threshold)
     if method is EstimationMethod.CHERNOFF:
         return _bound_chernoff(stats, threshold)
-    if method is EstimationMethod.CLT:
-        return _clt_estimate(stats, threshold)
-    raise ValueError(f"unknown estimation method {method!r}")
+    return _clt_estimate(stats, threshold)
 

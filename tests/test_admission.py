@@ -234,6 +234,15 @@ def test_max_admissible_zero_when_even_one_is_too_risky() -> None:
         assert max_admissible(cls, policy, method) == 0
 
 
+def test_max_admissible_refuses_a_non_method_over_a_saturated_base() -> None:
+    # the base alone reaches the ceiling, so every estimate is 1 before the
+    # method is read: a string is refused, not sized to 0
+    with pytest.raises(ValueError, match="unknown estimation method"):
+        max_admissible(
+            bern("x", 1.0, 0.5, 10), QosPolicy(8.0, 0.05), "markov", base=ClassComposition((), 9.0)
+        )
+
+
 def test_max_admissible_caps_at_population() -> None:
     cls = bern("x", 1.0, 0.01, 5)
     policy = QosPolicy(c_max=100.0, p=0.5)

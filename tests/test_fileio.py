@@ -202,7 +202,7 @@ def test_write_outcomes_layout(tmp_path) -> None:
         dtype=[("dropped_w", "f8"), ("backlog_depth", "i8"), ("disabled_count", "i8")],
     )
     result = dataclasses.replace(
-        make_result(), slots=2, series_managed=np.array([3.0, 0.1]), outcomes=outcomes
+        make_result(slots=2), series_managed=np.array([3.0, 0.1]), outcomes=outcomes
     )
     path = tmp_path / "outcomes.csv"
     write_outcomes(str(path), result)
@@ -245,7 +245,7 @@ def test_write_sweep_layout(tmp_path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def make_result():
+def make_result(slots: int = 25):
     from loadcap.admission import QosPolicy
     from loadcap.models import ApplianceClass
     from loadcap.simulation import SimConfig
@@ -256,7 +256,7 @@ def make_result():
             classes=(cls,),
             policy=QosPolicy(c_max=3.0, p=0.2),
             method=EstimationMethod.EXACT,
-            slots=25,
+            slots=slots,
             seed=1,
         )
     )
@@ -323,8 +323,7 @@ def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
     recurring = np.repeat([0.0, -0.0, float("nan"), 2.5, 0.1, 7.25], 80)
     watts = np.concatenate([short, np.random.default_rng(5).permutation(recurring)])
     result = dataclasses.replace(
-        make_result(),
-        slots=len(watts),
+        make_result(slots=len(watts)),
         series_baseline=watts,
         series_managed=watts[::-1].copy(),
         outcomes=np.array(

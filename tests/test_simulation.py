@@ -85,6 +85,11 @@ def test_sim_config_validation() -> None:
         config_of(quantum=0.0)
     with pytest.raises(ValueError):
         config_of(deterministic_load=-2.0)
+    # a member's value equals no member: a string strategy would drop the
+    # demand it should shift, and a string mode fails only inside run
+    for name, value in (("method", "exact"), ("mode", "slot_dynamic"), ("strategy", "drop")):
+        with pytest.raises(ValueError, match=f"{name}='{value}' is not a member"):
+            config_of(**{"mode": SimMode.SLOT_DYNAMIC, name: value})
 
 
 def test_sim_config_rejects_a_strategy_outside_slot_dynamic_mode() -> None:

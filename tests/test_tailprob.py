@@ -580,6 +580,19 @@ def test_estimate_refuses_a_bad_quantum_or_ceiling(method, c_max, quantum, messa
                 estimate(method, comp((1.0, 0.5, 3), det=2.0), ceiling, quantum)
 
 
+@pytest.mark.parametrize("method", ["markov", "exact", None])
+def test_estimate_refuses_a_non_method_at_every_ceiling(method) -> None:
+    # a member's value is not a member; a ceiling at or below the base load
+    # would otherwise answer 1 before the method is read
+    for composition, ceiling in (
+        (ClassComposition.empty(), 0.0),
+        (comp((1.0, 0.5, 3), det=2.0), 1.0),
+        (comp((1.0, 0.5, 3)), 2.0),
+    ):
+        with pytest.raises(ValueError, match="unknown estimation method"):
+            estimate(method, composition, ceiling)
+
+
 def test_estimate_empty_composition() -> None:
     empty = ClassComposition.empty()
     assert estimate(EstimationMethod.EXACT, empty, 5.0) == 0.0
