@@ -15,22 +15,21 @@ import math
 import os
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import EnumMeta
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
 from .admission import QosPolicy
 from .models import (
+    MODEL_CLASSES,
     MODEL_FAMILIES,
-    AlternatingRenewal,
     ApplianceClass,
     Bernoulli,
     DurationPmf,
     LoadModel,
     TraceSeries,
-    TwoStateMarkov,
     fit_model,
 )
 from .tailprob import EstimationMethod, PowerPmf
@@ -260,62 +259,43 @@ def _read_object(path: str, what: str) -> dict[str, Any]:
     return doc
 
 
+def _model_fields(family: type) -> dict[str, type]:
+    """A model class's field names and kinds (float or DurationPmf), in order."""
+    kinds = get_type_hints(family)
+    return {field.name: kinds[field.name] for field in fields(family)}
+
+
 def write_model(path: str, model: LoadModel, on_power: float) -> None:
-    """Persist a fitted model as a flat JSON object."""
-    doc: dict[str, Any] = {"on_power": float(on_power)}
-    if isinstance(model, Bernoulli):
-        doc["family"] = "bernoulli"
-        doc["p_on"] = model.p_on
-    elif isinstance(model, TwoStateMarkov):
-        doc["family"] = "markov"
-        doc["p_off_to_on"] = model.p_off_to_on
-        doc["p_on_to_off"] = model.p_on_to_off
-    elif isinstance(model, AlternatingRenewal):
-        doc["family"] = "renewal"
-        doc["on_durations"] = {str(d): p for d, p in model.on_durations.as_mapping().items()}
-        doc["off_durations"] = {str(d): p for d, p in model.off_durations.as_mapping().items()}
-    else:
-        raise ValueError(f"unknown model type {type(model).__name__}")
+    """Persist a model as a flat JSON object: its family, ``on_power`` and fields."""
+    doc: dict[str, Any] = {"family": model.family, "on_power": float(on_power)}
+    for name, kind in _model_fields(type(model)).items():
+        value = getattr(model, name)
+        doc[name] = {str(d): p for d, p in value.entries} if kind is DurationPmf else value
     _write_json(path, doc)
 
 
 def _model_from_doc(doc: Mapping[str, Any], where: str) -> tuple[LoadModel, float]:
-    family = _json(doc, "family", where, MODEL_FAMILIES)
+    family = MODEL_CLASSES[_json(doc, "family", where, MODEL_FAMILIES)]
     on_power = _json(doc, "on_power", where, float)
-
-    def number(key: str) -> float:
-        return _json(doc, key, where, float)
-
-    if family == "bernoulli":
-        _require_keys(doc, {"family", "on_power", "p_on"}, where)
-        return Bernoulli(p_on=number("p_on")), on_power
-    if family == "markov":
-        _require_keys(doc, {"family", "on_power", "p_off_to_on", "p_on_to_off"}, where)
-        return (
-            TwoStateMarkov(p_off_to_on=number("p_off_to_on"), p_on_to_off=number("p_on_to_off")),
-            on_power,
-        )
-    _require_keys(doc, {"family", "on_power", "on_durations", "off_durations"}, where)
+    kinds = _model_fields(family)
+    _require_keys(doc, {"family", "on_power", *kinds}, where)
+    longest = DurationPmf.max_duration
 
     def pmf(key: str) -> DurationPmf:
         weights = _json(doc, key, where, dict)
         for k in weights:  # as write_model writes them, so no two keys name one duration
-            if not (k.isascii() and k.isdigit() and str(int(k)) == k != "0"):
+            digits = k.isascii() and k.isdigit() and k[0] != "0"
+            if not (digits and len(k) <= len(str(longest)) and int(k) <= longest):
                 raise ValueError(
                     f"duration {k!r} in {where}.{key} must be a whole number >= 1"
-                    " with no sign or leading zero"
+                    f" and <= {longest}, with no sign or leading zero"
                 )
         return DurationPmf.from_mapping(
             {int(k): _json(weights, k, f"{where}.{key}", float) for k in weights}
         )
 
-    return (
-        AlternatingRenewal(
-            on_durations=pmf("on_durations"),
-            off_durations=pmf("off_durations"),
-        ),
-        on_power,
-    )
+    read = {float: lambda key: _json(doc, key, where, float), DurationPmf: pmf}
+    return family(**{name: read[kind](name) for name, kind in kinds.items()}), on_power
 
 
 def read_model(path: str) -> tuple[LoadModel, float]:

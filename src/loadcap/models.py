@@ -8,8 +8,11 @@ wattage) in every time slot.  Three ON/OFF processes are supported:
 * ``AlternatingRenewal``: ON and OFF run lengths drawn from arbitrary
   finite-support duration distributions.
 
-The module also fits these models to recorded power traces and samples
-synthetic per-slot series from them.
+Each model class names its family (as model files write it), holds its
+parameters as dataclass fields, each a float or a ``DurationPmf``, and
+computes its own stationary statistics and per-slot states.  The module
+also fits these models to recorded power traces and samples synthetic
+per-slot series from them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Union, get_args
+from typing import Callable, ClassVar, Mapping, Union, get_args
 
 import numpy as np
 
@@ -31,15 +34,13 @@ __all__ = [
     "ApplianceClass",
     "TraceSeries",
     "FitResult",
+    "MODEL_CLASSES",
     "MODEL_FAMILIES",
     "derive_seed",
     "stationary_stats",
     "sample_series",
     "fit_model",
 ]
-
-MODEL_FAMILIES = ("bernoulli", "markov", "renewal")
-
 
 def derive_seed(base_seed: int, *path: int) -> int:
     """Derive a child seed from a base seed and an index path.
@@ -58,10 +59,12 @@ class DurationPmf:
 
     Attributes:
         entries: sorted tuple of ``(duration, probability)`` pairs.  Durations
-            are positive integers, probabilities are strictly positive and sum
-            to 1 within 1e-9.
+            are integers from 1 to ``max_duration`` (runs are sampled as
+            int64), probabilities are strictly positive and sum to 1 within
+            1e-9.
     """
 
+    max_duration: ClassVar[int] = 2**63 - 1
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
@@ -69,8 +72,10 @@ class DurationPmf:
             raise ValueError("duration pmf needs at least one entry")
         cleaned = []
         for dur, weight in self.entries:
-            if int(dur) != dur or dur < 1:
-                raise ValueError(f"duration {dur!r} is not a positive integer")
+            if not (1 <= dur <= self.max_duration) or int(dur) != dur:
+                raise ValueError(
+                    f"duration {dur!r} is not an integer from 1 to {self.max_duration}"
+                )
             weight = float(weight)
             if not (0.0 < weight <= 1.0) or not math.isfinite(weight):
                 raise ValueError(f"bad probability {weight!r} for duration {dur}")
@@ -112,48 +117,6 @@ class DurationPmf:
 
 
 @dataclass(frozen=True)
-class Bernoulli:
-    """Memoryless ON/OFF process: each slot is ON with probability p_on."""
-
-    p_on: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p_on <= 1.0):
-            raise ValueError(f"p_on={self.p_on!r} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class TwoStateMarkov:
-    """First-order chain on {OFF, ON} with per-slot switch probabilities.
-
-    Both transition probabilities must lie strictly inside (0, 1) so the
-    chain is irreducible and has a stationary distribution.
-    """
-
-    p_off_to_on: float
-    p_on_to_off: float
-
-    def __post_init__(self) -> None:
-        for label, value in (
-            ("p_off_to_on", self.p_off_to_on),
-            ("p_on_to_off", self.p_on_to_off),
-        ):
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{label}={value!r} outside (0, 1)")
-
-
-@dataclass(frozen=True)
-class AlternatingRenewal:
-    """ON and OFF runs alternate, each length drawn fresh from its pmf."""
-
-    on_durations: DurationPmf
-    off_durations: DurationPmf
-
-
-LoadModel = Union[Bernoulli, TwoStateMarkov, AlternatingRenewal]
-
-
-@dataclass(frozen=True)
 class StationaryStats:
     """Long-run ON probability and mean run lengths of a load model."""
 
@@ -162,36 +125,149 @@ class StationaryStats:
     mean_off_run: float
 
 
-def stationary_stats(model: LoadModel) -> StationaryStats:
-    """Stationary ON probability and mean ON/OFF run lengths.
+@dataclass(frozen=True)
+class Bernoulli:
+    """Memoryless ON/OFF process: each slot is ON with probability p_on."""
 
-    For the Markov family the stationary ON probability is
-    p_off_to_on / (p_off_to_on + p_on_to_off); for the renewal family it is
-    the ON share of the mean cycle length.
-    """
-    if isinstance(model, Bernoulli):
-        p = model.p_on
+    family: ClassVar[str] = "bernoulli"
+    p_on: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.p_on <= 1.0):
+            raise ValueError(f"p_on={self.p_on!r} outside [0, 1]")
+
+    def stationary_stats(self) -> StationaryStats:
+        p = self.p_on
         on_run = 1.0 / (1.0 - p) if p < 1.0 else math.inf
         off_run = 1.0 / p if p > 0.0 else math.inf
         return StationaryStats(p_on=p, mean_on_run=on_run, mean_off_run=off_run)
-    if isinstance(model, TwoStateMarkov):
-        denom = model.p_off_to_on + model.p_on_to_off
-        if denom == 0.0:
-            raise ValueError("no stationary distribution")
+
+    def sample_states(self, slots: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.random(slots) < self.p_on
+
+
+@dataclass(frozen=True)
+class TwoStateMarkov:
+    """First-order chain on {OFF, ON} with per-slot switch probabilities.
+
+    Both transition probabilities must lie strictly inside (0, 1) so the
+    chain is irreducible and has a stationary distribution,
+    p_on = p_off_to_on / (p_off_to_on + p_on_to_off).
+    """
+
+    family: ClassVar[str] = "markov"
+    p_off_to_on: float
+    p_on_to_off: float
+
+    def __post_init__(self) -> None:
+        for name in ("p_off_to_on", "p_on_to_off"):
+            value = getattr(self, name)
+            if not (0.0 < value < 1.0):
+                raise ValueError(f"{name}={value!r} outside (0, 1)")
+
+    def stationary_stats(self) -> StationaryStats:
         return StationaryStats(
-            p_on=model.p_off_to_on / denom,
-            mean_on_run=1.0 / model.p_on_to_off,
-            mean_off_run=1.0 / model.p_off_to_on,
+            p_on=self.p_off_to_on / (self.p_off_to_on + self.p_on_to_off),
+            mean_on_run=1.0 / self.p_on_to_off,
+            mean_off_run=1.0 / self.p_off_to_on,
         )
-    if isinstance(model, AlternatingRenewal):
-        mean_on = model.on_durations.mean()
-        mean_off = model.off_durations.mean()
+
+    def sample_states(self, slots: int, rng: np.random.Generator) -> np.ndarray:
+        # geometric runs reproduce the chain exactly; a stationary initial
+        # state keeps the whole series stationary.  An ON run ends at rate
+        # p_on_to_off, an OFF run at p_off_to_on.
+        def draw_runs(first: float, second: float, block: int) -> np.ndarray:
+            return rng.geometric(np.tile((first, second), block // 2))
+
+        rates = (self.p_on_to_off, self.p_off_to_on)
+        return _alternating_states(self, slots, rng, rates, draw_runs)
+
+
+@dataclass(frozen=True)
+class AlternatingRenewal:
+    """ON and OFF runs alternate, each length drawn fresh from its pmf.
+
+    The stationary ON probability is the ON share of the mean cycle length.
+    """
+
+    family: ClassVar[str] = "renewal"
+    on_durations: DurationPmf
+    off_durations: DurationPmf
+
+    def stationary_stats(self) -> StationaryStats:
+        mean_on = self.on_durations.mean()
+        mean_off = self.off_durations.mean()
         return StationaryStats(
             p_on=mean_on / (mean_on + mean_off),
             mean_on_run=mean_on,
             mean_off_run=mean_off,
         )
-    raise TypeError(f"unknown load model {model!r}")
+
+    def sample_states(self, slots: int, rng: np.random.Generator) -> np.ndarray:
+        def draw_runs(first: DurationPmf, second: DurationPmf, block: int) -> np.ndarray:
+            uniforms = rng.random(block)
+            runs = np.empty(block, dtype=np.int64)
+            runs[0::2] = first.inverse_cdf(uniforms[0::2])
+            runs[1::2] = second.inverse_cdf(uniforms[1::2])
+            return runs
+
+        pmfs = (self.on_durations, self.off_durations)
+        return _alternating_states(self, slots, rng, pmfs, draw_runs)
+
+
+LoadModel = Union[Bernoulli, TwoStateMarkov, AlternatingRenewal]
+MODEL_CLASSES = {cls.family: cls for cls in get_args(LoadModel)}  # family name -> class
+MODEL_FAMILIES = tuple(MODEL_CLASSES)
+
+
+def stationary_stats(model: LoadModel) -> StationaryStats:
+    """Stationary ON probability and mean ON/OFF run lengths of ``model``."""
+    if not isinstance(model, get_args(LoadModel)):
+        raise TypeError(f"unknown load model {model!r}")
+    return model.stationary_stats()
+
+
+def _alternating_states(
+    model: LoadModel,
+    slots: int,
+    rng: np.random.Generator,
+    on_off: tuple,
+    draw_runs: Callable[[object, object, int], np.ndarray],
+) -> np.ndarray:
+    """``model``'s states over ``slots``, filled from alternating ON and OFF runs.
+
+    The first state is ON with the stationary ON probability.  ``on_off``
+    holds what an ON and an OFF run are drawn from; ``draw_runs(first,
+    second, block)`` returns ``block`` run lengths whose even positions are
+    drawn from ``first`` (the first state's) and odd positions from
+    ``second``, so every block starts in the first state.  Blocks are drawn
+    until the runs cover ``slots``.  Each run is clipped to ``slots`` before
+    any sum, so no total can overflow however long a run is drawn (a
+    geometric run at p near 0 comes back as 2**63 - 1), and the run that
+    reaches the horizon is cut there.  The clip changes no slot: a run of
+    ``slots`` reaches the horizon from any start.  Runs drawn beyond it are
+    discarded; the generator is not used afterwards, so the series is the
+    one a draw-per-run loop gives from the same generator.
+    """
+    stats = model.stationary_stats()
+    first_on = bool(rng.random() < stats.p_on)
+    # about one horizon of stationary cycles per block, plus a margin
+    block = 2 * (int(slots // (stats.mean_on_run + stats.mean_off_run)) + 8)
+    first, second = on_off if first_on else on_off[::-1]
+    blocks = []
+    total = 0
+    while total < slots:
+        runs = np.minimum(draw_runs(first, second, block), slots)
+        blocks.append(runs)
+        total += int(runs.sum())
+    runs = np.concatenate(blocks)
+    ends = np.cumsum(runs)
+    last = int(np.searchsorted(ends, slots))  # the run that reaches the horizon
+    runs = runs[: last + 1]
+    runs[last] -= ends[last] - slots
+    states = np.zeros(last + 1, dtype=bool)
+    states[0 if first_on else 1 :: 2] = True
+    return np.repeat(states, runs)
 
 
 @dataclass(frozen=True)
@@ -227,7 +303,7 @@ class ApplianceClass:
     @cached_property
     def p_on(self) -> float:
         """Stationary ON probability of the model."""
-        return stationary_stats(self.model).p_on
+        return self.model.stationary_stats().p_on
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,66 +326,6 @@ class TraceSeries:
         object.__setattr__(self, "watts", arr)
 
 
-def _alternating_states(
-    slots: int, first_on: bool, draw_runs: Callable[[], np.ndarray]
-) -> np.ndarray:
-    """Fill a boolean series from alternating runs, the first in ``first_on``.
-
-    ``draw_runs()`` returns one block of run lengths whose even positions
-    are runs in the first state and odd positions runs in the other; an even
-    block size keeps every block starting in the first state.  Blocks are
-    drawn until the runs cover ``slots``.  Each run is clipped to ``slots``
-    before any sum, so no total can overflow however long a run is drawn
-    (a geometric run at p near 0 comes back as 2**63 - 1), and the run that
-    reaches the horizon is cut there.  The clip changes no slot: a run of
-    ``slots`` reaches the horizon from any start.  Runs drawn beyond it are
-    discarded; the caller's generator is not used afterwards, so the series
-    is the one a draw-per-run loop gives from the same generator.
-    """
-    blocks = []
-    total = 0
-    while total < slots:
-        runs = np.minimum(draw_runs(), slots)
-        blocks.append(runs)
-        total += int(runs.sum())
-    runs = np.concatenate(blocks)
-    ends = np.cumsum(runs)
-    last = int(np.searchsorted(ends, slots))  # the run that reaches the horizon
-    runs = runs[: last + 1]
-    runs[last] -= ends[last] - slots
-    states = np.zeros(last + 1, dtype=bool)
-    states[0 if first_on else 1 :: 2] = True
-    return np.repeat(states, runs)
-
-
-def _sample_states(model: LoadModel, slots: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(model, Bernoulli):
-        return rng.random(slots) < model.p_on
-    stats = stationary_stats(model)
-    first_on = bool(rng.random() < stats.p_on)
-    # about one horizon of stationary cycles per block, plus a margin
-    block = 2 * (int(slots // (stats.mean_on_run + stats.mean_off_run)) + 8)
-    if isinstance(model, TwoStateMarkov):
-        # geometric runs reproduce the chain exactly; a stationary initial
-        # state keeps the whole series stationary
-        rates = (model.p_on_to_off, model.p_off_to_on)
-        p = np.tile(rates if first_on else rates[::-1], block // 2)
-        return _alternating_states(slots, first_on, lambda: rng.geometric(p))
-    if isinstance(model, AlternatingRenewal):
-        pmfs = (model.on_durations, model.off_durations)
-        first, second = pmfs if first_on else pmfs[::-1]
-
-        def draw_runs() -> np.ndarray:
-            uniforms = rng.random(block)
-            runs = np.empty(block, dtype=np.int64)
-            runs[0::2] = first.inverse_cdf(uniforms[0::2])
-            runs[1::2] = second.inverse_cdf(uniforms[1::2])
-            return runs
-
-        return _alternating_states(slots, first_on, draw_runs)
-    raise TypeError(f"unknown load model {model!r}")
-
-
 def sample_series(appliance: ApplianceClass, slots: int, seed: int) -> np.ndarray:
     """Sample one appliance's per-slot power draw in watts.
 
@@ -319,7 +335,7 @@ def sample_series(appliance: ApplianceClass, slots: int, seed: int) -> np.ndarra
         raise ValueError(f"slots={slots!r} must be a positive integer")
     slots = int(slots)
     rng = np.random.default_rng(int(seed))
-    states = _sample_states(appliance.model, slots, rng)
+    states = appliance.model.sample_states(slots, rng)
     return states.astype(np.float64) * appliance.on_power
 
 

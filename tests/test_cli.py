@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -22,7 +23,7 @@ import pytest
 import loadcap
 import loadcap.__main__ as process_entry
 from loadcap.cli import main
-from loadcap.models import ApplianceClass, Bernoulli, TraceSeries, sample_series
+from loadcap.models import MODEL_CLASSES, ApplianceClass, Bernoulli, TraceSeries, sample_series
 from loadcap.fileio import _CLASS_KEYS, _POLICY_KEYS, _TOP_KEYS, write_model
 
 from conftest import write_trace
@@ -750,10 +751,16 @@ def _renewal_class(on_durations: dict) -> list[dict]:
          "duration '-2' in classes[0].model.on_durations must be a whole number >= 1"),
         ({"classes": _renewal_class({"2": 0.5, "02": 0.5})},
          "duration '02' in classes[0].model.on_durations must be a whole number >= 1"),
+        ({"classes": _renewal_class({"2": 0.5, str(2**63): 0.5})},
+         f"duration '{2**63}' in classes[0].model.on_durations must be a whole number >= 1"
+         f" and <= {2**63 - 1}"),
+        ({"classes": _renewal_class({"9" * 5000: 1.0})},
+         "in classes[0].model.on_durations must be a whole number >= 1"),
     ],
     ids=["method-unknown", "method-number", "methods-entry", "mode", "strategy",
          "model-family", "trace-family", "duration-word", "duration-fraction",
-         "duration-zero", "duration-negative", "duration-leading-zero"],
+         "duration-zero", "duration-negative", "duration-leading-zero",
+         "duration-past-int64", "duration-5000-digits"],
 )  # fmt: skip
 def test_simulate_refuses_a_value_outside_its_choices_with_its_key_path(
     overrides, message, tmp_path, capsys
@@ -763,6 +770,15 @@ def test_simulate_refuses_a_value_outside_its_choices_with_its_key_path(
     assert main(["simulate", path, "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_runs_the_longest_duration_key(tmp_path, capsys) -> None:
+    # 2**63 - 1 slots is the longest run a renewal model may name; half the
+    # appliances' ON runs outlast any horizon
+    path = experiment_file(tmp_path, classes=_renewal_class({"2": 0.5, str(2**63 - 1): 0.5}))
+    assert main(["simulate", path, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert managed_w(tmp_path / "demo.series.csv")[-1] > 0.0
 
 
 def test_simulate_refuses_a_null_strategy(tmp_path, capsys) -> None:
@@ -1230,6 +1246,18 @@ def test_readme_commands_print_what_the_readme_shows(tmp_path, monkeypatch, caps
         assert got.err.splitlines() == [s for s in lines if s.startswith("warning:")]
         ran.append(argv[0])
     assert ran == ["bounds", "region", "simulate", "simulate"]
+
+
+def test_readme_names_each_model_familys_keys() -> None:
+    # the table's rows: "| `family` | `key`, `key`: what they are |"
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"\| family \| keys \|\n\|---\|---\|\n((?:\|.*\n)+)", text)
+    rows = [row.split("|")[1:3] for row in table.group(1).splitlines()]
+    named = {family.strip(" `"): re.findall(r"`(\w+)`", keys) for family, keys in rows}
+    assert named == {
+        family: [field.name for field in dataclasses.fields(cls)]
+        for family, cls in MODEL_CLASSES.items()
+    }
 
 
 def test_readme_library_snippet_prints_what_the_readme_shows() -> None:

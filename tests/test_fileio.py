@@ -137,6 +137,20 @@ def test_trace_checks_every_gap(tmp_path) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the bytes write_model writes for each model below, at on_power 1500
+WRITTEN_MODELS = {
+    "bernoulli": '{\n  "family": "bernoulli",\n  "on_power": 1500.0,\n  "p_on": 0.42\n}\n',
+    "markov": (
+        '{\n  "family": "markov",\n  "on_power": 1500.0,\n  "p_off_to_on": 0.1,\n'
+        '  "p_on_to_off": 0.25\n}\n'
+    ),
+    "renewal": (
+        '{\n  "family": "renewal",\n  "off_durations": {\n    "3": 1.0\n  },\n'
+        '  "on_durations": {\n    "2": 0.5,\n    "7": 0.5\n  },\n  "on_power": 1500.0\n}\n'
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "model",
     [
@@ -151,6 +165,7 @@ def test_trace_checks_every_gap(tmp_path) -> None:
 def test_model_json_round_trip(tmp_path, model) -> None:
     path = tmp_path / "model.json"
     write_model(str(path), model, on_power=1500.0)
+    assert path.read_bytes() == WRITTEN_MODELS[model.family].encode()
     loaded, on_power = read_model(str(path))
     assert loaded == model
     assert on_power == 1500.0

@@ -68,13 +68,12 @@ def test_renewal_stationary_triple() -> None:
     assert stats.mean_off_run == pytest.approx(6.0)
 
 
-def test_degenerate_markov_has_no_stationary_distribution() -> None:
-    # Construction forbids zero transition rates, so reach the guard directly.
-    model = TwoStateMarkov.__new__(TwoStateMarkov)
-    object.__setattr__(model, "p_off_to_on", 0.0)
-    object.__setattr__(model, "p_on_to_off", 0.0)
-    with pytest.raises(ValueError, match="no stationary distribution"):
-        stationary_stats(model)
+@pytest.mark.parametrize(
+    "not_a_model", ["markov", DurationPmf.from_mapping({2: 1.0})], ids=["string", "duration-pmf"]
+)
+def test_stationary_stats_refuses_a_non_model(not_a_model) -> None:
+    with pytest.raises(TypeError, match="unknown load model"):
+        stationary_stats(not_a_model)
 
 
 def test_class_power_moments_follow_occupancy() -> None:
@@ -146,6 +145,14 @@ def test_duration_pmf_rejects_bad_weights() -> None:
         DurationPmf.from_mapping({0: 1.0})  # durations start at one step
     with pytest.raises(ValueError):
         DurationPmf.from_mapping({-1: 0.5, 2: 0.5})
+
+
+def test_duration_pmf_durations_fit_an_int64() -> None:
+    longest = DurationPmf.from_mapping({2**63 - 1: 1.0})
+    assert longest.inverse_cdf(np.array([0.5])).tolist() == [2**63 - 1]
+    for past in (2**63, 1e19, math.inf, math.nan):
+        with pytest.raises(ValueError, match="is not an integer from 1 to 9223372036854775807"):
+            DurationPmf(((past, 1.0),))
 
 
 def test_duration_pmf_mean_and_mapping_round_trip() -> None:
