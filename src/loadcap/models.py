@@ -92,9 +92,6 @@ class DurationPmf:
     def from_mapping(cls, mapping: Mapping[int, float]) -> "DurationPmf":
         return cls(tuple((int(d), float(w)) for d, w in mapping.items()))
 
-    def as_mapping(self) -> dict[int, float]:
-        return dict(self.entries)
-
     @cached_property
     def _durations(self) -> np.ndarray:
         return np.array([d for d, _ in self.entries], dtype=np.int64)
@@ -279,7 +276,8 @@ class ApplianceClass:
         on_power: watts drawn while ON; must be positive.
         model: the ON/OFF process.  A constant load that draws ``on_power``
             every slot is ``Bernoulli(p_on=1.0)``.
-        count: population size (enabled counts never exceed it).
+        count: population size (enabled counts never exceed it), at most
+            2**63 - 1, the limit ``DurationPmf.max_duration`` uses too.
         shiftable: whether a scheduler may postpone this class's demand.
     """
 
@@ -294,8 +292,8 @@ class ApplianceClass:
             raise ValueError("appliance class needs a non-empty name")
         if not (self.on_power > 0.0 and math.isfinite(self.on_power)):
             raise ValueError(f"on_power={self.on_power!r} must be positive and finite")
-        if int(self.count) != self.count or self.count < 0:
-            raise ValueError(f"count={self.count!r} must be a non-negative integer")
+        if not (0 <= self.count <= DurationPmf.max_duration) or int(self.count) != self.count:
+            raise ValueError(f"count={self.count!r} must be an integer from 0 to 2**63 - 1")
         object.__setattr__(self, "count", int(self.count))
         if not isinstance(self.model, get_args(LoadModel)):
             raise ValueError(f"class {self.name!r} needs a load model, got {self.model!r}")
@@ -372,10 +370,13 @@ def fit_model(trace: TraceSeries, family: str, on_threshold: float) -> FitResult
     by the trace boundary never bias the histogram).
 
     Raises ValueError("degenerate trace") when the binarized trace has no ON
-    samples, no OFF samples, or (renewal) no interior run of either kind.
+    samples, no OFF samples, or (renewal) no interior run of either kind,
+    and ValueError naming a NaN ``on_threshold``, which no reading exceeds.
     """
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r}; choose from {MODEL_FAMILIES}")
+    if math.isnan(on_threshold):
+        raise ValueError(f"on_threshold={on_threshold!r} is not a number")
     on = trace.watts > float(on_threshold)
     n_on = int(np.count_nonzero(on))
     if n_on == 0 or n_on == on.size:

@@ -119,31 +119,24 @@ class EnergyLedger:
 
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """Outcome of one run.
+    """Outcome of one run: what it produced, and metrics read from that.
 
-    ``p_hat`` is the fraction of slots whose served load reached the
-    ceiling, as the estimators count reaching (``tailprob._reach_floor``
-    over the base load); ``k`` is that fraction over the policy's tolerated
-    probability.  ``low_confidence`` flags runs whose expected violation
-    count is too small for ``k`` to mean much.  Load factors are NaN when the series is
-    all zero.  The ledger and per-slot outcomes are populated in
-    SlotDynamic mode only.  ``outcomes`` is a structured array with one
-    row per slot and the fields ``dropped_w``, ``backlog_depth`` (queued
-    entries at the end of the slot) and ``disabled_count`` (distinct
-    appliances turned away); the slot's served load is ``series_managed``.
-    ``config`` is the config the run used; a sweep cell's holds its p and
-    method.
+    A result stores its ``config`` (a sweep cell's holds its p and method),
+    each class's enabled count, the baseline and managed series, and in
+    SlotDynamic mode the ledger and per-slot ``outcomes``: one row per slot
+    with the fields ``dropped_w``, ``backlog_depth`` (queued entries at the
+    end of the slot) and ``disabled_count`` (distinct appliances turned
+    away).  Every metric is a read-only property of these, so a result
+    built with other series reports on them.  ``overload_slots`` counts
+    managed slots that reached the ceiling, as the estimators count
+    reaching (``tailprob._reach_floor`` over the base load); ``p_hat`` is
+    their fraction, ``k`` that over the policy's p.  ``low_confidence``
+    flags runs with too few expected violations for ``k`` to mean much.
+    Load factors are NaN when the series is all zero.
     """
 
     config: SimConfig
-    p_hat: float
-    k: float
-    stderr: float
-    low_confidence: bool
-    lf_baseline: float
-    lf_managed: float
     enabled_counts: tuple[int, ...]
-    overload_slots: int
     series_baseline: np.ndarray
     series_managed: np.ndarray
     ledger: EnergyLedger | None = None
@@ -153,6 +146,36 @@ class SimResult:
     def slots(self) -> int:
         return self.config.slots
 
+    @functools.cached_property
+    def overload_slots(self) -> int:
+        det = self.config.deterministic_load
+        reach = det + _reach_floor(self.config.policy.c_max - det, self.config.quantum)
+        return int(np.count_nonzero(self.series_managed >= reach))
+
+    @property
+    def p_hat(self) -> float:
+        return self.overload_slots / self.slots
+
+    @property
+    def k(self) -> float:
+        return self.p_hat / self.config.policy.p
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.p_hat * (1.0 - self.p_hat) / self.slots) / self.config.policy.p
+
+    @property
+    def low_confidence(self) -> bool:
+        return self.config.policy.p * self.slots < _MIN_EXPECTED_EVENTS
+
+    @functools.cached_property
+    def lf_baseline(self) -> float:
+        return load_factor(self.series_baseline)
+
+    @functools.cached_property
+    def lf_managed(self) -> float:
+        return load_factor(self.series_managed)
+
 
 def _population(config: SimConfig) -> Iterator[tuple[int, int, np.ndarray]]:
     """(class index, index within the class, series) of every appliance, in file order."""
@@ -161,35 +184,6 @@ def _population(config: SimConfig) -> Iterator[tuple[int, int, np.ndarray]]:
         for i in range(cls.count):
             yield c, i, sample_series(cls, config.slots, derive_seed(config.seed, 0, index))
             index += 1
-
-
-def _result(
-    config: SimConfig,
-    baseline: np.ndarray,
-    managed: np.ndarray,
-    enabled_counts: tuple[int, ...],
-    ledger: EnergyLedger | None = None,
-    outcomes: np.ndarray | None = None,
-) -> SimResult:
-    policy, slots, det = config.policy, config.slots, config.deterministic_load
-    reach = det + _reach_floor(policy.c_max - det, config.quantum)
-    overload = int(np.count_nonzero(managed >= reach))
-    p_hat = overload / slots
-    return SimResult(
-        config=config,
-        p_hat=p_hat,
-        k=p_hat / policy.p,
-        stderr=math.sqrt(p_hat * (1.0 - p_hat) / slots) / policy.p,
-        low_confidence=policy.p * slots < _MIN_EXPECTED_EVENTS,
-        lf_baseline=load_factor(baseline),
-        lf_managed=load_factor(managed),
-        enabled_counts=enabled_counts,
-        overload_slots=overload,
-        series_baseline=baseline,
-        series_managed=managed,
-        ledger=ledger,
-        outcomes=outcomes,
-    )
 
 
 def run(config: SimConfig) -> SimResult:
@@ -233,7 +227,7 @@ def _compositions(
         for enabled_counts, row in managed.items():
             if i < enabled_counts[c]:
                 row += series
-    return [_result(cell, baseline, managed[sized], sized) for cell, sized in cells]
+    return [SimResult(cell, sized, baseline, managed[sized]) for cell, sized in cells]
 
 
 def run_slot_dynamic(config: SimConfig) -> SimResult:
@@ -405,8 +399,8 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         backlog_steps=sum(class_steps[column_of[i]] for i in backlog),
     )
     managed = base_served + served * quantum
-    enabled_counts = tuple(cls.count for cls in config.classes)
-    return _result(config, baseline, managed, enabled_counts, ledger, outcomes)
+    counts = tuple(cls.count for cls in config.classes)
+    return SimResult(config, counts, baseline, managed, ledger, outcomes)
 
 
 def _sweep_axes(

@@ -288,7 +288,9 @@ def _grid_steps(watts: float, quantum: float) -> int:
 
 
 def _grid_too_large(points: int, quantum: float) -> ValueError:
-    shown = points if points < 10**20 else f"{points:.3e}"  # not hundreds of digits
+    from decimal import Decimal  # formats counts past the float range; an error path
+
+    shown = points if points < 10**20 else f"{Decimal(points):.3e}"  # not hundreds of digits
     return ValueError(
         f"the exact pmf needs {shown} points on the {quantum!r} W grid, "
         f"more than the {_MAX_GRID_POINTS} it may hold"

@@ -190,8 +190,9 @@ def cap_address_space() -> None:
         ("2x1@0.5", ["--c-max", "1.5", "--quantum-w", "1e-15"], 2 * 10**15 + 1, 1e-15),
         ("2x1@0.5", ["--c-max", "1.5", "--quantum-w", "1e-300"], "2.000e+300", 1e-300),
         (f"{10**9}x1@0.5", ["--c-max", "6e8"], 10**9 + 1, 1.0),
+        ("10x1e308@0.5", ["--c-max", "1e308"], "1.000e+309", 1.0),
     ],
-    ids=["femtowatt-grid", "1e-300-grid", "billion-appliances"],
+    ids=["femtowatt-grid", "1e-300-grid", "billion-appliances", "past-the-float-range"],
 )
 def test_bounds_refuses_an_exact_pmf_past_the_grid_budget(spec, flags, points, quantum) -> None:
     # 14.2 PiB, far more, and 7.5 GiB of float64 without the budget; a
@@ -200,6 +201,22 @@ def test_bounds_refuses_an_exact_pmf_past_the_grid_budget(spec, flags, points, q
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert f"needs {points} points on the {quantum!r} W grid" in proc.stderr
+
+
+def test_region_refuses_an_exact_pmf_past_the_float_range(tmp_path, capsys) -> None:
+    argv = ["region", "--class1", "10x1e308@0.5", "--class2", "1x1@0.5", "--c-max", "1e308",
+            "--p", "0.1", "--out-dir", str(tmp_path)]  # fmt: skip
+    assert main(argv) == 2
+    assert "needs 1.000e+308 points on the 1.0 W grid" in capsys.readouterr().err
+
+
+def test_simulate_refuses_a_count_past_an_int64(tmp_path, capsys) -> None:
+    model = {"family": "bernoulli", "on_power": 1.0, "p_on": 0.4}
+    classes = [{"name": "c0", "count": 2**63, "model": model}]
+    path = experiment_file(tmp_path, classes=classes)
+    assert main(["simulate", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"count={2**63} must be an integer from 0 to" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
@@ -239,8 +256,10 @@ def test_bounds_refuses_a_quantum_that_is_not_positive_and_finite(quantum_w, cap
         (["100x1@0.5", "--det", "-5"], "deterministic_load=-5.0"),
         (["100x1@0.5", "--det", "nan"], "deterministic_load=nan"),
         (["100x1@0.5", "--det", "inf"], "deterministic_load=inf"),
+        ([f"{10**400}x1@0.5", "--methods", "markov"], "must be an integer from 0 to 2**63 - 1"),
+        ([f"{10**400}x1@0.5", "--methods", "exact"], "must be an integer from 0 to 2**63 - 1"),
     ],
-    ids=["spec", "det-negative", "det-nan", "det-inf"],
+    ids=["spec", "det-negative", "det-nan", "det-inf", "count-markov", "count-exact"],
 )
 def test_bounds_bad_composition_spec_exits_2(composition, message, capsys) -> None:
     assert main(["bounds", *composition, "--c-max", "60"]) == 2
@@ -1150,6 +1169,21 @@ def test_fit_degenerate_trace_exits_2(tmp_path, capsys) -> None:
     )
     assert code == 2
     assert "degenerate trace" in capsys.readouterr().err
+
+
+def test_fit_refuses_a_nan_threshold(tmp_path, capsys) -> None:
+    trace_path = tmp_path / "t.csv"
+    write_trace(str(trace_path), TraceSeries(watts=np.array([0.0, 5.0, 0.0]), sample_period_s=1.0))
+    args = ["fit", str(trace_path), "--family", "markov", "--on-threshold", "nan"]
+    assert main([*args, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "on_threshold=nan is not a number" in capsys.readouterr().err
+    # json.load reads a bare NaN, so an experiment's threshold meets the same check
+    classes = [{"name": "c0", "count": 2, "trace": "t.csv", "family": "markov"}]
+    path = Path(experiment_file(tmp_path, classes=classes))
+    path.write_text(path.read_text().replace('"markov"', '"markov", "on_threshold": NaN'))
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "on_threshold=nan is not a number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

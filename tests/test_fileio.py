@@ -228,30 +228,31 @@ def test_write_outcomes_layout(tmp_path) -> None:
 
 
 def sweep_cells(*rows):
-    """Sweep results, one per (p, method, enabled, p_hat, k, stderr, low_confidence) row."""
-    base = make_result()
-    return [
-        dataclasses.replace(
-            base,
-            config=dataclasses.replace(
-                base.config, policy=dataclasses.replace(base.config.policy, p=p), method=method
-            ),
-            enabled_counts=(enabled,),
-            p_hat=p_hat,
-            k=k,
-            stderr=stderr,
-            low_confidence=low_confidence,
+    """Sweep results, one per (p, method, enabled, managed series) row.
+
+    Each cell is ``make_result`` at the row's p and method with the row's
+    managed series, so its p_hat, k and stderr are read from that series
+    (``make_result``'s ceiling is 3 W).
+    """
+    cells = []
+    for p, method, enabled, managed in rows:
+        base = make_result(slots=len(managed))
+        policy = dataclasses.replace(base.config.policy, p=p)
+        config = dataclasses.replace(base.config, policy=policy, method=method)
+        cells.append(
+            dataclasses.replace(
+                base, config=config, enabled_counts=(enabled,), series_managed=np.array(managed)
+            )
         )
-        for p, method, enabled, p_hat, k, stderr, low_confidence in rows
-    ]
+    return cells
 
 
 def test_write_sweep_layout(tmp_path) -> None:
-    cells = sweep_cells((0.01, EstimationMethod.EXACT, 7, 0.008, 0.8, 0.1, False))
+    cells = sweep_cells((0.01, EstimationMethod.EXACT, 7, [3.0, 0.0, 3.5, 1.0]))
     path = tmp_path / "sweep.csv"
     write_sweep(str(path), cells)
     assert path.read_text() == (
-        "p,method,enabled,p_hat,k,stderr\n0.01,exact,7,0.008,0.8,0.1\n"
+        "p,method,enabled,p_hat,k,stderr\n0.01,exact,7,0.5,50.0,25.0\n"
     )
 
 
@@ -303,7 +304,7 @@ def test_result_json_nan_becomes_null() -> None:
 
 
 def test_write_sweep_result_round_trip(tmp_path) -> None:
-    cells = sweep_cells((0.05, EstimationMethod.MARKOV, 3, 0.0, 0.0, 0.0, True))
+    cells = sweep_cells((0.05, EstimationMethod.MARKOV, 3, [0.0] * 25))
     path = tmp_path / "sweep.json"
     write_sweep_result(str(path), "grid", cells)
     doc = json.loads(path.read_text())
@@ -348,8 +349,8 @@ def test_csv_writers_write_what_the_csv_module_wrote(tmp_path) -> None:
     )
     cells = sweep_cells(
         *(
-            (p, method, 3, p_hat, p_hat / p, math.nan, True)
-            for p, p_hat in ((1e-3, 0.0), (0.5, 1.0))
+            (p, method, 3, [load] * 25)
+            for p, load in ((1e-3, 0.0), (0.5, 3.0), (0.1, 2.5), (0.3, 1e300))
             for method in EstimationMethod
         )
     )

@@ -158,7 +158,7 @@ def test_duration_pmf_durations_fit_an_int64() -> None:
 def test_duration_pmf_mean_and_mapping_round_trip() -> None:
     pmf = DurationPmf.from_mapping({3: 0.25, 1: 0.75})
     assert pmf.mean() == pytest.approx(1.5)
-    assert pmf.as_mapping() == {1: 0.75, 3: 0.25}
+    assert dict(pmf.entries) == {1: 0.75, 3: 0.25}
 
 
 def test_duration_pmf_samples_stay_on_support() -> None:
@@ -183,6 +183,14 @@ def test_appliance_class_validation() -> None:
         ApplianceClass(name="x", on_power=1.0, model=Bernoulli(p_on=0.5), count=-1)
     with pytest.raises(ValueError):
         ApplianceClass(name="x", on_power=1.0, model=None, count=1)
+
+
+def test_appliance_class_counts_fit_an_int64() -> None:
+    largest = ApplianceClass(name="x", on_power=1.0, model=Bernoulli(p_on=0.5), count=2**63 - 1)
+    assert largest.count == 2**63 - 1
+    for past in (2**63, 10**400, 1e19, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"must be an integer from 0 to 2\*\*63 - 1"):
+            ApplianceClass(name="x", on_power=1.0, model=Bernoulli(p_on=0.5), count=past)
 
 
 def test_trace_series_validation() -> None:
@@ -396,8 +404,8 @@ def test_fit_renewal_keeps_interior_runs_only() -> None:
     fit = fit_model(FIT_TRACE, family="renewal", on_threshold=1.0)
     model = fit.model
     assert isinstance(model, AlternatingRenewal)
-    assert model.on_durations.as_mapping() == {2: 1.0}
-    assert model.off_durations.as_mapping() == {1: 1.0}
+    assert dict(model.on_durations.entries) == {2: 1.0}
+    assert dict(model.off_durations.entries) == {1: 1.0}
 
 
 def test_fit_rejects_single_state_traces() -> None:

@@ -23,7 +23,6 @@ from loadcap.simulation import (
     SimMode,
     SimResult,
     _population,
-    _result,
     run_slot_dynamic,
 )
 from loadcap.tailprob import ClassComposition, EstimationMethod, _grid_steps
@@ -174,7 +173,7 @@ def _reference_slot_dynamic(config: SimConfig) -> SimResult:
         backlog_steps=sum(steps_of[i] for i in backlog),
     )
     enabled_counts = tuple(cls.count for cls in config.classes)
-    return _result(config, baseline, managed, enabled_counts, ledger, outcomes)
+    return SimResult(config, enabled_counts, baseline, managed, ledger, outcomes)
 
 
 @st.composite
