@@ -17,9 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ApplianceClass
-from .tailprob import _STRIDE_FIRST_WINDOWS, ClassComposition, EstimationMethod, estimate
+from .tailprob import ClassComposition, EstimationMethod, estimate
 
 __all__ = ["QosPolicy", "max_admissible", "decision_region"]
+
+# a cell whose windows' lengths multiply to at most this folds faster with
+# the class of more grid steps first (``decision_region``; the crossover
+# table of per-cell exact_pmf times in CHANGES.md)
+_STRIDE_FIRST_WINDOWS = 2**14
 
 
 @dataclass(frozen=True)

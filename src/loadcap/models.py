@@ -304,9 +304,18 @@ class ApplianceClass:
         return self.model.stationary_stats().p_on
 
 
+def _read_only_copy(values: object) -> np.ndarray:
+    """``values`` copied to float64 and frozen: a view of a read-only copy,
+    which numpy lets no holder make writable again.  Each frozen record that
+    holds an array (``TraceSeries``, ``tailprob.PowerPmf``) keeps one."""
+    copy = np.array(values, dtype=np.float64)
+    copy.setflags(write=False)
+    return copy.view()
+
+
 @dataclass(frozen=True, eq=False)
 class TraceSeries:
-    """Evenly sampled power readings in watts."""
+    """Evenly sampled power readings in watts, kept as a read-only copy."""
 
     sample_period_s: float
     watts: np.ndarray
@@ -314,13 +323,11 @@ class TraceSeries:
     def __post_init__(self) -> None:
         if not (self.sample_period_s > 0.0 and math.isfinite(self.sample_period_s)):
             raise ValueError(f"sample_period_s={self.sample_period_s!r} must be positive")
-        arr = np.asarray(self.watts, dtype=np.float64)
+        arr = _read_only_copy(self.watts)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("trace must be a non-empty 1-D series")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("trace readings must be finite and non-negative")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "watts", arr)
 
 

@@ -132,7 +132,10 @@ class SimResult:
     reaching (``tailprob._reach_floor`` over the base load); ``p_hat`` is
     their fraction, ``k`` that over the policy's p.  ``low_confidence``
     flags runs with too few expected violations for ``k`` to mean much.
-    Load factors are NaN when the series is all zero.
+    Load factors are NaN when the series is all zero.  The series and
+    outcomes are made read-only in place, not copied, since sweep cells
+    share rows, and the result holds views of them, which numpy lets no
+    holder make writable again; so no write can leave a cached metric stale.
     """
 
     config: SimConfig
@@ -141,6 +144,13 @@ class SimResult:
     series_managed: np.ndarray
     ledger: EnergyLedger | None = None
     outcomes: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("series_baseline", "series_managed", "outcomes"):
+            values = getattr(self, name)
+            if values is not None:
+                values.setflags(write=False)
+                object.__setattr__(self, name, values.view())
 
     @property
     def slots(self) -> int:

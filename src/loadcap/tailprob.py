@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import ApplianceClass
+from .models import ApplianceClass, _read_only_copy
 
 __all__ = [
     "EstimationMethod",
@@ -37,11 +37,8 @@ __all__ = [
 _GRID_RTOL = 1e-9
 # end mass trimmed from each binomial window and each partial sum
 _TRIM_MASS = 1e-300
-# the pmf of an empty load, where every exact pmf starts; shared, so a view
-# of a read-only array, which numpy lets no holder make writable again
+# the pmf of an empty load, where every exact pmf starts
 _EMPTY_LOAD = np.ones(1)
-_EMPTY_LOAD.setflags(write=False)
-_EMPTY_LOAD = _EMPTY_LOAD[:]
 # log(k!) = lgamma(k + 1) for k = 0, 1, ...; replaced by a longer copy when a
 # larger count arrives, and read-only, so a prefix is shared by every count
 _LOG_FACTORIALS = np.zeros(0)
@@ -50,13 +47,6 @@ _SIGNIFICANT = 2.0**-90
 # the most points one exact pmf array may hold, checked before it is allocated
 # (128 MiB of float64; the benchmark's largest pmf needs 192,001)
 _MAX_GRID_POINTS = 2**24
-# Two classes whose windows' lengths multiply to at most this fold faster
-# with the class of more grid steps first: it is laid out with no
-# convolution, and the other class then takes one correlation at ``stride``
-# times the multiply-adds, where the other order takes one per residue.
-# Above it the multiply-adds outweigh the calls saved (the crossover table
-# of per-cell exact_pmf times in CHANGES.md).
-_STRIDE_FIRST_WINDOWS = 2**14
 
 class EstimationMethod(Enum):
     """How to turn a composition into a tail probability."""
@@ -77,6 +67,7 @@ class PowerPmf:
     Support point ``i`` carries the value ``(offset + i) * quantum`` watts.
     The probability vector is dense over consecutive grid points, sums to 1
     within 1e-9, and is trimmed so its first and last entries are positive.
+    It is a read-only copy of the array given (``models._read_only_copy``).
 
     The checks take two reductions.  ``min`` refuses a negative entry, -inf
     or NaN.  ``ndarray.sum`` then gives the mass; once every entry is at
@@ -99,7 +90,7 @@ class PowerPmf:
             raise ValueError(f"offset={self.offset!r} must be a non-negative integer")
         if type(self.offset) is not int:
             object.__setattr__(self, "offset", int(self.offset))
-        probs = np.asarray(self.probabilities, dtype=np.float64)
+        probs = _read_only_copy(self.probabilities)
         if probs.ndim != 1 or probs.size == 0:
             raise ValueError("probabilities must be a non-empty 1-D vector")
         least = np.minimum.reduce(probs)
@@ -124,15 +115,6 @@ class PowerPmf:
         # an end without mass is a zero entry, so least is 0 too
         if least == 0.0 and (probs[0] == 0.0 or probs[-1] == 0.0):
             raise ValueError("pmf support is not trimmed; ends must carry mass")
-        # kept as it is when frozen together with the memory it views, as
-        # exact_pmf hands its pmf over; any other array is copied, so no
-        # caller's array can write to the pmf
-        owner = probs
-        while isinstance(owner.base, np.ndarray):
-            owner = owner.base
-        if probs.flags.writeable or owner.flags.writeable or not owner.flags.owndata:
-            probs = probs.copy()
-            probs.setflags(write=False)
         object.__setattr__(self, "probabilities", probs)
 
     @property
@@ -421,12 +403,11 @@ def _class_kernel(
     ``steps`` is the ON wattage in grid steps (``_grid_steps``, checked once
     per cached class and count).  ``kernel`` is the Binomial(n, p_on) pmf
     trimmed by ``_trimmed``, ``flipped`` the same window reversed, and
-    ``lo`` the count of its first term.  Both are views of a read-only
-    copy, which numpy lets no holder make writable again: the cache shares
-    the window, and a lone class's window becomes its pmf as it is.  Far
-    from the mean the log-domain binomial falls to subnormals and exact
-    zeros, which slow ``np.correlate`` and together carry less than
-    ``_TRIM_MASS`` at each end.
+    ``lo`` the count of its first term.  The window is a read-only copy,
+    since the cache shares it, and ``flipped`` a view of it.  Far from the
+    mean the log-domain binomial falls to subnormals and exact zeros, which
+    slow ``np.correlate`` and together carry less than ``_TRIM_MASS`` at
+    each end.
     """
     steps = _grid_steps(on_power, quantum)
     if n + 1 > _MAX_GRID_POINTS:
@@ -434,7 +415,7 @@ def _class_kernel(
     lo, window = _trimmed(_binomial_pmf(n, p_on))
     kernel = window.copy()
     kernel.setflags(write=False)
-    return lo, steps, kernel[:], kernel[::-1]
+    return lo, steps, kernel, kernel[::-1]
 
 
 def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
@@ -461,8 +442,7 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     A class count, or an array the layout or a convolution would allocate,
     past ``_MAX_GRID_POINTS`` points raises ValueError before it is made.
     The constant base load is not folded in; callers offset thresholds.
-    The pmf is frozen together with the buffer it views before it is handed
-    to ``PowerPmf``, which keeps it without a copy, checks its mass and
+    ``PowerPmf`` keeps a read-only copy of the pmf, checks its mass and
     raises ValueError when it drifted from 1.
     """
     if not (quantum > 0.0 and math.isfinite(quantum)):
@@ -492,9 +472,6 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
             out = np.zeros(size)
             out[::steps] = kernel
         acc = out
-    owner = acc if acc.base is None else acc.base  # what a trimmed pmf or a window views
-    owner.setflags(write=False)
-    acc.setflags(write=False)
     return PowerPmf(quantum=quantum, offset=offset, probabilities=acc)
 
 

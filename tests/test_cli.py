@@ -1427,6 +1427,24 @@ def test_each_command_loads_only_the_layers_it_runs(command, loaded, absent, tmp
     assert proc.stdout == f"0 {sorted(loaded)!r}\n"
 
 
+def test_every_command_runs_on_numpy_alone(tmp_path) -> None:
+    # the runtime dependency is numpy only: a fresh interpreter in which
+    # scipy, hypothesis and pytest cannot be imported runs each command
+    argvs = [command_argv(command, tmp_path) for command in ("bounds", "region", "fit", "simulate")]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "for name in ('scipy', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[name] = None\n"
+        "from loadcap.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(codes)\n"
+    )
+    proc = run_python("-c", probe, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0]\n"
+
+
 @pytest.mark.parametrize("command", ["bounds", "region", "fit", "simulate"])
 def test_cli_main_in_process_never_freezes_the_heap(command, tmp_path, monkeypatch) -> None:
     def refuse() -> None:

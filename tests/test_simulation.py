@@ -731,6 +731,26 @@ def test_run_returns_simresult_with_mode_dependent_extras() -> None:
     assert dyn_result.outcomes is not None
 
 
+def test_a_result_refuses_writes_to_its_series_and_outcomes() -> None:
+    # the metrics are cached over these arrays, so a write would leave them stale
+    results = [
+        run(config_of(slots=50)),
+        run(config_of(slots=50, mode=SimMode.SLOT_DYNAMIC)),
+        *sweep_qos(config_of(slots=50), [0.01, 0.1], methods=(EstimationMethod.EXACT,)),
+    ]
+    for result in results:
+        p_hat = result.p_hat
+        held = [result.series_baseline, result.series_managed]
+        if result.outcomes is not None:
+            held += [result.outcomes, result.outcomes["dropped_w"]]
+        for values in held:
+            with pytest.raises(ValueError, match="read-only"):
+                values[...] = values[-1]
+            with pytest.raises(ValueError, match="WRITEABLE"):
+                values.setflags(write=True)
+        assert result.p_hat == p_hat
+
+
 def test_run_slot_dynamic_rejects_a_composition_config() -> None:
     # run sizes this config to (12,) and keeps no ledger; read as
     # slot-dynamic it would enable all 20 and carry one

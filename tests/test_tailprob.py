@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from loadcap import tailprob
-from loadcap.models import ApplianceClass, Bernoulli
+from loadcap.models import ApplianceClass, Bernoulli, TraceSeries
 from loadcap.tailprob import ClassComposition, EstimationMethod, PowerPmf, estimate, exact_pmf
 from loadcap.tailprob import (
     _TRIM_MASS,
@@ -142,16 +142,21 @@ def test_power_pmf_copies_any_array_a_caller_can_still_write() -> None:
     pmf = PowerPmf(quantum=1.0, offset=0, probabilities=shared)
     buffer[:8] = np.array([0.5]).tobytes()
     assert pmf.probabilities.tolist() == [0.25, 0.75]
-    # and a writable array; one frozen with the memory it owns is kept
+    # and a writable array, and one frozen with the memory it owns, which
+    # its owner can make writable again
     owned = np.array([0.25, 0.75])
     assert PowerPmf(quantum=1.0, offset=0, probabilities=owned).probabilities is not owned
     owned.setflags(write=False)
-    assert PowerPmf(quantum=1.0, offset=0, probabilities=owned).probabilities is owned
+    pmf = PowerPmf(quantum=1.0, offset=0, probabilities=owned)
+    owned.setflags(write=True)
+    owned[:] = [5.0, 5.0]
+    assert pmf.probabilities.tolist() == [0.25, 0.75]
+    assert pmf.tail_at_or_above(1.0) == 0.75
 
 
 @pytest.mark.parametrize("specs", [[(1.0, 0.5, 3)], [(2.0, 0.5, 3)], [(1.0, 0.5, 3), (2.0, 0.5, 3)],
                                    [(2.0, 0.5, 3), (1.0, 0.5, 3)]])  # fmt: skip
-def test_exact_pmf_hands_over_a_pmf_that_is_kept_uncopied(monkeypatch, specs) -> None:
+def test_exact_pmf_keeps_a_read_only_copy_apart_from_its_windows(monkeypatch, specs) -> None:
     handed = []
 
     class Recording(PowerPmf):
@@ -161,16 +166,50 @@ def test_exact_pmf_hands_over_a_pmf_that_is_kept_uncopied(monkeypatch, specs) ->
 
     monkeypatch.setattr(tailprob, "PowerPmf", Recording)
     pmf = exact_pmf(comp(*specs))
-    assert pmf.probabilities is handed[0]
+    windows = [tailprob._class_kernel(n, p, h, 1.0)[2] for h, p, n in specs]
+    for given in [handed[0], tailprob._EMPTY_LOAD, *windows]:
+        assert not np.shares_memory(pmf.probabilities, given)
     assert not pmf.probabilities.flags.writeable
-
-
-@pytest.mark.parametrize("specs", [[], [(1.0, 0.5, 3)]], ids=["empty-load", "cached-window"])
-def test_a_shared_pmf_array_cannot_be_made_writable(specs) -> None:
-    # the empty load and a single class's cached window are handed over as they are
-    probabilities = exact_pmf(comp(*specs)).probabilities
     with pytest.raises(ValueError, match="WRITEABLE"):
-        probabilities.setflags(write=True)
+        pmf.probabilities.setflags(write=True)
+
+
+def frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+def held_by_pmf(given: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return PowerPmf(quantum=1.0, offset=0, probabilities=given).probabilities, given
+
+
+def held_by_trace(given: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return TraceSeries(sample_period_s=1.0, watts=given).watts, given
+
+
+@pytest.mark.parametrize(
+    "hold",
+    [
+        lambda: (exact_pmf(comp()).probabilities, tailprob._EMPTY_LOAD),
+        lambda: (exact_pmf(comp((1.0, 0.5, 3))).probabilities,
+                 tailprob._class_kernel(3, 0.5, 1.0, 1.0)[2]),
+        lambda: held_by_pmf(np.array([0.25, 0.75])),
+        lambda: held_by_pmf(frozen(np.array([0.25, 0.75]))),
+        lambda: held_by_pmf(np.frombuffer(bytearray(np.array([0.25, 0.75]).tobytes()))),
+        lambda: held_by_trace(np.array([0.0, 5.0])),
+    ],
+    ids=["empty-load", "cached-window", "writable-array", "frozen-owned-array",
+         "frombuffer-array", "trace-series"],
+)  # fmt: skip
+def test_a_shared_pmf_array_cannot_be_made_writable(hold) -> None:
+    # a record keeps a view of its own read-only copy: numpy lets no holder
+    # make it writable again, and it shares no memory with what it was given
+    kept, given = hold()
+    with pytest.raises(ValueError, match="WRITEABLE"):
+        kept.setflags(write=True)
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0] = 0.5
+    assert not np.shares_memory(kept, given)
 
 
 def test_tail_and_mass_partition_the_distribution() -> None:
