@@ -21,10 +21,8 @@ from .tailprob import ClassComposition, EstimationMethod, estimate
 
 __all__ = ["QosPolicy", "max_admissible", "decision_region"]
 
-# a cell whose windows' lengths multiply to at most this folds faster with
-# the class of more grid steps first (``decision_region``; the crossover
-# table of per-cell exact_pmf times in CHANGES.md)
-_STRIDE_FIRST_WINDOWS = 2**14
+# the most cells ``decision_region`` enumerates, one estimate each
+_MAX_REGION_CELLS = 2**24
 
 
 @dataclass(frozen=True)
@@ -200,28 +198,23 @@ def decision_region(
     Cell ``[n1, n2]`` is true when enabling n1 of the first class and n2 of
     the second meets the policy under the method.  Computed by full grid
     enumeration, one estimate per cell; shape is (class1.count + 1,
-    class2.count + 1).
+    class2.count + 1).  A grid of more than ``_MAX_REGION_CELLS`` cells
+    raises ``ValueError`` before any estimate or allocation.
 
-    A cell whose windows multiply to (n1 + 1) * (n2 + 1) at most
-    ``_STRIDE_FIRST_WINDOWS`` lists the class of larger ON wattage first,
-    any other cell the smaller; equal wattages keep the given order.  An
-    exact pmf lays its first class out with no convolution and convolves
-    the next once per residue of its stride, so on small windows one
-    correlation at the wider stride costs less than several, and on large
-    ones its extra multiply-adds cost more.  The order moves an exact tail
-    in its last bits only, and no other estimate: two moment terms add the
-    same either way round.
+    Every cell lists the class of larger ON wattage first, so an exact pmf
+    folds the stride class first; equal wattages keep the given order.  The
+    order moves an exact tail in its last bits only, and no other estimate.
     """
-    empty = ClassComposition.empty()
-    in_order = _count_estimator((class1, class2), policy, method, quantum, empty)
-    swapped = _count_estimator((class2, class1), policy, method, quantum, empty)
-    swap_small = class2.on_power > class1.on_power
-    swap_large = class2.on_power < class1.on_power
+    cells = (class1.count + 1) * (class2.count + 1)
+    if cells > _MAX_REGION_CELLS:
+        raise ValueError(
+            f"a region of {cells} cells exceeds the budget of {_MAX_REGION_CELLS} cells"
+        )
+    swap = class2.on_power > class1.on_power
+    classes = (class2, class1) if swap else (class1, class2)
+    admits = _count_estimator(classes, policy, method, quantum, ClassComposition.empty())
     region = np.zeros((class1.count + 1, class2.count + 1), dtype=bool)
     for n1 in range(class1.count + 1):
-        small = _STRIDE_FIRST_WINDOWS // (n1 + 1)  # n2 < small: a small cell
         for n2 in range(class2.count + 1):
-            swap = swap_small if n2 < small else swap_large
-            region[n1, n2] = swapped((n2, n1)) if swap else in_order((n1, n2))
+            region[n1, n2] = admits((n2, n1) if swap else (n1, n2))
     return region
-

@@ -403,18 +403,17 @@ def _class_kernel(
     ``steps`` is the ON wattage in grid steps (``_grid_steps``, checked once
     per cached class and count).  ``kernel`` is the Binomial(n, p_on) pmf
     trimmed by ``_trimmed``, ``flipped`` the same window reversed, and
-    ``lo`` the count of its first term.  The window is a read-only copy,
-    since the cache shares it, and ``flipped`` a view of it.  Far from the
-    mean the log-domain binomial falls to subnormals and exact zeros, which
-    slow ``np.correlate`` and together carry less than ``_TRIM_MASS`` at
-    each end.
+    ``lo`` the count of its first term.  The window is a read-only copy
+    (``models._read_only_copy``), since the cache shares it, and ``flipped``
+    a view of it.  Far from the mean the log-domain binomial falls to
+    subnormals and exact zeros, which slow ``np.correlate`` and together
+    carry less than ``_TRIM_MASS`` at each end.
     """
     steps = _grid_steps(on_power, quantum)
     if n + 1 > _MAX_GRID_POINTS:
         raise _grid_too_large(n + 1, quantum)
     lo, window = _trimmed(_binomial_pmf(n, p_on))
-    kernel = window.copy()
-    kernel.setflags(write=False)
+    kernel = _read_only_copy(window)
     return lo, steps, kernel, kernel[::-1]
 
 

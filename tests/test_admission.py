@@ -374,18 +374,19 @@ def _region_in_listed_order(
     return region
 
 
-# the README case, and p_on 0.5, whose dyadic exact tail at (1, 1) is p itself
+# the README case; p_on 0.5, whose dyadic exact tail at (1, 1) is p itself;
+# equal wattages, which keep the given order; and class 1 the larger class
 _FOLD_CASES = {
     "readme": (bern("a", 1.0, 0.35, 10), bern("b", 3.0, 0.15, 6), QosPolicy(c_max=8.0, p=0.03)),
     "dyadic": (bern("a", 1.0, 0.5, 4), bern("b", 3.0, 0.5, 3), QosPolicy(c_max=4.0, p=0.25)),
+    "equal-watts": (bern("a", 2.0, 0.3, 8), bern("b", 2.0, 0.15, 6), QosPolicy(c_max=10.0, p=0.05)),
+    "larger-first": (bern("a", 3.0, 0.15, 6), bern("b", 1.0, 0.35, 10), QosPolicy(c_max=8.0, p=0.03)),
 }
 
 
-@pytest.mark.parametrize("crossover", [0, 10**9], ids=["none-stride-first", "all-stride-first"])
 @pytest.mark.parametrize("case", _FOLD_CASES)
-def test_decision_region_fold_order_cannot_be_seen(monkeypatch, case, crossover) -> None:
+def test_decision_region_fold_order_cannot_be_seen(case) -> None:
     c1, c2, policy = _FOLD_CASES[case]
-    monkeypatch.setattr(admission, "_STRIDE_FIRST_WINDOWS", crossover)
     for method in EstimationMethod:
         region = decision_region(c1, c2, policy, method)
         assert np.array_equal(region, _region_in_listed_order(c1, c2, policy, method)), method
@@ -395,6 +396,16 @@ def test_decision_region_fold_order_cannot_be_seen(monkeypatch, case, crossover)
             comp = ClassComposition(entries=entries)
             assert estimate(EstimationMethod.EXACT, comp, policy.c_max) == policy.p
         assert decision_region(c1, c2, policy, EstimationMethod.EXACT)[1, 1]
+
+
+def test_decision_region_refuses_a_grid_past_its_cell_budget(monkeypatch) -> None:
+    # 4097 * 4097 cells, just past 2**24: refused before any estimate runs
+    estimates = []
+    monkeypatch.setattr(admission, "estimate", lambda *args: estimates.append(args))
+    c1, c2 = bern("a", 1.0, 0.5, 2**12), bern("b", 3.0, 0.5, 2**12)
+    with pytest.raises(ValueError, match=f"{4097 * 4097} cells exceeds the budget of {2**24}"):
+        decision_region(c1, c2, QosPolicy(c_max=100.0, p=0.1), EstimationMethod.EXACT)
+    assert estimates == []
 
 
 def test_tight_region_is_contained_in_exact_region() -> None:

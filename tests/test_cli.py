@@ -1095,6 +1095,18 @@ def test_region_refuses_a_quantum_that_is_not_positive_and_finite(
     assert not (tmp_path / "out").exists()
 
 
+def test_region_refuses_a_grid_past_its_cell_budget(tmp_path, capsys) -> None:
+    argv = ["region", "--class1", "100000000x1@0.5", "--class2", "100000000x1@0.5",
+            "--c-max", "10", "--p", "0.1", "--out-dir", str(tmp_path)]  # fmt: skip
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: a region of {(10**8 + 1) ** 2} cells exceeds the budget of {2**24} cells\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "region.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 # ---------------------------------------------------------------------------

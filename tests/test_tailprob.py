@@ -212,6 +212,13 @@ def test_a_shared_pmf_array_cannot_be_made_writable(hold) -> None:
     assert not np.shares_memory(kept, given)
 
 
+def test_a_cached_window_and_its_flipped_view_cannot_be_made_writable() -> None:
+    _, _, kernel, flipped = tailprob._class_kernel(3, 0.5, 1.0, 1.0)
+    for held in (kernel, flipped):
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            held.setflags(write=True)
+
+
 def test_tail_and_mass_partition_the_distribution() -> None:
     pmf = PowerPmf(quantum=1.0, offset=0, probabilities=np.array([0.25, 0.5, 0.25]))
     assert pmf.tail_at_or_above(1.0) == pytest.approx(0.75)
