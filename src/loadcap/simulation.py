@@ -76,9 +76,14 @@ class SimConfig:
         for name, kind in kinds.items():
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name}={getattr(self, name)!r} is not a member of its enum")
+        if not isinstance(self.policy, QosPolicy):
+            raise ValueError(f"policy={self.policy!r} is not a QosPolicy")
         classes = tuple(self.classes)
         if not classes:
             raise ValueError("classes must be non-empty")
+        for cls in classes:
+            if not isinstance(cls, ApplianceClass):
+                raise ValueError(f"classes holds {cls!r}, not an ApplianceClass")
         names = [cls.name for cls in classes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate class names in {names!r}")
@@ -256,20 +261,21 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
 
     Demand is held as one contiguous bool row per shiftable appliance over
     the slots, each class a block of rows; slot t's new demand is column t.
-    Where ``admission._admits_down_set`` holds, a slot whose distinct
-    demand fits skips the per-entry loop.  The distinct demand counts each
-    queued appliance once per class, over the backlog and the new demand:
-    the slot's new demand counts, plus each queued appliance whose row
-    holds no demand in this slot.  Every count vector the greedy pass would
-    check lies below it, so when it is admitted the pass would serve each
-    appliance's first entry and turn every later entry away: repeats within
-    the backlog, then new demand of an appliance already queued, back into
-    the queue in queue order.  With one or two shiftable classes, checks
-    read a frontier walked once up front, and a slot with no backlog reads
-    whether its new demand fits from a table made before the loop.
-    Otherwise checks read a cache; where the down-set does not hold
-    (``clt`` at p >= 1/2), every slot runs the per-entry loop.  A config
-    in any other mode raises ValueError.
+    Every check asks one function whether a vector of shiftable class
+    counts fits.  With one or two shiftable classes where
+    ``admission._admits_down_set`` holds, it reads a frontier walked once up
+    front; otherwise it reads a cache, so no vector is estimated twice.
+    Where the down-set holds, a slot with no backlog whose new demand fits
+    is served whole, and a slot whose distinct demand fits skips the
+    per-entry loop; elsewhere (``clt`` at p >= 1/2) every slot runs it.
+    The distinct demand counts each queued appliance once per class, over
+    the backlog and the new demand: the slot's new demand counts, plus each
+    queued appliance whose row holds no demand in this slot.  Every count
+    vector the greedy pass would check lies below it, so when it is
+    admitted the pass would serve each appliance's first entry and turn
+    every later entry away: repeats within the backlog, then new demand of
+    an appliance already queued, back into the queue in queue order.  A
+    config in any other mode raises ValueError.
     """
     if config.mode is not SimMode.SLOT_DYNAMIC:
         raise ValueError(f"run_slot_dynamic needs mode 'slot_dynamic', not {config.mode.value!r}")
@@ -296,14 +302,16 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
         config.deterministic_load,
     )
     down_set = _admits_down_set(policy, method)
-    front: list[int] | None = None
+    # the loop's one check: whether a count vector of the shiftable classes fits
     if down_set and 1 <= len(shiftable) <= 2:
         front = _admission_frontier(shiftable, policy, method, quantum, base)
         width = 2  # one class leaves the second count at 0
+        admits = lambda counts: counts[0] <= front[counts[1]]
     else:
         # admitted count vectors recur heavily across slots; estimate each once
-        admits = functools.cache(_count_estimator(shiftable, policy, method, quantum, base))
+        estimated = functools.cache(_count_estimator(shiftable, policy, method, quantum, base))
         width = len(shiftable)
+        admits = lambda counts: estimated(tuple(counts))
     # per-slot new demand count of each class, summed one row block at a time
     counts = np.zeros((slots, width), dtype=np.int64)
     edges = np.cumsum([0] + [cls.count for cls in shiftable])
@@ -312,10 +320,8 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     demanded_steps = sum(map(operator.mul, counts.sum(axis=0).tolist(), class_steps))
     # the loop reads its per-slot tables as lists, which index faster than
     # arrays; slot t's counts are new_counts[t * width : (t + 1) * width]
-    if front is not None:
-        whole = (counts[:, 0] <= np.asarray(front)[counts[:, 1]]).tolist()
-        slot_steps = (counts[:, : len(shiftable)] @ class_steps).tolist()
-        new_count = counts.sum(axis=1).tolist()
+    slot_steps = (counts[:, : len(shiftable)] @ class_steps).tolist()
+    new_count = counts.sum(axis=1).tolist()
     new_counts = counts.ravel().tolist()
     wanted = wants.reshape(-1).data  # wanted[i * slots + t]: appliance i wants slot t
     shuffle = np.random.default_rng(derive_seed(config.seed, 1)).shuffle
@@ -332,7 +338,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     dropped_steps = 0
 
     for t in range(slots):
-        if not backlog and front is not None and whole[t]:
+        if down_set and not backlog and admits(new_counts[t * width : (t + 1) * width]):
             # the same draws as shuffling the slot's ids, so later slots
             # see the same stream; nothing dropped, queued or turned away
             shuffle(scratch[: new_count[t]])
@@ -351,11 +357,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
                     queued_new += 1
                 else:
                     distinct[column_of[appliance_id]] += 1
-            if front is None:
-                fits = admits(tuple(distinct))
-            else:
-                fits = distinct[0] <= front[distinct[1]]
-            if fits:
+            if admits(distinct):
                 served[t] = sum(map(operator.mul, distinct, class_steps))
                 # each later entry is turned away, in queue order: repeats within
                 # the backlog, then new demand of a queued appliance (only
@@ -382,11 +384,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
             if appliance_id not in served_ids:  # tested first: no estimate is spent
                 column = column_of[appliance_id]
                 admitted[column] += 1
-                if front is None:
-                    fits = admits(tuple(admitted))
-                else:
-                    fits = admitted[0] <= front[admitted[1]]
-                if fits:
+                if admits(admitted):
                     served_ids.add(appliance_id)
                     continue
                 admitted[column] -= 1

@@ -90,6 +90,11 @@ def test_sim_config_validation() -> None:
     for name, value in (("method", "exact"), ("mode", "slot_dynamic"), ("strategy", "drop")):
         with pytest.raises(ValueError, match=f"{name}='{value}' is not a member"):
             config_of(**{"mode": SimMode.SLOT_DYNAMIC, name: value})
+    # a wrong type would build and fail only inside run, on an attribute it lacks
+    with pytest.raises(ValueError, match="policy=.* is not a QosPolicy"):
+        config_of(policy={"c_max": 2, "p": 0.1})
+    with pytest.raises(ValueError, match="classes holds 'h', not an ApplianceClass"):
+        config_of(classes=("h",))
 
 
 def test_sim_config_rejects_a_strategy_outside_slot_dynamic_mode() -> None:
@@ -418,28 +423,39 @@ def test_slot_dynamic_is_reproducible() -> None:
     assert a.ledger == b.ledger
 
 
-def test_two_class_slot_dynamic_walks_the_frontier_once(monkeypatch) -> None:
-    # the admitted count vectors form a down-set, so one staircase walk over
-    # the two shiftable classes answers every check of the run
+@pytest.mark.parametrize(
+    "shiftable, c_max",
+    [
+        pytest.param((bern("small", 1.0, 0.3, 30),), 14.0, id="one-class"),
+        pytest.param(
+            (bern("small", 1.0, 0.3, 60), bern("large", 3.0, 0.2, 20)), 24.0, id="two-classes"
+        ),
+        pytest.param(
+            (bern("small", 1.0, 0.3, 12), bern("mid", 2.0, 0.3, 6), bern("large", 3.0, 0.2, 4)),
+            14.0,
+            id="three-classes",
+        ),
+    ],
+)
+def test_slot_dynamic_estimate_budget(monkeypatch, shiftable, c_max) -> None:
+    # the admitted count vectors form a down-set, so with one or two
+    # shiftable classes the run spends exactly one staircase walk's
+    # estimates, O(count1 + count2); with three, the cache estimates each
+    # count vector the run checks once
     import loadcap.admission as admission
 
-    calls = 0
+    estimated = []
     real_estimate = admission.estimate
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real_estimate(*args, **kwargs)
+    def counting(method, comp, *args, **kwargs):
+        estimated.append(comp.entries)
+        return real_estimate(method, comp, *args, **kwargs)
 
     monkeypatch.setattr(admission, "estimate", counting)
-    n1, n2 = 60, 20
+    fixed = bern("fixed", 2.0, 0.3, 5, shiftable=False)
     cfg = config_of(
-        classes=(
-            bern("small", 1.0, 0.3, n1),
-            bern("fixed", 2.0, 0.3, 5, shiftable=False),
-            bern("large", 3.0, 0.2, n2),
-        ),
-        policy=QosPolicy(c_max=24.0, p=0.01),
+        classes=(shiftable[0], fixed, *shiftable[1:]),
+        policy=QosPolicy(c_max=c_max, p=0.01),
         mode=SimMode.SLOT_DYNAMIC,
         strategy=SchedulingStrategy.ONE_STEP_SHIFT,
         slots=2000,
@@ -447,7 +463,17 @@ def test_two_class_slot_dynamic_walks_the_frontier_once(monkeypatch) -> None:
     result = run_slot_dynamic(cfg)
     assert result.outcomes is not None
     assert result.outcomes["backlog_depth"].max() > 0  # the per-entry checks ran too
-    assert 0 < calls <= n1 + n2 + 2 * math.ceil(math.log2(n1 + 1)) + 4
+    assert estimated
+    if len(shiftable) == 3:
+        assert len(set(estimated)) == len(estimated)
+        return
+    spent = estimated.copy()
+    estimated.clear()
+    base = ClassComposition(((fixed, fixed.count),))
+    admission._admission_frontier(shiftable, cfg.policy, cfg.method, cfg.quantum, base)
+    assert spent == estimated
+    n1, n2 = shiftable[0].count, sum(cls.count for cls in shiftable[1:])
+    assert len(spent) <= n1 + n2 + 2 * math.ceil(math.log2(n1 + 1)) + 4
 
 
 def test_slot_dynamic_served_load_passes_the_ceiling() -> None:

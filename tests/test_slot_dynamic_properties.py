@@ -1,9 +1,12 @@
 """Property checks of the slot-dynamic loop over small random configurations.
 
 One property holds the loop to a per-entry reference, byte for byte: the
-loop as it stood before the frontier table and the slots that skip the
-per-entry pass, with one cached estimate lookup per queued demand and the
-scheduler's order drawn by ``Generator.permutation``.
+loop as it stood before its admission check could read a frontier and
+before slots could skip the per-entry pass, with one cached estimate lookup
+per queued demand and the scheduler's order drawn by
+``Generator.permutation``.  Where the down-set holds, the loop serves a
+slot with no backlog whole whatever the number of shiftable classes; the
+examples take that path with one, two and three of them.
 """
 
 from __future__ import annotations
@@ -289,9 +292,10 @@ def _backlogged_appliance_repeats() -> SimConfig:
 
 
 def _three_shiftable_classes() -> SimConfig:
-    """Three shiftable classes, where checks read the cache: 22 of the 60
-    slots skip the per-entry pass because their distinct demand fits, 12 of
-    them with an appliance repeated within the backlog."""
+    """Three shiftable classes, where checks read the cache.  Of the 60
+    slots, 21 skip the per-entry pass with a backlog whose distinct demand
+    fits (12 of them with an appliance repeated within the backlog), 1 is
+    wholly admitted with none, and 38 run the pass."""
     return SimConfig(
         classes=(
             ApplianceClass(name="a", on_power=1.0, model=TwoStateMarkov(0.3, 0.2), count=5),
@@ -307,6 +311,14 @@ def _three_shiftable_classes() -> SimConfig:
         slots=60,
         seed=1,
     )  # fmt: skip
+
+
+def _three_shiftable_classes_mostly_whole() -> SimConfig:
+    """``_three_shiftable_classes`` under a 12 W ceiling, where most slots
+    hold no backlog: 54 of the 60 slots are wholly admitted, 4 skip the
+    per-entry pass with a backlog whose distinct demand fits, and 2 run
+    the pass."""
+    return replace(_three_shiftable_classes(), policy=QosPolicy(c_max=12.0, p=0.2))
 
 
 def _one_shiftable_class() -> SimConfig:
@@ -362,6 +374,7 @@ def _drop_on_a_half_watt_grid() -> SimConfig:
 @hypothesis.example(_clt_admits_above_a_rejected_count())
 @hypothesis.example(_backlogged_appliance_repeats())
 @hypothesis.example(_three_shiftable_classes())
+@hypothesis.example(_three_shiftable_classes_mostly_whole())
 @hypothesis.example(_one_shiftable_class())
 @hypothesis.example(_queued_appliances_demand_again())
 @hypothesis.example(_drop_on_a_half_watt_grid())
