@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ApplianceClass
+from .models import ApplianceClass, _count, _real, _record
 from .tailprob import ClassComposition, EstimationMethod, estimate
 
 __all__ = ["QosPolicy", "max_admissible", "decision_region"]
@@ -39,14 +39,11 @@ class QosPolicy:
     c_sys: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c_max) and self.c_max > 0.0):
-            raise ValueError(f"c_max={self.c_max!r} must be positive and finite")
-        if not (0.0 < self.p < 1.0):
-            raise ValueError(f"p={self.p!r} must lie strictly inside (0, 1)")
-        if self.c_sys is not None and not self.c_max <= self.c_sys:
-            raise ValueError(
-                f"c_max={self.c_max!r} exceeds the physical ceiling {self.c_sys!r}"
-            )
+        object.__setattr__(self, "c_max", _real("c_max", self.c_max, 0.0))
+        object.__setattr__(self, "p", _real("p", self.p, 0.0, 1.0))
+        if self.c_sys is not None:  # the physical ceiling, at or above c_max
+            c_sys = _real("c_sys", self.c_sys, self.c_max, math.inf, "[]")
+            object.__setattr__(self, "c_sys", c_sys)
 
     def admits(self, value: float) -> bool:
         """Whether a tail estimate respects ``p``; equality accepts."""
@@ -70,22 +67,22 @@ def _count_estimator(
     """Admission check as a function of the enabled count of each class.
 
     ``counts[i]`` of ``classes[i]`` join ``base`` as new entries; the
-    estimator folds always-on classes into the constant load.  Class names
-    and the base are checked once, here; each call checks only its counts
-    against ``[0, cls.count]``.
+    estimator folds always-on classes into the constant load.  The classes,
+    policy and base are checked once, here, and ``estimate`` checks the
+    method and quantum; each call checks its counts against ``[0, cls.count]``.
     """
-    # the constructor refuses a name that repeats across base and classes
+    _record("policy", policy, QosPolicy)
+    # the constructor checks each class and a name repeated across base and classes
+    base = _record("base", base, ClassComposition)
     ClassComposition(entries=base.entries + tuple((cls, 0) for cls in classes))
-    limits = tuple(cls.count for cls in classes)
+    limits = tuple((cls, f"enabled count of {cls.name!r}", cls.count) for cls in classes)
     new, set_field = object.__new__, object.__setattr__
     c_max = policy.c_max
 
     def admits(counts: tuple[int, ...]) -> bool:
         entries = list(base.entries)
-        for cls, n, limit in zip(classes, counts, limits):
-            if not 0 <= n <= limit or int(n) != n:
-                raise ValueError(f"enabled count {n!r} for {cls.name!r} outside [0, {limit}]")
-            entries.append((cls, int(n)))
+        for (cls, name, limit), n in zip(limits, counts):
+            entries.append((cls, _count(name, n, 0, limit)))
         # every check ClassComposition runs has passed, so its fields are
         # filled in without running them again for each count vector
         comp = new(ClassComposition)
@@ -116,17 +113,18 @@ def _largest_admitted(admits: Callable[[int], bool], count: int) -> int:
     """Largest n in [0, count] that ``admits``, or -1 when 0 does not.
 
     ``admits`` must never turn true again once false: an
-    exponential-then-binary search finds the edge.
+    exponential-then-binary search finds the edge, asking about each n at
+    most once.
     """
     if not admits(0):
         return -1
     if count == 0 or admits(count):
         return count
-    # invariant: lo fits, hi does not
+    # invariant: lo fits, hi does not (once the doubling stops)
     lo, hi = 0, 1
-    while admits(hi):
+    while hi < count and admits(hi):  # count is known not to fit
         lo = hi
-        hi = min(2 * hi, count)  # count does not fit, so hi stays a strict bound
+        hi = min(2 * hi, count)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if admits(mid):
@@ -147,15 +145,16 @@ def max_admissible(
 
     ``base`` holds load that is present regardless (other classes, constant
     load); the search varies only this class's count, capped at its
-    population.  It reads the one-class ``_admission_frontier`` where
-    ``_admits_down_set`` holds (every method but clt at p >= 1/2), a linear
-    scan elsewhere.  Returns 0 if nothing fits.
+    population.  It searches with ``_largest_admitted`` where
+    ``_admits_down_set`` holds (every method but clt at p >= 1/2), and scans
+    every count elsewhere.  Returns 0 if nothing fits.
     """
+    _record("appliance_class", appliance_class, ApplianceClass)
     if base is None:
         base = ClassComposition.empty()
-    if _admits_down_set(policy, method):
-        return max(_admission_frontier((appliance_class,), policy, method, quantum, base)[0], 0)
     admits = _count_estimator((appliance_class,), policy, method, quantum, base)
+    if _admits_down_set(policy, method):
+        return max(_largest_admitted(lambda n: admits((n,)), appliance_class.count), 0)
     return max((n for n in range(appliance_class.count + 1) if admits((n,))), default=0)
 
 
@@ -205,6 +204,8 @@ def decision_region(
     folds the stride class first; equal wattages keep the given order.  The
     order moves an exact tail in its last bits only, and no other estimate.
     """
+    _record("class1", class1, ApplianceClass)
+    _record("class2", class2, ApplianceClass)
     cells = (class1.count + 1) * (class2.count + 1)
     if cells > _MAX_REGION_CELLS:
         raise ValueError(

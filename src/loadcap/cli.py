@@ -21,7 +21,7 @@ from typing import Sequence
 # the simulator.  A span recorder that rebinds a module's function is still
 # seen there: the import reads the module attribute at call time.
 from .admission import QosPolicy, _admits_estimate, decision_region
-from .models import MODEL_FAMILIES, ApplianceClass, Bernoulli, fit_model, stationary_stats
+from .models import MODEL_FAMILIES, ApplianceClass, Bernoulli, _real, fit_model, stationary_stats
 from .tailprob import ClassComposition, EstimationMethod, estimate, exact_pmf
 
 __all__ = ["main"]
@@ -71,18 +71,13 @@ def _out_path(args: argparse.Namespace, filename: str) -> str:
     return os.path.join(args.out_dir, filename)
 
 
-def _check_quantum(quantum_w: float) -> None:
-    # estimate refuses it too, but this message names the flag, and bounds
-    # refuses it before it runs any estimate or writes the dump
-    if not (quantum_w > 0.0 and math.isfinite(quantum_w)):
-        raise ValueError(f"--quantum-w must be positive and finite, got {quantum_w!r}")
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     for flag, value in (("--c-max", args.c_max), ("--require", args.require)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be a finite number, got {value!r}")
-    _check_quantum(args.quantum_w)
+    # estimate refuses it too, but this message names the flag, and bounds
+    # refuses it before it runs any estimate or writes the dump
+    _real("--quantum-w", args.quantum_w, 0.0)
     composition = ClassComposition(
         entries=_parse_composition_spec(args.composition).entries,
         deterministic_load=args.det,
@@ -165,7 +160,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_region(args: argparse.Namespace) -> int:
     from .fileio import write_region
 
-    _check_quantum(args.quantum_w)
+    _real("--quantum-w", args.quantum_w, 0.0)
     comp = _parse_composition_spec([args.class1, args.class2])
     (class1, _), (class2, _) = comp.entries
     policy = QosPolicy(c_max=args.c_max, p=args.p)

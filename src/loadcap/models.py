@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import cached_property
-from typing import Callable, ClassVar, Mapping, Union, get_args
+from typing import Any, Callable, ClassVar, Mapping, Union, get_args
 
 import numpy as np
 
@@ -53,6 +54,78 @@ def derive_seed(base_seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+# the largest count and run length: every count is sampled or summed as int64
+_MAX_COUNT = 2**63 - 1
+# how a failed range check reads, for the ranges with words of their own
+_RANGE_RULES = {
+    (0.0, math.inf, "()"): "must be positive and finite",
+    (0.0, 1.0, "()"): "must lie strictly inside (0, 1)",
+    (-math.inf, math.inf, "[]"): "is not a number",  # only NaN fails
+}
+
+
+def _read_only_copy(name: str, values: object) -> np.ndarray:
+    """``values`` copied to a non-empty 1-D float64 array and frozen: a view of
+    a read-only copy, which numpy lets no holder make writable again.  Each
+    frozen record that holds an array (``TraceSeries``, ``tailprob.PowerPmf``)
+    keeps one; ``name`` names it in the ValueError a wrong shape raises."""
+    copy = np.array(values, dtype=np.float64)
+    if copy.ndim != 1 or copy.size == 0:
+        raise ValueError(f"{name} must be a non-empty 1-D series")
+    copy.setflags(write=False)
+    return copy.view()
+
+
+# The input checkers of every public record and function: each returns the value
+# or raises ValueError naming it, by the experiment file's rules (a bool is not
+# a number, a float is not a count, a string is neither; numpy scalars are numbers).
+def _count(name: str, value: object, low: int = 0, high: float = _MAX_COUNT) -> int:
+    """``value``, an int or numpy integer (not a bool), as an int in [low, high]."""
+    n = value if type(value) is int else int(value) if isinstance(value, np.integer) else None
+    if n is not None and low <= n <= high:
+        return n
+    top = "2**63 - 1" if high == _MAX_COUNT else high
+    raise ValueError(f"{name}={value!r} must be an integer from {low} to {top}")
+
+
+def _real(
+    name: str, value: object, low: float = -math.inf, high: float = math.inf, ends: str = "()"
+) -> float:
+    """``value``, an int, float or numpy scalar (not a bool or a string), as a
+    float between ``low`` and ``high``; ``ends`` marks each end open, ``(``
+    or ``)``, or closed, ``[`` or ``]``.  NaN lies in no range."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{name}={value!r} is not a number")
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{name}={value!r} is past the float range") from None
+    if low < value < high if ends == "()" else (
+        (low < value if ends[0] == "(" else low <= value)
+        and (value < high if ends[1] == ")" else value <= high)
+    ):
+        return value
+    rule = _RANGE_RULES.get((low, high, ends), f"must lie in {ends[0]}{low!r}, {high!r}{ends[1]}")
+    raise ValueError(f"{name}={value!r} {rule}")
+
+
+def _member(name: str, value: object, kind: type[Enum]) -> Any:
+    """``value``, a member of the enum ``kind``; a member's value is not one."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"{name}={value!r} is not a member of {kind.__name__}")
+
+
+def _record(name: str, value: object, kind: type | tuple[type, ...]) -> Any:
+    """``value``, an instance of ``kind`` or of one of the types it lists."""
+    if isinstance(value, kind):
+        return value
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    names = " or ".join(("an " if k.__name__[0] in "AEIOU" else "a ") + k.__name__ for k in kinds)
+    raise ValueError(f"{name}={value!r} is not {names}")
+
+
 @dataclass(frozen=True)
 class DurationPmf:
     """Finite-support distribution of run lengths, in whole slots.
@@ -64,7 +137,7 @@ class DurationPmf:
             1e-9.
     """
 
-    max_duration: ClassVar[int] = 2**63 - 1
+    max_duration: ClassVar[int] = _MAX_COUNT
     entries: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
@@ -72,14 +145,8 @@ class DurationPmf:
             raise ValueError("duration pmf needs at least one entry")
         cleaned = []
         for dur, weight in self.entries:
-            if not (1 <= dur <= self.max_duration) or int(dur) != dur:
-                raise ValueError(
-                    f"duration {dur!r} is not an integer from 1 to {self.max_duration}"
-                )
-            weight = float(weight)
-            if not (0.0 < weight <= 1.0) or not math.isfinite(weight):
-                raise ValueError(f"bad probability {weight!r} for duration {dur}")
-            cleaned.append((int(dur), weight))
+            dur = _count("duration", dur, 1)
+            cleaned.append((dur, _real(f"probability of duration {dur}", weight, 0.0, 1.0, "(]")))
         cleaned.sort()
         if len({d for d, _ in cleaned}) != len(cleaned):
             raise ValueError("duplicate durations in pmf")
@@ -90,7 +157,7 @@ class DurationPmf:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[int, float]) -> "DurationPmf":
-        return cls(tuple((int(d), float(w)) for d, w in mapping.items()))
+        return cls(tuple(mapping.items()))
 
     @cached_property
     def _durations(self) -> np.ndarray:
@@ -130,8 +197,7 @@ class Bernoulli:
     p_on: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.p_on <= 1.0):
-            raise ValueError(f"p_on={self.p_on!r} outside [0, 1]")
+        object.__setattr__(self, "p_on", _real("p_on", self.p_on, 0.0, 1.0, "[]"))
 
     def stationary_stats(self) -> StationaryStats:
         p = self.p_on
@@ -158,9 +224,7 @@ class TwoStateMarkov:
 
     def __post_init__(self) -> None:
         for name in ("p_off_to_on", "p_on_to_off"):
-            value = getattr(self, name)
-            if not (0.0 < value < 1.0):
-                raise ValueError(f"{name}={value!r} outside (0, 1)")
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, 1.0))
 
     def stationary_stats(self) -> StationaryStats:
         return StationaryStats(
@@ -191,6 +255,10 @@ class AlternatingRenewal:
     on_durations: DurationPmf
     off_durations: DurationPmf
 
+    def __post_init__(self) -> None:
+        _record("on_durations", self.on_durations, DurationPmf)
+        _record("off_durations", self.off_durations, DurationPmf)
+
     def stationary_stats(self) -> StationaryStats:
         mean_on = self.on_durations.mean()
         mean_off = self.off_durations.mean()
@@ -219,9 +287,7 @@ MODEL_FAMILIES = tuple(MODEL_CLASSES)
 
 def stationary_stats(model: LoadModel) -> StationaryStats:
     """Stationary ON probability and mean ON/OFF run lengths of ``model``."""
-    if not isinstance(model, get_args(LoadModel)):
-        raise TypeError(f"unknown load model {model!r}")
-    return model.stationary_stats()
+    return _record("model", model, get_args(LoadModel)).stationary_stats()
 
 
 def _alternating_states(
@@ -288,29 +354,17 @@ class ApplianceClass:
     shiftable: bool = True
 
     def __post_init__(self) -> None:
-        if not self.name:
+        if not _record("name", self.name, str):
             raise ValueError("appliance class needs a non-empty name")
-        if not (self.on_power > 0.0 and math.isfinite(self.on_power)):
-            raise ValueError(f"on_power={self.on_power!r} must be positive and finite")
-        if not (0 <= self.count <= DurationPmf.max_duration) or int(self.count) != self.count:
-            raise ValueError(f"count={self.count!r} must be an integer from 0 to 2**63 - 1")
-        object.__setattr__(self, "count", int(self.count))
-        if not isinstance(self.model, get_args(LoadModel)):
-            raise ValueError(f"class {self.name!r} needs a load model, got {self.model!r}")
+        object.__setattr__(self, "on_power", _real("on_power", self.on_power, 0.0))
+        _record("model", self.model, get_args(LoadModel))
+        object.__setattr__(self, "count", _count("count", self.count))
+        _record("shiftable", self.shiftable, bool)
 
     @cached_property
     def p_on(self) -> float:
         """Stationary ON probability of the model."""
         return self.model.stationary_stats().p_on
-
-
-def _read_only_copy(values: object) -> np.ndarray:
-    """``values`` copied to float64 and frozen: a view of a read-only copy,
-    which numpy lets no holder make writable again.  Each frozen record that
-    holds an array (``TraceSeries``, ``tailprob.PowerPmf``) keeps one."""
-    copy = np.array(values, dtype=np.float64)
-    copy.setflags(write=False)
-    return copy.view()
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,11 +375,9 @@ class TraceSeries:
     watts: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.sample_period_s > 0.0 and math.isfinite(self.sample_period_s)):
-            raise ValueError(f"sample_period_s={self.sample_period_s!r} must be positive")
-        arr = _read_only_copy(self.watts)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("trace must be a non-empty 1-D series")
+        period = _real("sample_period_s", self.sample_period_s, 0.0)
+        object.__setattr__(self, "sample_period_s", period)
+        arr = _read_only_copy("trace", self.watts)
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("trace readings must be finite and non-negative")
         object.__setattr__(self, "watts", arr)
@@ -336,10 +388,9 @@ def sample_series(appliance: ApplianceClass, slots: int, seed: int) -> np.ndarra
 
     The same (appliance, slots, seed) triple always yields the same series.
     """
-    if int(slots) != slots or slots < 1:
-        raise ValueError(f"slots={slots!r} must be a positive integer")
-    slots = int(slots)
-    rng = np.random.default_rng(int(seed))
+    _record("appliance", appliance, ApplianceClass)
+    slots = _count("slots", slots, 1)
+    rng = np.random.default_rng(_count("seed", seed, 0, math.inf))
     states = appliance.model.sample_states(slots, rng)
     return states.astype(np.float64) * appliance.on_power
 
@@ -380,11 +431,10 @@ def fit_model(trace: TraceSeries, family: str, on_threshold: float) -> FitResult
     samples, no OFF samples, or (renewal) no interior run of either kind,
     and ValueError naming a NaN ``on_threshold``, which no reading exceeds.
     """
+    _record("trace", trace, TraceSeries)
     if family not in MODEL_FAMILIES:
         raise ValueError(f"unknown model family {family!r}; choose from {MODEL_FAMILIES}")
-    if math.isnan(on_threshold):
-        raise ValueError(f"on_threshold={on_threshold!r} is not a number")
-    on = trace.watts > float(on_threshold)
+    on = trace.watts > _real("on_threshold", on_threshold, -math.inf, math.inf, "[]")
     n_on = int(np.count_nonzero(on))
     if n_on == 0 or n_on == on.size:
         raise ValueError("degenerate trace: needs both ON and OFF samples")

@@ -33,7 +33,7 @@ from .admission import (
     _count_estimator,
     max_admissible,
 )
-from .models import ApplianceClass, derive_seed, sample_series
+from .models import ApplianceClass, _count, _member, _real, _record, derive_seed, sample_series
 from .scheduling import SchedulingStrategy, load_factor
 from .tailprob import ClassComposition, EstimationMethod, _grid_steps, _reach_floor
 
@@ -49,6 +49,9 @@ __all__ = [
 
 # slots with at least this many expected violations give usable k estimates
 _MIN_EXPECTED_EVENTS = 10.0
+# the most slots x (1 + shiftable appliances) one run may hold: a slot-dynamic run
+# keeps a bool per slot and shiftable appliance, and every run a few rows of slots
+_MAX_SLOT_CELLS = 2**25
 
 
 class SimMode(Enum):
@@ -72,34 +75,24 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         # a string equals no member, so it would run as another one (a shift as a drop)
-        kinds = dict(method=EstimationMethod, mode=SimMode, strategy=SchedulingStrategy | None)
-        for name, kind in kinds.items():
-            if not isinstance(getattr(self, name), kind):
-                raise ValueError(f"{name}={getattr(self, name)!r} is not a member of its enum")
-        if not isinstance(self.policy, QosPolicy):
-            raise ValueError(f"policy={self.policy!r} is not a QosPolicy")
-        classes = tuple(self.classes)
+        _member("method", self.method, EstimationMethod)
+        _member("mode", self.mode, SimMode)
+        if self.strategy is not None:
+            _member("strategy", self.strategy, SchedulingStrategy)
+        _record("policy", self.policy, QosPolicy)
+        classes = tuple(_record("classes", self.classes, (tuple, list)))
         if not classes:
             raise ValueError("classes must be non-empty")
-        for cls in classes:
-            if not isinstance(cls, ApplianceClass):
-                raise ValueError(f"classes holds {cls!r}, not an ApplianceClass")
-        names = [cls.name for cls in classes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate class names in {names!r}")
+        # the composition constructor checks each class, repeated names and the base load
+        base = ClassComposition(tuple((cls, 0) for cls in classes), self.deterministic_load)
         object.__setattr__(self, "classes", classes)
-        if int(self.slots) != self.slots or self.slots < 1:
-            raise ValueError(f"slots={self.slots!r} must be a positive integer")
-        object.__setattr__(self, "slots", int(self.slots))
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError(f"seed={self.seed!r} must be a non-negative integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        if not (self.quantum > 0.0 and math.isfinite(self.quantum)):
-            raise ValueError(f"quantum={self.quantum!r} must be positive and finite")
-        det = float(self.deterministic_load)
-        if not (det >= 0.0 and math.isfinite(det)):
-            raise ValueError(f"deterministic_load={det!r} must be >= 0 and finite")
-        object.__setattr__(self, "deterministic_load", det)
+        object.__setattr__(self, "deterministic_load", base.deterministic_load)
+        object.__setattr__(self, "slots", _count("slots", self.slots, 1))
+        # refused before a run allocates its per-slot rows and demand table
+        cells = self.slots * (1 + sum(cls.count for cls in classes if cls.shiftable))
+        _count("slots x (1 + shiftable appliances)", cells, 1, _MAX_SLOT_CELLS)
+        object.__setattr__(self, "seed", _count("seed", self.seed, 0, math.inf))
+        object.__setattr__(self, "quantum", _real("quantum", self.quantum, 0.0))
         # only slot-dynamic mode schedules (no strategy is drop) or serves unconditionally
         fixed = [cls.name for cls in classes if not cls.shiftable]
         if self.mode is not SimMode.SLOT_DYNAMIC and self.strategy is not None:
@@ -140,7 +133,11 @@ class SimResult:
     Load factors are NaN when the series is all zero.  The series and
     outcomes are made read-only in place, not copied, since sweep cells
     share rows, and the result holds views of them, which numpy lets no
-    holder make writable again; so no write can leave a cached metric stale.
+    holder make writable again; so no write through the result can leave a
+    cached metric stale.  A hand-built result freezes its caller's arrays in
+    place too, not copies of them: a caller that still holds one of those
+    arrays can make it writable again, and one holding a writable array that
+    it views can write through that base, and either write reaches the result.
     """
 
     config: SimConfig
@@ -211,7 +208,7 @@ def run(config: SimConfig) -> SimResult:
     appliances never run; no scheduling is involved.  The baseline series
     runs every appliance for comparison.
     """
-    if config.mode is SimMode.COMPOSITION:
+    if _record("config", config, SimConfig).mode is SimMode.COMPOSITION:
         return _compositions(config, (config.policy.p,), (config.method,))[0]
     return run_slot_dynamic(config)
 
@@ -277,7 +274,7 @@ def run_slot_dynamic(config: SimConfig) -> SimResult:
     an appliance already queued, back into the queue in queue order.  A
     config in any other mode raises ValueError.
     """
-    if config.mode is not SimMode.SLOT_DYNAMIC:
+    if _record("config", config, SimConfig).mode is not SimMode.SLOT_DYNAMIC:
         raise ValueError(f"run_slot_dynamic needs mode 'slot_dynamic', not {config.mode.value!r}")
     slots, policy, method, quantum = config.slots, config.policy, config.method, config.quantum
     shiftable = tuple(cls for cls in config.classes if cls.shiftable)
@@ -417,16 +414,17 @@ def _sweep_axes(
     methods: Sequence[EstimationMethod] | None,
 ) -> tuple[tuple[float, ...], tuple[EstimationMethod, ...]]:
     """A sweep's p values and methods (all when None), checked: the sweep rules' one home."""
-    if config.mode is not SimMode.COMPOSITION:
+    if _record("config", config, SimConfig).mode is not SimMode.COMPOSITION:
         raise ValueError(f"p_values make a composition sweep, not mode {config.mode.value!r}")
-    values = tuple(float(v) for v in p_values)
+    p_values = _record("p_values", p_values, (tuple, list))
+    values = tuple(_real(f"p_values[{i}]", v, 0.0, 1.0) for i, v in enumerate(p_values))
     if not values:
         raise ValueError("p_values must be non-empty")
-    if any(not (0.0 < v < 1.0) for v in values):
-        raise ValueError("every p value must lie strictly inside (0, 1)")
     if sorted(values) != list(values):
         raise ValueError("p_values must be sorted ascending")
-    chosen = tuple(EstimationMethod) if methods is None else tuple(methods)
+    methods = tuple(EstimationMethod) if methods is None else methods
+    methods = _record("methods", methods, (tuple, list))
+    chosen = tuple(_member(f"methods[{i}]", m, EstimationMethod) for i, m in enumerate(methods))
     if not chosen:
         raise ValueError("methods must be non-empty")
     return values, chosen

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .models import ApplianceClass, _read_only_copy
+from .models import ApplianceClass, _count, _member, _read_only_copy, _real, _record
 
 __all__ = [
     "EstimationMethod",
@@ -84,15 +84,12 @@ class PowerPmf:
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.quantum > 0.0 and math.isfinite(self.quantum)):
-            raise ValueError(f"quantum={self.quantum!r} must be positive and finite")
-        if int(self.offset) != self.offset or self.offset < 0:
-            raise ValueError(f"offset={self.offset!r} must be a non-negative integer")
-        if type(self.offset) is not int:
-            object.__setattr__(self, "offset", int(self.offset))
-        probs = _read_only_copy(self.probabilities)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probabilities must be a non-empty 1-D vector")
+        # stored only when coerced, since every exact estimate builds a pmf
+        quantum, offset = _real("quantum", self.quantum, 0.0), _count("offset", self.offset)
+        if quantum is not self.quantum or offset is not self.offset:
+            object.__setattr__(self, "quantum", quantum)
+            object.__setattr__(self, "offset", offset)
+        probs = _read_only_copy("probabilities", self.probabilities)
         least = np.minimum.reduce(probs)
         if not least >= 0.0:  # a negative entry, -inf or NaN
             raise ValueError("probabilities must be finite and non-negative")
@@ -158,19 +155,14 @@ class ClassComposition:
     def __post_init__(self) -> None:
         seen: set[str] = set()
         cleaned = []
-        for cls, enabled in self.entries:
-            if not (0 <= enabled <= cls.count) or int(enabled) != enabled:
-                raise ValueError(
-                    f"enabled count {enabled!r} for {cls.name!r} outside [0, {cls.count}]"
-                )
+        for cls, enabled in _record("entries", self.entries, (tuple, list)):
+            _record("class", cls, ApplianceClass)
             if cls.name in seen:
                 raise ValueError(f"duplicate class name {cls.name!r}")
             seen.add(cls.name)
-            cleaned.append((cls, int(enabled)))
+            cleaned.append((cls, _count(f"enabled count of {cls.name!r}", enabled, 0, cls.count)))
         object.__setattr__(self, "entries", tuple(cleaned))
-        det = float(self.deterministic_load)
-        if not (det >= 0.0 and math.isfinite(det)):
-            raise ValueError(f"deterministic_load={det!r} must be >= 0 and finite")
+        det = _real("deterministic_load", self.deterministic_load, 0.0, ends="[)")
         object.__setattr__(self, "deterministic_load", det)
 
     @classmethod
@@ -413,7 +405,7 @@ def _class_kernel(
     if n + 1 > _MAX_GRID_POINTS:
         raise _grid_too_large(n + 1, quantum)
     lo, window = _trimmed(_binomial_pmf(n, p_on))
-    kernel = _read_only_copy(window)
+    kernel = _read_only_copy("window", window)
     return lo, steps, kernel, kernel[::-1]
 
 
@@ -444,11 +436,10 @@ def exact_pmf(composition: ClassComposition, quantum: float = 1.0) -> PowerPmf:
     ``PowerPmf`` keeps a read-only copy of the pmf, checks its mass and
     raises ValueError when it drifted from 1.
     """
-    if not (quantum > 0.0 and math.isfinite(quantum)):
-        raise ValueError(f"quantum={quantum!r} must be positive and finite")
+    quantum = _real("quantum", quantum, 0.0)
     acc = _EMPTY_LOAD
     offset = 0
-    for cls, enabled in composition.entries:
+    for cls, enabled in _record("composition", composition, ClassComposition).entries:
         if enabled == 0:
             continue
         lo, steps, kernel, flipped = _class_kernel(enabled, cls.p_on, cls.on_power, quantum)
@@ -628,13 +619,10 @@ def estimate(
     that keeps them normal.  A quantum that is not positive and finite, a
     NaN ``c_max`` or a non-member ``method`` raises ValueError at any ceiling.
     """
-    if not (quantum > 0.0 and math.isfinite(quantum)):
-        raise ValueError(f"quantum={quantum!r} must be positive and finite")
-    if math.isnan(c_max):
-        raise ValueError(f"c_max={c_max!r} is not a number")
-    if not isinstance(method, EstimationMethod):
-        raise ValueError(f"unknown estimation method {method!r}")
-    composition = _fold_certain(composition)
+    quantum = _real("quantum", quantum, 0.0)
+    c_max = _real("c_max", c_max, -math.inf, math.inf, "[]")
+    _member("method", method, EstimationMethod)
+    composition = _fold_certain(_record("composition", composition, ClassComposition))
     threshold = c_max - composition.deterministic_load
     if method is not EstimationMethod.EXACT:
         try:  # read from the grid point exact starts at, where that lies below

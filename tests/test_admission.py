@@ -75,11 +75,11 @@ def test_count_estimator_checks_names_once_and_counts_on_every_call() -> None:
     base = ClassComposition(entries=((bern("c", 2.0, 1.0, 2), 1),), deterministic_load=0.5)
     admits = _count_estimator((a, b), policy, exact, 1.0, base)
     for counts, message in (
-        ((13, 0), "enabled count 13 for 'a' outside [0, 12]"),
-        ((0, -1), "enabled count -1 for 'b' outside [0, 5]"),
-        ((2.5, 0), "enabled count 2.5 for 'a' outside [0, 12]"),
-        ((0, math.inf), "enabled count inf for 'b' outside [0, 5]"),
-        ((math.nan, 0), "enabled count nan for 'a' outside [0, 12]"),
+        ((13, 0), "enabled count of 'a'=13 must be an integer from 0 to 12"),
+        ((0, -1), "enabled count of 'b'=-1 must be an integer from 0 to 5"),
+        ((2.5, 0), "enabled count of 'a'=2.5 must be an integer from 0 to 12"),
+        ((0, math.inf), "enabled count of 'b'=inf must be an integer from 0 to 5"),
+        ((math.nan, 0), "enabled count of 'a'=nan must be an integer from 0 to 12"),
     ):
         with pytest.raises(ValueError) as refused:
             admits(counts)
@@ -227,6 +227,28 @@ def test_max_admissible_binary_search_agrees_with_linear_scan() -> None:
     assert max_admissible(cls, policy, EstimationMethod.CLT, base=base) == 3
 
 
+def test_max_admissible_estimates_no_count_twice(monkeypatch) -> None:
+    # the doubling stops below the population, which was estimated first and
+    # did not fit; 30 x 1 W at 0.3 under 14 W at p 0.01 spends 11 estimates
+    estimated = []
+    real_estimate = admission.estimate
+
+    def counting(method, comp, *args, **kwargs):
+        estimated.append(tuple(n for _, n in comp.entries))
+        return real_estimate(method, comp, *args, **kwargs)
+
+    monkeypatch.setattr(admission, "estimate", counting)
+    policy = QosPolicy(c_max=14.0, p=0.01)
+    assert max_admissible(bern("x", 1.0, 0.3, 30), policy, EstimationMethod.EXACT) == 26
+    assert len(estimated) == 11
+    for count in range(1, 41):
+        for method in SEARCH_METHODS:
+            estimated.clear()
+            cls = bern("x", 1.0, 0.3, count)
+            assert max_admissible(cls, policy, method) == linear_scan_max(cls, policy, method)
+            assert len(set(estimated)) == len(estimated), (count, method)
+
+
 def test_max_admissible_zero_when_even_one_is_too_risky() -> None:
     cls = bern("x", 5.0, 0.9, 10)
     policy = QosPolicy(c_max=4.0, p=0.01)
@@ -237,7 +259,7 @@ def test_max_admissible_zero_when_even_one_is_too_risky() -> None:
 def test_max_admissible_refuses_a_non_method_over_a_saturated_base() -> None:
     # the base alone reaches the ceiling, so every estimate is 1 before the
     # method is read: a string is refused, not sized to 0
-    with pytest.raises(ValueError, match="unknown estimation method"):
+    with pytest.raises(ValueError, match="method='markov' is not a member of EstimationMethod"):
         max_admissible(
             bern("x", 1.0, 0.5, 10), QosPolicy(8.0, 0.05), "markov", base=ClassComposition((), 9.0)
         )

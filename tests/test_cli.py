@@ -245,7 +245,7 @@ def test_bounds_refuses_a_quantum_that_is_not_positive_and_finite(quantum_w, cap
     argv = ["bounds", "2x1@0.5", "--c-max", "1", "--methods", "markov", "--quantum-w", quantum_w]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"--quantum-w must be positive and finite, got {float(quantum_w)!r}" in captured.err
+    assert f"--quantum-w={float(quantum_w)!r} must be positive and finite" in captured.err
     assert captured.out == ""
 
 
@@ -1090,7 +1090,7 @@ def test_region_refuses_a_quantum_that_is_not_positive_and_finite(
             "--out-dir", str(tmp_path / "out")]  # fmt: skip
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert f"--quantum-w must be positive and finite, got {float(quantum_w)!r}" in captured.err
+    assert f"--quantum-w={float(quantum_w)!r} must be positive and finite" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

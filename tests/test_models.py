@@ -72,7 +72,9 @@ def test_renewal_stationary_triple() -> None:
     "not_a_model", ["markov", DurationPmf.from_mapping({2: 1.0})], ids=["string", "duration-pmf"]
 )
 def test_stationary_stats_refuses_a_non_model(not_a_model) -> None:
-    with pytest.raises(TypeError, match="unknown load model"):
+    with pytest.raises(
+        ValueError, match="is not a Bernoulli or a TwoStateMarkov or an AlternatingRenewal"
+    ):
         stationary_stats(not_a_model)
 
 
@@ -151,7 +153,7 @@ def test_duration_pmf_durations_fit_an_int64() -> None:
     longest = DurationPmf.from_mapping({2**63 - 1: 1.0})
     assert longest.inverse_cdf(np.array([0.5])).tolist() == [2**63 - 1]
     for past in (2**63, 1e19, math.inf, math.nan):
-        with pytest.raises(ValueError, match="is not an integer from 1 to 9223372036854775807"):
+        with pytest.raises(ValueError, match=r"must be an integer from 1 to 2\*\*63 - 1"):
             DurationPmf(((past, 1.0),))
 
 

@@ -635,7 +635,7 @@ def test_estimate_refuses_a_non_method_at_every_ceiling(method) -> None:
         (comp((1.0, 0.5, 3), det=2.0), 1.0),
         (comp((1.0, 0.5, 3)), 2.0),
     ):
-        with pytest.raises(ValueError, match="unknown estimation method"):
+        with pytest.raises(ValueError, match="is not a member of EstimationMethod"):
             estimate(method, composition, ceiling)
 
 
